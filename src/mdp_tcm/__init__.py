@@ -7,7 +7,7 @@ generator provides ground truth for every end-to-end property.
 """
 
 from ._kernels import ACTIVE_BACKEND
-from .cost_sensitive import CostMatrix, CostVector, predict_cs
+from .cost_sensitive import CostVector, predict_cs
 from .dbn import DbnModel, TrainConfig
 from .metrics import MetricsReport
 from .multistate import EcsDbnModel, MultiStateModel, estimate_wear, train_mdp
@@ -21,7 +21,6 @@ __all__ = [
     "ACTIVE_BACKEND",
     "ChannelSeries",
     "CdConfig",
-    "CostMatrix",
     "CostVector",
     "DbnModel",
     "EcsDbnModel",

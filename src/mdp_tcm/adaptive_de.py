@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_sensitive import CostVector, predict_cs
+from .cost_sensitive import CostVector
 from .dbn import DbnModel, predict_proba
 from .metrics import confusion, gmean
 from .seeding import substream
@@ -161,16 +161,6 @@ def make_gmean_objective(posteriors: np.ndarray, labels: np.ndarray, n_classes: 
         return gmean(confusion(labels, preds, n_classes))
 
     return objective
-
-
-def evaluate_fitness(costs: CostVector, model: DbnModel, frames, labels) -> float:
-    """Weighted training G-mean of cost-sensitive predictions."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[0] == 0:
-        raise ValueError("empty evaluation set")
-    posteriors = predict_proba(model, frames)
-    preds = predict_cs(posteriors, costs)
-    return gmean(confusion(np.asarray(labels), preds, model.n_outputs))
 
 
 def evolve(model: DbnModel, frames, labels, config: DeConfig,

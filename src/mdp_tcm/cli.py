@@ -24,16 +24,17 @@ import numpy as np
 
 from . import dbn
 from .adaptive_de import DeConfig, evolve
-from .cost_sensitive import predict_cs
 from .errors import DataError, NumericError
-from .experiments import window_spec_for, windowed_run
-from .metrics import MetricsReport, classification_report, regression_report
+from .experiments import (FRAMEWORKS, framework_trial, seeded, sensor_subset_trial,
+                          window_spec_for, windowed_run)
+from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
+                      regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
                        KIND_REGRESSOR, load_model, save_model)
-from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel,
+from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_mdp)
-from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec,
-                              build_dataset, load_run_csv)
+from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
+                              build_dataset, load_run_csv, split)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -80,6 +81,15 @@ _COMMON_TRAIN_OPTS = [
     ("split-mode", str, "frame", "frame | run (run-level split avoids leakage)"),
 ]
 
+# options of the commands that train the multistate pipeline
+_MDP_OPTS = [
+    ("smoothing-window", int, 50, "trailing smoothing window (multistate)"),
+    ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
+    ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
+    ("de-population", int, 30, "DE population size"),
+    ("de-generations", int, 50, "DE generations"),
+]
+
 COMMANDS = {
     "generate": [
         ("out", str, _REQUIRED, "output directory"),
@@ -100,12 +110,7 @@ COMMANDS = {
         ("kind", str, "multistate",
          "multistate | ecs-dbn | dbn-classifier | dbn-regressor"),
         ("seed", int, 0, "run seed"),
-        ("smoothing-window", int, 50, "trailing smoothing window (multistate)"),
-        ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
-        ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
-        ("de-population", int, 30, "DE population size"),
-        ("de-generations", int, 50, "DE generations"),
-    ] + _COMMON_TRAIN_OPTS,
+    ] + _MDP_OPTS + _COMMON_TRAIN_OPTS,
     "evaluate": [
         ("data", str, _REQUIRED, "directory of run CSVs"),
         ("out", str, _REQUIRED, "output prefix for report files"),
@@ -115,12 +120,7 @@ COMMANDS = {
         ("trials", int, 1, "repeated seeded train+evaluate trials"),
         ("kind", str, "multistate", "model kind for --trials"),
         ("seed", int, 0, "run seed"),
-        ("smoothing-window", int, 50, "trailing smoothing window (multistate)"),
-        ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
-        ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
-        ("de-population", int, 30, "DE population size"),
-        ("de-generations", int, 50, "DE generations"),
-    ] + _COMMON_TRAIN_OPTS,
+    ] + _MDP_OPTS + _COMMON_TRAIN_OPTS,
     "predict": [
         ("model", str, _REQUIRED, "multistate model file"),
         ("run", str, _REQUIRED, "run CSV to predict on"),
@@ -142,12 +142,7 @@ COMMANDS = {
         ("out", str, _REQUIRED, "output prefix"),
         ("trials", int, 1, "seeded trials"),
         ("seed", int, 0, "base seed"),
-        ("smoothing-window", int, 50, "trailing smoothing window"),
-        ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
-        ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
-        ("de-population", int, 30, "DE population size"),
-        ("de-generations", int, 50, "DE generations"),
-    ] + _COMMON_TRAIN_OPTS,
+    ] + _MDP_OPTS + _COMMON_TRAIN_OPTS,
 }
 
 
@@ -268,9 +263,8 @@ def _split_runs(datasets, mode: str, ratio: float, seed: int):
         test = [datasets[i] for i in order[n_train:]]
         return train, test
     if mode == "frame":
-        from .signal_pipeline import SplitSpec, split as frame_split
         pooled = FrameDataset.concat(datasets)
-        train, test = frame_split(pooled, SplitSpec(train_ratio=ratio, seed=seed))
+        train, test = split(pooled, SplitSpec(train_ratio=ratio, seed=seed))
         if len(test) == 0:
             raise DataError(f"train ratio {ratio} leaves no test frames "
                             f"out of {len(pooled)}")
@@ -294,6 +288,10 @@ def _worker_count() -> int:
         return max(1, int(os.environ.get("MDP_TCM_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _trial_seeds(cfg: RunConfig) -> list:
+    return [cfg["seed"] + i for i in range(cfg["trials"])]
 
 
 def _map_trials(fn, seeds):
@@ -342,43 +340,41 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _mdp_config(cfg: RunConfig) -> MdpTrainConfig:
-    return MdpTrainConfig(
+def _mdp_config(cfg: RunConfig, seed: int) -> MdpTrainConfig:
+    """The command's training config for the trial with this seed."""
+    return seeded(MdpTrainConfig(
         classifier=_train_config(cfg, "diagnosis-default", "classifier"),
         regressor=_train_config(cfg, "prognosis-default", "regressor"),
         de=DeConfig(population_size=cfg["de-population"],
-                    max_generations=cfg["de-generations"],
-                    seed=cfg["seed"]),
+                    max_generations=cfg["de-generations"]),
         min_state_samples=cfg["min-state-samples"],
         smoothing_window=cfg["smoothing-window"] or None,
         sticky_steps=cfg["sticky-steps"],
-    )
+    ), seed)
 
 
 def _train_one(cfg: RunConfig, train_set: FrameDataset, seed: int):
     """Train the requested kind; returns (model, history dict)."""
     kind = cfg["kind"]
+    config = _mdp_config(cfg, seed)
     n_in = train_set.n_features
     if kind == KIND_MULTISTATE:
-        return train_mdp(train_set, _mdp_config(cfg), seed, log=print)
+        return train_mdp(train_set, config, seed, log=print)
     if kind in (KIND_ECS, KIND_CLASSIFIER):
-        config = _train_config(cfg, "diagnosis-default", "classifier")
-        hidden = dbn.draw_hidden_sizes(config, substream(seed, "arch-clf"))
+        hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
         model, loss = dbn.train_classifier(train_set.frames, train_set.state_labels,
-                                           (n_in,) + hidden + (N_STATES,), config, seed)
+                                           (n_in,) + hidden + (N_STATES,),
+                                           config.classifier, seed)
         if kind == KIND_CLASSIFIER:
             return model, {"loss": {"classifier": loss}}
-        costs, de_history = evolve(
-            model, train_set.frames, train_set.state_labels,
-            DeConfig(population_size=cfg["de-population"],
-                     max_generations=cfg["de-generations"], seed=seed))
+        costs, de_history = evolve(model, train_set.frames, train_set.state_labels,
+                                   config.de)
         return EcsDbnModel(model, costs), {"de": de_history,
                                            "loss": {"classifier": loss}}
     if kind == KIND_REGRESSOR:
-        config = _train_config(cfg, "prognosis-default", "regressor")
-        hidden = dbn.draw_hidden_sizes(config, substream(seed, "arch-reg"))
+        hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
         model, loss = dbn.train_regressor(train_set.frames, train_set.wear_targets,
-                                          (n_in,) + hidden + (1,), config, seed)
+                                          (n_in,) + hidden + (1,), config.regressor, seed)
         return model, {"loss": {"regressor": loss}}
     raise UsageError(f"unknown model kind {kind!r}")
 
@@ -422,63 +418,58 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluate_model(model, datasets, smoothing_override=None):
+def _evaluate_model(model, datasets):
     """Eight-key report for any model kind over per-run datasets."""
-    report = MetricsReport()
+    labels = np.concatenate([ds.state_labels for ds in datasets])
+    wear = np.concatenate([ds.wear_targets for ds in datasets])
     if isinstance(model, MultiStateModel):
-        states_true, states_pred = [], []
-        wear_true, wear_est = [], []
+        states, estimates = [], []
         for ds in datasets:
-            states, _, raw, smoothed = estimate_wear_detailed(model, ds.frames)
-            states_true.append(ds.state_labels)
-            states_pred.append(states)
-            wear_true.append(ds.wear_targets)
-            wear_est.append(smoothed if model.smoothing_window else raw)
-        cls = classification_report(np.concatenate(states_true),
-                                    np.concatenate(states_pred), N_STATES)
-        reg = regression_report(np.concatenate(wear_true), np.concatenate(wear_est))
+            s, _, raw, smoothed = estimate_wear_detailed(model, ds.frames)
+            states.append(s)
+            estimates.append(smoothed if model.smoothing_window else raw)
+        cls = classification_report(labels, np.concatenate(states), N_STATES)
+        reg = regression_report(wear, np.concatenate(estimates))
         return MetricsReport(accuracy=cls.accuracy, gmean=cls.gmean,
                              precision=cls.precision, recall=cls.recall, f1=cls.f1,
                              rmse=reg.rmse, r2score=reg.r2score, mape=reg.mape)
-    if isinstance(model, EcsDbnModel):
-        y = np.concatenate([ds.state_labels for ds in datasets])
-        frames = np.vstack([ds.frames for ds in datasets])
-        preds = predict_cs(dbn.predict_proba(model.base, frames), model.costs)
-        return classification_report(y, preds, N_STATES)
-    if model.head == dbn.SOFTMAX:
-        y = np.concatenate([ds.state_labels for ds in datasets])
-        frames = np.vstack([ds.frames for ds in datasets])
-        preds = np.argmax(dbn.predict_proba(model, frames), axis=1)
-        return classification_report(y, preds, N_STATES)
-    wear = np.concatenate([ds.wear_targets for ds in datasets])
     frames = np.vstack([ds.frames for ds in datasets])
+    if isinstance(model, EcsDbnModel):
+        return classification_report(labels, diagnose(model, frames)[0], N_STATES)
+    if model.head == dbn.SOFTMAX:
+        preds = np.argmax(dbn.predict_proba(model, frames), axis=1)
+        return classification_report(labels, preds, N_STATES)
     return regression_report(wear, dbn.predict_regression(model, frames))
 
 
-def _select_channels(datasets, channels: str):
+def _channel_list(channels: str, channel_ids) -> list | None:
+    """Channel ids named by a comma-separated subset; None for all.
+
+    `vibration` stands for every vib* channel in `channel_ids`.
+    """
     if channels.strip() in ("", "all"):
-        return datasets
-    names = [c.strip() for c in channels.split(",") if c.strip()]
+        return None
     expanded = []
-    for name in names:
+    for name in (c.strip() for c in channels.split(",")):
         if name == "vibration":
-            expanded += [c for c in datasets[0].channel_ids if c.startswith("vib")]
-        else:
+            expanded += [c for c in channel_ids if c.startswith("vib")]
+        elif name:
             expanded.append(name)
-    return [ds.select_channels(expanded) for ds in datasets]
+    return expanded
 
 
 def _write_report(out_prefix: Path, report: MetricsReport) -> None:
     _write_csv(out_prefix.parent / f"{out_prefix.name}.report.csv",
-               MetricsReport.csv_header().split(","),
-               [tuple(report.as_dict().values())])
+               REPORT_KEYS, [tuple(report.as_dict().values())])
     (out_prefix.parent / f"{out_prefix.name}.report.txt").write_text(
         report.to_kv_text(), encoding="utf-8")
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     datasets = _load_runs(cfg["data"], cfg["stride"])
-    datasets = _select_channels(datasets, cfg["channels"])
+    channels = _channel_list(cfg["channels"], datasets[0].channel_ids)
+    if channels is not None:
+        datasets = [ds.select_channels(channels) for ds in datasets]
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -501,18 +492,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         model, _ = _train_one(cfg, train_set, seed)
         return _evaluate_model(model, eval_sets)
 
-    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
-    reports = _map_trials(one_trial, seeds)
-    rows = [tuple(r.as_dict().values()) for r in reports]
-    _write_csv(out.parent / f"{out.name}.trials.csv",
-               ["trial"] + list(MetricsReport.csv_header().split(",")),
+    seeds = _trial_seeds(cfg)
+    rows = [tuple(r.as_dict().values()) for r in _map_trials(one_trial, seeds)]
+    _write_csv(out.parent / f"{out.name}.trials.csv", ("trial",) + REPORT_KEYS,
                [(seed,) + row for seed, row in zip(seeds, rows)])
     arr = np.array(rows, dtype=np.float64)
     mean, std = arr.mean(axis=0), arr.std(axis=0)
-    _write_csv(out.parent / f"{out.name}.report.csv",
-               MetricsReport.csv_header().split(","), [tuple(mean), tuple(std)])
-    lines = [f"{k} = {m:.10g} +- {s:.10g}"
-             for k, m, s in zip(MetricsReport.csv_header().split(","), mean, std)]
+    _write_csv(out.parent / f"{out.name}.report.csv", REPORT_KEYS, [tuple(mean), tuple(std)])
+    lines = [f"{k} = {m:.10g} +- {s:.10g}" for k, m, s in zip(REPORT_KEYS, mean, std)]
     (out.parent / f"{out.name}.report.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
@@ -547,44 +534,39 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_table(cfg: RunConfig, suffix: str, first_column: str, names, results,
+                 metrics) -> None:
+    """One row per name: mean and std over the trials of each report metric."""
+    rows = []
+    for name in names:
+        row = [name]
+        for metric in metrics:
+            vals = np.array([getattr(r[name], metric) for r in results])
+            row += [vals.mean(), vals.std()]
+        rows.append(row)
+    out = Path(cfg["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out.parent / f"{out.name}.{suffix}",
+               [first_column] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "std")],
+               rows)
+    for row in rows:
+        print(f"{row[0]}: rmse {row[1]:.4g} +- {row[2]:.4g}")
+
+
 def cmd_ablate_sensors(cfg: RunConfig) -> int:
     datasets = _load_runs(cfg["data"], cfg["stride"])
-    subsets = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
-    reg_config = _train_config(cfg, "prognosis-default", "regressor")
+    names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
+    subsets = {name: _channel_list(name, datasets[0].channel_ids) for name in names}
+    config = _train_config(cfg, "prognosis-default", "regressor")
 
     def one_trial(seed: int):
         train_set, eval_sets = _split_runs(datasets, cfg["split-mode"],
                                            cfg["train-ratio"], seed)
-        row = {}
-        for subset in subsets:
-            tr = _select_channels([train_set], subset)[0]
-            tests = _select_channels(eval_sets, subset)
-            hidden = dbn.draw_hidden_sizes(reg_config, substream(seed, f"arch-{subset}"))
-            model, _ = dbn.train_regressor(tr.frames, tr.wear_targets,
-                                           (tr.n_features,) + hidden + (1,),
-                                           reg_config, seed)
-            wear = np.concatenate([t.wear_targets for t in tests])
-            pred = np.concatenate([dbn.predict_regression(model, t.frames)
-                                   for t in tests])
-            row[subset] = regression_report(wear, pred)
-        return row
+        return sensor_subset_trial(train_set, eval_sets, subsets, config, seed)
 
-    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
-    results = _map_trials(one_trial, seeds)
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for subset in subsets:
-        rmses = np.array([r[subset].rmse for r in results])
-        r2s = np.array([r[subset].r2score for r in results])
-        mapes = np.array([r[subset].mape for r in results])
-        rows.append((subset, rmses.mean(), rmses.std(), r2s.mean(), r2s.std(),
-                     mapes.mean(), mapes.std()))
-    _write_csv(out.parent / f"{out.name}.sensor_ablation.csv",
-               ["subset", "rmse_mean", "rmse_std", "r2score_mean", "r2score_std",
-                "mape_mean", "mape_std"], rows)
-    for row in rows:
-        print(f"{row[0]}: rmse {row[1]:.4g} +- {row[2]:.4g}")
+    results = _map_trials(one_trial, _trial_seeds(cfg))
+    _write_table(cfg, "sensor_ablation.csv", "subset", names, results,
+                 ("rmse", "r2score", "mape"))
     return 0
 
 
@@ -594,41 +576,11 @@ def cmd_compare_frameworks(cfg: RunConfig) -> int:
     def one_trial(seed: int):
         train_set, eval_sets = _split_runs(datasets, cfg["split-mode"],
                                            cfg["train-ratio"], seed)
-        mdp_cfg = _mdp_config(cfg)
-        mdp_cfg = MdpTrainConfig(classifier=mdp_cfg.classifier,
-                                 regressor=mdp_cfg.regressor,
-                                 de=replace(mdp_cfg.de, seed=seed),
-                                 min_state_samples=mdp_cfg.min_state_samples,
-                                 smoothing_window=mdp_cfg.smoothing_window)
-        model, _ = train_mdp(train_set, mdp_cfg, seed)
-        wear, raw, smoothed, single = [], [], [], []
-        for ds in eval_sets:
-            _, _, r, sm = estimate_wear_detailed(model, ds.frames)
-            wear.append(ds.wear_targets)
-            raw.append(r)
-            smoothed.append(sm)
-            single.append(dbn.predict_regression(model.fallback, ds.frames))
-        wear = np.concatenate(wear)
-        return {
-            "multistate-smoothed": regression_report(wear, np.concatenate(smoothed)),
-            "multistate": regression_report(wear, np.concatenate(raw)),
-            "single-state-dbn": regression_report(wear, np.concatenate(single)),
-        }
+        return framework_trial(train_set, eval_sets, _mdp_config(cfg, seed), seed)["reports"]
 
-    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
-    results = _map_trials(one_trial, seeds)
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for framework in ("multistate-smoothed", "multistate", "single-state-dbn"):
-        rmses = np.array([r[framework].rmse for r in results])
-        r2s = np.array([r[framework].r2score for r in results])
-        rows.append((framework, rmses.mean(), rmses.std(), r2s.mean(), r2s.std()))
-    _write_csv(out.parent / f"{out.name}.frameworks.csv",
-               ["framework", "rmse_mean", "rmse_std", "r2score_mean", "r2score_std"],
-               rows)
-    for row in rows:
-        print(f"{row[0]}: rmse {row[1]:.4g} +- {row[2]:.4g}")
+    results = _map_trials(one_trial, _trial_seeds(cfg))
+    _write_table(cfg, "frameworks.csv", "framework", FRAMEWORKS, results,
+                 ("rmse", "r2score"))
     return 0
 
 

@@ -1,10 +1,9 @@
 """Cost-sensitive decision layer on top of classifier posteriors.
 
-Two views of misclassification cost are supported: a full K x K cost
-matrix feeding the expected-risk rule, and the per-class cost vector
-(one weight per class, each in [0, 1]) that the evolutionary loop tunes.
-Predictions reweight posteriors by the per-class costs and take the
-argmax; with uniform costs this reduces exactly to the plain argmax.
+Misclassification cost is a per-class cost vector (one weight per class,
+each in [0, 1]) that the evolutionary loop tunes. Predictions reweight
+posteriors by the per-class costs and take the argmax; with uniform costs
+this reduces exactly to the plain argmax.
 """
 
 from __future__ import annotations
@@ -36,43 +35,11 @@ class CostVector:
         return cls(np.full(n_classes, value))
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """K x K misclassification costs, zero diagonal, nonnegative."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("cost matrix must be square")
-        if np.any(np.diag(m) != 0.0):
-            raise ValueError("correct classification must cost 0")
-        if np.any(m < 0.0):
-            raise ValueError("costs must be nonnegative")
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def zero_one(cls, n_classes: int) -> "CostMatrix":
-        return cls(np.ones((n_classes, n_classes)) - np.eye(n_classes))
-
-
-def _check_posteriors(posteriors, k: int):
-    p = np.asarray(posteriors, dtype=np.float64)
-    if p.shape[-1] != k:
-        raise ValueError(f"posterior dimension {p.shape[-1]} != class count {k}")
-    return p
-
-
-def expected_risk(posteriors, costs: CostMatrix) -> np.ndarray:
-    """Expected cost of deciding each class: R(i) = sum_j P(j) * C[i, j]."""
-    p = _check_posteriors(posteriors, costs.entries.shape[0])
-    return p @ costs.entries.T
-
-
 def cost_adjusted_scores(posteriors, costs: CostVector) -> np.ndarray:
     """Per-class scores P(j) * c_j."""
-    p = _check_posteriors(posteriors, len(costs))
+    p = np.asarray(posteriors, dtype=np.float64)
+    if p.shape[-1] != len(costs):
+        raise ValueError(f"posterior dimension {p.shape[-1]} != class count {len(costs)}")
     return p * costs.costs
 
 

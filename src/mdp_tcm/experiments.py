@@ -1,11 +1,12 @@
 """Seeded end-to-end experiment trials on the synthetic fleet.
 
-Each trial regenerates its data from the trial seed, trains fresh models
-and reports test metrics, so repeated trials give honest mean/std spreads.
-The comparisons mirror the pipeline's claims: cost-evolved classification
-vs plain argmax on imbalanced states, multi-state routing vs one global
-regressor, smoothed vs raw estimates, and multi-sensor fusion vs single
-channels.
+A trial trains fresh models on a training pool and scores them on held-out
+runs. The CLI runs the trial functions on the runs it loads; the `fleet_*`
+wrappers first regenerate the data from the trial seed, so repeated trials
+give honest mean/std spreads. The comparisons mirror the pipeline's claims:
+cost-evolved classification vs plain argmax on imbalanced states,
+multi-state routing vs one global regressor, smoothed vs raw estimates, and
+multi-sensor fusion vs single channels.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import dbn
 from .adaptive_de import DeConfig, evolve
 from .cost_sensitive import predict_cs
-from .metrics import classification_report, confusion, gmean, rmse
+from .metrics import confusion, gmean, regression_report, rmse
 from .multistate import MdpTrainConfig, estimate_wear_detailed, train_mdp
 from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
                               build_dataset, split)
@@ -33,18 +34,26 @@ DESK_REGRESSOR = dbn.TrainConfig(pretrain_epochs=10, finetune_epochs=300,
                                  learning_rate=0.003, batch_size=128,
                                  hidden_range=(5, 60))
 DESK_DE = DeConfig(population_size=30, max_generations=50)
+DESK_MDP = MdpTrainConfig(classifier=DESK_CLASSIFIER, regressor=DESK_REGRESSOR, de=DESK_DE)
 
 SINGLE_CHANNEL_SUBSETS = {"force": ["force"], "torque": ["torque"], "vib1_x": ["vib1_x"]}
 
+# framework names, in the order the CLI reports them
+FRAMEWORKS = ("multistate-smoothed", "multistate", "single-state-dbn")
 
-def window_spec_for(config: SynthConfig, stride: int | None = None) -> WindowSpec:
+
+def window_spec_for(config: SynthConfig) -> WindowSpec:
     return WindowSpec(spindle_rpm=config.spindle_rpm,
-                      sampling_rate_hz=config.sampling_rate_hz,
-                      multiple=1, stride=stride)
+                      sampling_rate_hz=config.sampling_rate_hz)
 
 
 def windowed_run(run, spec: WindowSpec) -> FrameDataset:
     return build_dataset(run.channels, spec, run.wear_trajectory)
+
+
+def seeded(config: MdpTrainConfig, seed: int) -> MdpTrainConfig:
+    """The config of the trial with this seed: the DE cost search follows it."""
+    return replace(config, de=replace(config.de, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -52,12 +61,9 @@ class TrialConfig:
     """Shared knobs for one seeded trial at desk scale."""
 
     synth: SynthConfig = field(default_factory=lambda: SynthConfig.desk(run_seconds=90.0))
-    classifier: dbn.TrainConfig = DESK_CLASSIFIER
-    regressor: dbn.TrainConfig = DESK_REGRESSOR
-    de: DeConfig = DESK_DE
+    mdp: MdpTrainConfig = DESK_MDP
     n_train_runs: int = 2
     n_test_runs: int = 1
-    smoothing_window: int = 50
 
 
 def _fleet_datasets(trial: TrialConfig, seed: int):
@@ -73,51 +79,46 @@ def _fleet_datasets(trial: TrialConfig, seed: int):
 def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     """Plain-argmax vs cost-evolved G-mean on an imbalanced state dataset."""
     trial = trial or TrialConfig()
+    config = seeded(trial.mdp, seed)
     synth = replace(trial.synth, seed=seed * 1000 + 29)
     spec = window_spec_for(synth)
     pooled = FrameDataset.concat(
         [windowed_run(r, spec) for r in generate_fleet(synth, trial.n_train_runs)])
     train, test = split(pooled, SplitSpec(seed=seed))
-    hidden = dbn.draw_hidden_sizes(trial.classifier, substream(seed, "arch-clf"))
+    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
     sizes = (train.n_features,) + hidden + (N_STATES,)
     model, _ = dbn.train_classifier(train.frames, train.state_labels, sizes,
-                                    trial.classifier, seed)
+                                    config.classifier, seed)
     posteriors = dbn.predict_proba(model, test.frames)
     plain = np.argmax(posteriors, axis=1)
-    costs, _ = evolve(model, train.frames, train.state_labels, replace(trial.de, seed=seed))
+    costs, _ = evolve(model, train.frames, train.state_labels, config.de)
     tuned = predict_cs(posteriors, costs)
     return {
         "gmean_dbn": gmean(confusion(test.state_labels, plain, N_STATES)),
         "gmean_ecs": gmean(confusion(test.state_labels, tuned, N_STATES)),
-        "report_dbn": classification_report(test.state_labels, plain, N_STATES),
-        "report_ecs": classification_report(test.state_labels, tuned, N_STATES),
         "costs": costs,
     }
 
 
-def framework_trial(seed: int, trial: TrialConfig | None = None) -> dict:
+def framework_trial(train: FrameDataset, test_runs, config: MdpTrainConfig,
+                    seed: int) -> dict:
     """Multi-state vs single-state wear estimation on held-out runs.
 
     The single-state baseline is the pipeline's own fallback regressor
     (trained on all frames with the same budget), so the comparison
-    isolates the multi-state routing.
+    isolates the multi-state routing. `reports` holds one regression report
+    per framework in FRAMEWORKS, over all test runs pooled.
     """
-    trial = trial or TrialConfig()
-    train, test_runs = _fleet_datasets(trial, seed)
-    mdp_config = MdpTrainConfig(classifier=trial.classifier,
-                                regressor=trial.regressor,
-                                de=replace(trial.de, seed=seed),
-                                smoothing_window=trial.smoothing_window)
-    model, _ = train_mdp(train, mdp_config, seed)
-    specialist_better, specialist_total = 0, 0
-    for state, reg in model.regressors.items():
+    model, _ = train_mdp(train, config, seed)
+
+    def train_rmse(reg, state):
         idx = train.state_labels == state
-        err_s = rmse(train.wear_targets[idx], dbn.predict_regression(reg, train.frames[idx]))
-        err_g = rmse(train.wear_targets[idx],
-                     dbn.predict_regression(model.fallback, train.frames[idx]))
-        specialist_total += 1
-        specialist_better += err_s <= err_g
-    raw_all, smooth_all, single_all, wear_all = [], [], [], []
+        return rmse(train.wear_targets[idx], dbn.predict_regression(reg, train.frames[idx]))
+
+    # does each state's own regressor fit its state at least as well as the fallback?
+    wins = [train_rmse(reg, state) <= train_rmse(model.fallback, state)
+            for state, reg in model.regressors.items()]
+    estimates = {name: [] for name in FRAMEWORKS}
     per_run = []
     for ds in test_runs:
         _, _, raw, smoothed = estimate_wear_detailed(model, ds.frames)
@@ -125,46 +126,53 @@ def framework_trial(seed: int, trial: TrialConfig | None = None) -> dict:
         per_run.append({
             "rmse_raw": rmse(ds.wear_targets, raw),
             "rmse_smoothed": rmse(ds.wear_targets, smoothed),
-            "rmse_single": rmse(ds.wear_targets, single),
         })
-        raw_all.append(raw)
-        smooth_all.append(smoothed)
-        single_all.append(single)
-        wear_all.append(ds.wear_targets)
-    wear = np.concatenate(wear_all)
+        for name, est in zip(FRAMEWORKS, (smoothed, raw, single)):
+            estimates[name].append(est)
+    wear = np.concatenate([ds.wear_targets for ds in test_runs])
+    reports = {name: regression_report(wear, np.concatenate(est))
+               for name, est in estimates.items()}
     return {
-        "rmse_mdp": rmse(wear, np.concatenate(raw_all)),
-        "rmse_mdp_smoothed": rmse(wear, np.concatenate(smooth_all)),
-        "rmse_single": rmse(wear, np.concatenate(single_all)),
-        "specialist_wins": (specialist_better, specialist_total),
+        "rmse_mdp": reports["multistate"].rmse,
+        "rmse_mdp_smoothed": reports["multistate-smoothed"].rmse,
+        "rmse_single": reports["single-state-dbn"].rmse,
+        "reports": reports,
+        "specialist_wins": (sum(wins), len(wins)),
         "per_run": per_run,
-        "model": model,
     }
 
 
-def sensor_subset_trial(seed: int, subsets: dict, trial: TrialConfig | None = None) -> dict:
-    """Test RMSE of one regressor per channel subset, same budget each."""
-    trial = trial or TrialConfig()
-    train, test_runs = _fleet_datasets(trial, seed)
+def sensor_subset_trial(train: FrameDataset, test_runs, subsets: dict,
+                        config: dbn.TrainConfig, seed: int) -> dict:
+    """One regressor per channel subset, same budget each.
+
+    `subsets` maps a name to a channel list, or to None for all channels.
+    Returns the test regression report of each subset, by name.
+    """
     results = {}
     for name, channels in subsets.items():
         tr = train if channels is None else train.select_channels(channels)
         tests = test_runs if channels is None else [t.select_channels(channels) for t in test_runs]
-        hidden = dbn.draw_hidden_sizes(trial.regressor, substream(seed, f"arch-{name}"))
+        hidden = dbn.draw_hidden_sizes(config, substream(seed, f"arch-{name}"))
         sizes = (tr.n_features,) + hidden + (1,)
-        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes,
-                                       trial.regressor, seed)
+        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed)
         preds = [dbn.predict_regression(model, t.frames) for t in tests]
         wear = np.concatenate([t.wear_targets for t in tests])
-        results[name] = rmse(wear, np.concatenate(preds))
+        results[name] = regression_report(wear, np.concatenate(preds))
     return results
 
 
-def summarize_trials(rows: list) -> dict:
-    """Column-wise mean and std over a list of per-trial dicts."""
-    keys = [k for k in rows[0] if np.isscalar(rows[0][k])]
-    out = {}
-    for k in keys:
-        vals = np.array([r[k] for r in rows], dtype=np.float64)
-        out[k] = (float(vals.mean()), float(vals.std()))
-    return out
+def fleet_framework_trial(seed: int, trial: TrialConfig | None = None) -> dict:
+    """framework_trial on a fleet generated from the seed."""
+    trial = trial or TrialConfig()
+    train, test_runs = _fleet_datasets(trial, seed)
+    return framework_trial(train, test_runs, seeded(trial.mdp, seed), seed)
+
+
+def fleet_sensor_subset_trial(seed: int, subsets: dict,
+                              trial: TrialConfig | None = None) -> dict:
+    """Test RMSE per channel subset on a fleet generated from the seed."""
+    trial = trial or TrialConfig()
+    train, test_runs = _fleet_datasets(trial, seed)
+    reports = sensor_subset_trial(train, test_runs, subsets, trial.mdp.regressor, seed)
+    return {name: report.rmse for name, report in reports.items()}

@@ -55,13 +55,6 @@ class MetricsReport:
     def to_kv_text(self) -> str:
         return "".join(f"{k} = {v:.10g}\n" for k, v in self.as_dict().items())
 
-    def to_csv_row(self) -> str:
-        return ",".join(f"{v:.10g}" for v in self.as_dict().values())
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(REPORT_KEYS)
-
 
 def _check_pair(y, yhat):
     y = np.asarray(y)

@@ -151,29 +151,33 @@ def save_model(path, model, train_config: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load any model file back into its typed object."""
+    """Load any model file back into its typed object. A header key or
+    array that the kind needs and the file lacks raises DataError."""
     kind, arrays, config = read_model_file(path)
+
+    def need(table, key):
+        if key not in table:
+            what = "array" if table is arrays else "key"
+            raise DataError(f"{path}: {kind} model header lacks {what} {key!r}")
+        return table[key]
+
+    def network(prefix, head):
+        return dbn.DbnModel(_sizes_parse(need(config, f"{prefix}layer_sizes")),
+                            head, need(arrays, f"{prefix}theta"))
+
     if kind in (KIND_CLASSIFIER, KIND_REGRESSOR):
-        sizes = _sizes_parse(config["layer_sizes"])
-        head = dbn.SOFTMAX if kind == KIND_CLASSIFIER else dbn.LINEAR
-        return dbn.DbnModel(sizes, head, arrays["theta"])
+        return network("", dbn.SOFTMAX if kind == KIND_CLASSIFIER else dbn.LINEAR)
     if kind == KIND_ECS:
-        sizes = _sizes_parse(config["layer_sizes"])
-        base = dbn.DbnModel(sizes, dbn.SOFTMAX, arrays["theta"])
-        return EcsDbnModel(base, CostVector(arrays["costs"]))
+        return EcsDbnModel(network("", dbn.SOFTMAX), CostVector(need(arrays, "costs")))
     if kind == KIND_MULTISTATE:
-        diag_sizes = _sizes_parse(config["diagnoser.layer_sizes"])
-        base = dbn.DbnModel(diag_sizes, dbn.SOFTMAX, arrays["diagnoser.theta"])
-        diagnoser = EcsDbnModel(base, CostVector(arrays["diagnoser.costs"]))
-        fallback = dbn.DbnModel(_sizes_parse(config["fallback.layer_sizes"]),
-                                dbn.LINEAR, arrays["fallback.theta"])
+        base = network("diagnoser.", dbn.SOFTMAX)
+        diagnoser = EcsDbnModel(base, CostVector(need(arrays, "diagnoser.costs")))
+        fallback = network("fallback.", dbn.LINEAR)
         regressors = {}
         for state in range(base.n_outputs):
             route = config.get(f"route.{state}", "fallback")
             if route != "fallback":
-                regressors[state] = dbn.DbnModel(
-                    _sizes_parse(config[f"{route}.layer_sizes"]),
-                    dbn.LINEAR, arrays[f"{route}.theta"])
+                regressors[state] = network(f"{route}.", dbn.LINEAR)
         window = int(config.get("smoothing_window", 0)) or None
         return MultiStateModel(diagnoser, regressors, fallback,
                                smoothing_window=window,

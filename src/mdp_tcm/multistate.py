@@ -152,7 +152,6 @@ class MdpTrainConfig:
     min_state_samples: int = MIN_STATE_SAMPLES
     smoothing_window: int | None = DEFAULT_SMOOTHING_WINDOW
     sticky_steps: int = 1  # >1 holds the routed state until m agreeing diagnoses
-    hidden_layers: int = dbn.N_HIDDEN_LAYERS
 
 
 def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
@@ -171,8 +170,7 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
     losses = {}
 
     n_in = train_set.n_features
-    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"),
-                                   config.hidden_layers)
+    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
     clf_sizes = (n_in,) + hidden + (N_STATES,)
     say(f"training diagnoser {clf_sizes}")
     clf, losses["classifier"] = dbn.train_classifier(
@@ -182,8 +180,7 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
     diagnoser = EcsDbnModel(clf, costs)
     say(f"evolved costs {np.array2string(costs.costs, precision=3)}")
 
-    reg_hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"),
-                                       config.hidden_layers)
+    reg_hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
     reg_sizes = (n_in,) + reg_hidden + (1,)
     say(f"training fallback regressor {reg_sizes}")
     fallback, losses["fallback"] = dbn.train_regressor(

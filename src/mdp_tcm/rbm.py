@@ -1,4 +1,4 @@
-"""Restricted Boltzmann machine: energy model, conditionals, Gibbs sampling,
+"""Restricted Boltzmann machine: energy model, conditionals,
 contrastive-divergence training, and a brute-force oracle for tiny instances.
 
 The energy of a joint state is
@@ -57,13 +57,12 @@ class CdConfig:
     epochs: int = 200
     batch_size: int = 10
     seed: int = 0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.gibbs_steps < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("gibbs_steps and batch_size must be positive, epochs nonnegative")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be nonnegative")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
 
 
 def init_params(n_visible: int, n_hidden: int, rng: np.random.Generator,
@@ -119,43 +118,12 @@ def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     return _sigmoid(h @ params.weights.T + params.visible_bias)
 
 
-def sample_hidden(params: RbmParams, v, rng: np.random.Generator) -> np.ndarray:
-    p = prob_h_given_v(params, v)
-    return (rng.random(p.shape) < p).astype(np.float64)
-
-
-def sample_visible(params: RbmParams, h, rng: np.random.Generator) -> np.ndarray:
-    p = prob_v_given_h(params, h)
-    return (rng.random(p.shape) < p).astype(np.float64)
-
-
-def cd_update(params: RbmParams, batch, config: CdConfig,
-              rng: np.random.Generator | None = None) -> RbmParams:
-    """One CD-k parameter update from a batch of [0, 1] rows.
+def train_rbm(params: RbmParams, data, config: CdConfig,
+              rng: np.random.Generator | None = None):
+    """Mini-batch CD-k training for `epochs` full passes.
 
     Hidden states are sampled binary along the Gibbs chain; visible
     reconstructions and the final hidden statistics use probabilities.
-    """
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[0] == 0:
-        raise ValueError("empty batch")
-    _check_units(params, v=batch)
-    if rng is None:
-        rng = substream(config.seed, "cd")
-    W = params.weights.copy()
-    a = params.visible_bias.copy()
-    b = params.hidden_bias.copy()
-    uniforms = rng.random((batch.shape[0], config.gibbs_steps, params.n_hidden))
-    _kernels.cd_epoch_np(W, a, b, batch, batch.shape[0],
-                         config.learning_rate, config.gibbs_steps, uniforms)
-    if config.weight_decay:
-        W -= config.learning_rate * config.weight_decay * params.weights
-    return RbmParams(W, a, b)
-
-
-def train_rbm(params: RbmParams, data, config: CdConfig,
-              rng: np.random.Generator | None = None):
-    """Mini-batch CD training for `epochs` full passes.
 
     Returns (trained params, per-epoch mean squared reconstruction error).
     Uses the active kernel backend; raises NumericError if parameters
@@ -177,8 +145,6 @@ def train_rbm(params: RbmParams, data, config: CdConfig,
         uniforms = rng.random((data.shape[0], config.gibbs_steps, params.n_hidden))
         err = _kernels.cd_epoch(W, a, b, shuffled, config.batch_size,
                                 config.learning_rate, config.gibbs_steps, uniforms)
-        if config.weight_decay:
-            W -= config.learning_rate * config.weight_decay * W
         if not (np.isfinite(W).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise NumericError(f"non-finite RBM parameters at epoch {epoch}")
         history[epoch] = err

@@ -1,5 +1,5 @@
 """Signal ingestion: per-channel normalization, rotation-sized windowing,
-state labeling from flank wear, and train/test/fold splitting.
+state labeling from flank wear, and train/test splitting.
 
 Wear states follow half-open flank-wear bands: fresh up to 100 um,
 progressive to 200 um, accelerated below 300 um, worn at and above 300 um
@@ -59,14 +59,11 @@ class WindowSpec:
 @dataclass(frozen=True)
 class SplitSpec:
     train_ratio: float = 0.85
-    folds: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.train_ratio < 1.0:
             raise ValueError("train_ratio must lie in (0, 1)")
-        if self.folds < 1:
-            raise ValueError("folds must be positive")
 
 
 @dataclass(frozen=True)
@@ -240,30 +237,16 @@ def split(dataset: FrameDataset, spec: SplitSpec):
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
-def kfold(dataset: FrameDataset, spec: SplitSpec):
-    """Seeded k-fold partition: disjoint folds whose sizes differ by <= 1."""
-    n = len(dataset)
-    if n < spec.folds:
-        raise DataError(f"cannot make {spec.folds} folds from {n} frames")
-    rng = substream(spec.seed, "kfold")
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, spec.folds)
-    pairs = []
-    for i, val_idx in enumerate(folds):
-        train_idx = np.concatenate([folds[j] for j in range(spec.folds) if j != i])
-        pairs.append((dataset.subset(train_idx), dataset.subset(val_idx)))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
-# run files (CSV in, CSV dump out)
+# run files
 # ---------------------------------------------------------------------------
 
 def load_run_csv(path, sampling_rate_hz: float):
     """Read one run: header of channel ids plus a wear_um column.
 
     Returns (channels, wear_trajectory). Channels are returned raw;
-    normalize before windowing.
+    normalize before windowing. Every channel sample must be finite; the
+    wear column may hold NaN gaps (see fill_wear_gaps).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -281,6 +264,12 @@ def load_run_csv(path, sampling_rate_hz: float):
     if data.shape[1] != len(names):
         raise DataError(f"{path}: row width does not match header")
     wi = names.index("wear_um")
+    bad = ~np.isfinite(data)
+    bad[:, wi] = False
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataError(f"{path}: channel {names[col]!r} has a non-finite sample "
+                        f"at data row {row + 1}")
     wear = data[:, wi]
     channels = [ChannelSeries(name, sampling_rate_hz, data[:, i])
                 for i, name in enumerate(names) if i != wi]
@@ -308,13 +297,3 @@ def build_dataset(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     """Normalize each channel to [0, 1] and window into frames."""
     return window([normalize_channel(c) for c in channels], spec,
                   fill_wear_gaps(wear_trajectory))
-
-
-def dump_dataset(dataset: FrameDataset, path) -> None:
-    """Portable text dump of a windowed dataset for inspection."""
-    cols = [f"{cid}_{i}" for cid in dataset.channel_ids for i in range(dataset.window_len)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols + ["state", "wear_um"]) + "\n")
-        for row, s, w in zip(dataset.frames, dataset.state_labels, dataset.wear_targets):
-            vals = ",".join(f"{v:.12g}" for v in row)
-            fh.write(f"{vals},{s},{w:.12g}\n")

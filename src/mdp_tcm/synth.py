@@ -60,7 +60,6 @@ class SynthConfig:
     spindle_rpm: float = 1650.0
     sampling_rate_hz: float = 20000.0
     run_seconds: float = 120.0
-    wear_regime_fractions: tuple | None = None  # None -> derived from skew
     wear_end_um: float = 400.0
     channel_gains: object = None    # scalar, mapping, or None for defaults
     noise_std: object = None
@@ -85,10 +84,6 @@ class SynthConfig:
             raise ValueError("state_warp must lie in [0, 1) to keep responses monotone")
         if not 0.0 <= self.band_frac <= 1.0:
             raise ValueError("band_frac must lie in [0, 1]")
-        if self.wear_regime_fractions is not None:
-            f = np.asarray(self.wear_regime_fractions, dtype=np.float64)
-            if f.shape != (3,) or np.any(f <= 0) or abs(f.sum() - 1.0) > 1e-9:
-                raise ValueError("wear_regime_fractions must be 3 positives summing to 1")
 
     @classmethod
     def desk(cls, **overrides) -> "SynthConfig":
@@ -118,13 +113,11 @@ def _state_dwells(skew: float) -> np.ndarray:
 
 
 def _regime_fractions(config: SynthConfig):
+    """Run-time fractions of the three wear regimes, plus the fraction of
+    the last regime spent below 300 um; all follow from the state dwells."""
     d = _state_dwells(config.imbalance_skew)
-    if config.wear_regime_fractions is not None:
-        f1, f2, f3 = config.wear_regime_fractions
-    else:
-        f1, f2, f3 = d[0], d[1], d[2] + d[3]
-    knee = d[2] / (d[2] + d[3])  # fraction of the last regime spent below 300 um
-    return float(f1), float(f2), float(f3), float(knee)
+    knee = d[2] / (d[2] + d[3])
+    return float(d[0]), float(d[1]), float(d[2] + d[3]), float(knee)
 
 
 def _solve_gamma(knee: float, ratio: float) -> float:
@@ -251,17 +244,13 @@ def generate_run(config: SynthConfig, seed: int | None = None,
     return SynthRun(channels, wear, meta)
 
 
-def generate_fleet(config: SynthConfig, n_runs: int, seeds=None):
-    """Independent runs with per-run gain jitter (+-10%) mimicking
-    tool-geometry variation across inserts."""
+def generate_fleet(config: SynthConfig, n_runs: int):
+    """Independent runs, seeded config.seed + i, with per-run gain jitter
+    (+-10%) mimicking tool-geometry variation across inserts."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if seeds is None:
-        seeds = [config.seed + i for i in range(n_runs)]
-    if len(seeds) != n_runs:
-        raise ValueError("need one seed per run")
     runs = []
-    for run_seed in seeds:
+    for run_seed in range(config.seed, config.seed + n_runs):
         jrng = substream(run_seed, "fleet-jitter")
         jitter = {c: float(jrng.uniform(0.9, 1.1)) for c in CHANNEL_NAMES}
         runs.append(generate_run(config, seed=run_seed, gain_jitter=jitter))

@@ -16,8 +16,8 @@ from mdp_tcm import _kernels, dbn, metrics, rbm
 from mdp_tcm.adaptive_de import DeConfig, optimize
 from mdp_tcm.cost_sensitive import CostVector, predict_cs
 from mdp_tcm.experiments import (SINGLE_CHANNEL_SUBSETS, TrialConfig,
-                                 framework_trial, imbalance_trial,
-                                 sensor_subset_trial)
+                                 fleet_framework_trial, fleet_sensor_subset_trial,
+                                 imbalance_trial)
 from mdp_tcm.multistate import EcsDbnModel, MultiStateModel, estimate_wear
 from mdp_tcm.signal_pipeline import WindowSpec, compute_window_size
 from mdp_tcm.synth import SynthConfig
@@ -57,7 +57,7 @@ def warm_kernels():
 @pytest.fixture(scope="module")
 def framework_results():
     t0 = time.perf_counter()
-    results = [framework_trial(seed, FRAMEWORK_TRIAL) for seed in range(N_SEEDS)]
+    results = [fleet_framework_trial(seed, FRAMEWORK_TRIAL) for seed in range(N_SEEDS)]
     return results, time.perf_counter() - t0
 
 
@@ -219,7 +219,7 @@ def test_criterion_10_sensor_fusion_finding():
         subsets["all"] = None
         wins = 0
         for seed in range(N_SEEDS):
-            r = sensor_subset_trial(seed, subsets, FRAMEWORK_TRIAL)
+            r = fleet_sensor_subset_trial(seed, subsets, FRAMEWORK_TRIAL)
             wins += all(r["all"] < r[name] for name in SINGLE_CHANNEL_SUBSETS)
         elapsed = time.perf_counter() - t0
         print(f"  fused beats every single channel in {wins}/10 seeds, {elapsed:.0f}s")

@@ -1,8 +1,13 @@
-import numpy as np
+import shutil
 
+import numpy as np
+import pytest
+
+from mdp_tcm import _kernels, cli, dbn, experiments
+from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.metrics import REPORT_KEYS
-from mdp_tcm.model_io import load_model
-from mdp_tcm.multistate import EcsDbnModel
+from mdp_tcm.model_io import load_model, save_model
+from mdp_tcm.multistate import EcsDbnModel, MultiStateModel, train_mdp
 
 from conftest import DE_FLAGS, TRAIN_FLAGS, run_cli
 
@@ -244,3 +249,77 @@ class TestAblateAndCompare:
         rows = (tmp_path / "cmp.frameworks.csv").read_text().splitlines()
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["multistate-smoothed", "multistate", "single-state-dbn"]
+
+
+class TestTrialConfig:
+    @pytest.mark.parametrize("command", [["compare-frameworks"],
+                                         ["evaluate", "--kind", "multistate"]])
+    def test_flags_and_trial_seed_reach_train_mdp(self, tmp_path, data_dir,
+                                                   monkeypatch, command):
+        seen = []
+
+        def recording(train_set, config, seed=0, log=None):
+            seen.append((seed, config))
+            return train_mdp(train_set, config, seed)
+
+        monkeypatch.setattr(cli, "train_mdp", recording)
+        monkeypatch.setattr(experiments, "train_mdp", recording)
+        assert run_cli(command + [
+            "--data", str(data_dir), "--out", str(tmp_path / "t"), "--trials", "2",
+            "--seed", "5", "--sticky-steps", "3", "--split-mode", "run",
+            "--pretrain-epochs", "1", "--finetune-epochs", "5", "--batch-size", "64",
+            "--hidden-range", "4,6", "--de-population", "4", "--de-generations", "1"]) == 0
+        assert sorted(seed for seed, _ in seen) == [5, 6]
+        assert all(c.sticky_steps == 3 and c.de.seed == seed for seed, c in seen)
+
+
+def _tiny_model_file(path, kind="multistate"):
+    rng = np.random.default_rng(0)
+
+    def net(sizes, head):
+        return dbn.DbnModel(sizes, head, rng.normal(0, 0.1, _kernels.theta_size(sizes)))
+
+    save_model(path, net((6, 3, 1), dbn.LINEAR) if kind == "regressor" else MultiStateModel(
+        EcsDbnModel(net((6, 4, 4), dbn.SOFTMAX), CostVector.uniform(4)),
+        {1: net((6, 3, 1), dbn.LINEAR)}, net((6, 3, 1), dbn.LINEAR)))
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind, fragment, key", [
+        ("regressor", "layer_sizes =", "layer_sizes"),
+        ("regressor", "array theta ", "theta"),
+        ("multistate", "reg1.layer_sizes =", "reg1.layer_sizes"),
+        ("multistate", "array reg1.theta ", "reg1.theta"),
+        ("multistate", "array diagnoser.costs ", "diagnoser.costs"),
+    ])
+    def test_header_missing_key_is_data_error(self, tmp_path, data_dir, capsys,
+                                              kind, fragment, key):
+        path = tmp_path / "m.model"
+        _tiny_model_file(path, kind)
+        # the checksum covers only the payload, so the renamed header still reads
+        head, sep, payload = path.read_bytes().partition(b"end-header\n")
+        assert fragment.encode() in head
+        head = head.replace(fragment.encode(), fragment.replace(key, "renamed").encode())
+        path.write_bytes(head + sep + payload)
+        assert run_cli(["predict", "--model", str(path), "--out", str(tmp_path / "p.csv"),
+                        "--run", str(sorted(data_dir.glob("*.csv"))[0])]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"lacks {'array' if 'array' in fragment else 'key'} " \
+            f"{key!r}" in err
+
+    def test_non_finite_sample_is_data_error(self, tmp_path, data_dir, capsys):
+        source = sorted(data_dir.glob("*.csv"))[0]
+        run = tmp_path / source.name
+        shutil.copy(source.with_suffix(".meta"), run.with_suffix(".meta"))
+        lines = source.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[1] = "nan"
+        lines[5] = ",".join(fields)
+        run.write_text("\n".join(lines) + "\n")
+        _tiny_model_file(tmp_path / "m.model")
+        out = tmp_path / "p.csv"
+        assert run_cli(["predict", "--model", str(tmp_path / "m.model"), "--run", str(run),
+                        "--out", str(out)]) == 2
+        assert "channel 'torque' has a non-finite sample at data row 5" \
+            in capsys.readouterr().err
+        assert not out.exists()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mdp_tcm.cost_sensitive import (CostMatrix, CostVector, cost_adjusted_scores,
-                                    expected_risk, predict_cs)
+from mdp_tcm.cost_sensitive import CostVector, cost_adjusted_scores, predict_cs
 
 
 def random_simplex(rng, n, k):
@@ -14,33 +13,6 @@ class TestCostTypes:
     def test_vector_range_enforced(self):
         with pytest.raises(ValueError):
             CostVector(np.array([0.5, 1.2]))
-
-    def test_matrix_diagonal_must_be_zero(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]))
-
-    def test_matrix_nonnegative(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-
-class TestExpectedRisk:
-    def test_zero_one_matrix_risk_is_one_minus_posterior(self):
-        rng = np.random.default_rng(0)
-        p = random_simplex(rng, 500, 4)
-        risk = expected_risk(p, CostMatrix.zero_one(4))
-        assert np.max(np.abs(risk - (1.0 - p))) < 1e-12
-
-    def test_hand_worked_two_class(self):
-        # C[0,1]=1, C[1,0]=10: deciding the second class risks ten times more
-        costs = CostMatrix(np.array([[0.0, 1.0], [10.0, 0.0]]))
-        risk = expected_risk(np.array([0.7, 0.3]), costs)
-        assert risk == pytest.approx([0.3, 7.0], abs=1e-15)
-        assert int(np.argmin(risk)) == 0
-
-    def test_zero_matrix_zero_risk(self):
-        costs = CostMatrix(np.zeros((3, 3)))
-        assert np.all(expected_risk(np.array([0.2, 0.3, 0.5]), costs) == 0.0)
 
 
 class TestCostAdjustedScores:

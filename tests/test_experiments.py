@@ -1,8 +1,8 @@
 """Single-seed smoke checks of the trial harness; the 10-seed sweeps live in
 the acceptance module."""
 
-from mdp_tcm.experiments import (TrialConfig, framework_trial, imbalance_trial,
-                                 sensor_subset_trial, summarize_trials,
+from mdp_tcm.experiments import (FRAMEWORKS, TrialConfig, fleet_framework_trial,
+                                 fleet_sensor_subset_trial, imbalance_trial,
                                  window_spec_for, windowed_run)
 from mdp_tcm.synth import SynthConfig, generate_run
 
@@ -24,21 +24,16 @@ def test_imbalance_trial_fields():
 
 
 def test_framework_trial_fields():
-    r = framework_trial(0, FAST)
+    r = fleet_framework_trial(0, FAST)
     assert r["rmse_mdp"] > 0.0 and r["rmse_single"] > 0.0
     assert len(r["per_run"]) == FAST.n_test_runs
+    assert tuple(r["reports"]) == FRAMEWORKS
+    assert r["reports"]["multistate"].rmse == r["rmse_mdp"]
     better, total = r["specialist_wins"]
     assert 0 <= better <= total <= 4
 
 
 def test_sensor_subset_trial_keys():
-    r = sensor_subset_trial(0, {"force": ["force"], "all": None}, FAST)
+    r = fleet_sensor_subset_trial(0, {"force": ["force"], "all": None}, FAST)
     assert set(r) == {"force", "all"}
     assert all(v > 0 for v in r.values())
-
-
-def test_summarize_trials():
-    rows = [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 2.0}]
-    out = summarize_trials(rows)
-    assert out["a"] == (2.0, 1.0)
-    assert out["b"] == (2.0, 0.0)

@@ -3,11 +3,10 @@ import pytest
 
 from mdp_tcm.errors import DataError
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, SplitSpec,
-                                     WindowSpec, build_dataset,
-                                     compute_window_size, dump_dataset,
-                                     fill_wear_gaps, kfold, label_state,
-                                     label_states, load_run_csv,
-                                     normalize_channel, split, window)
+                                     WindowSpec, compute_window_size,
+                                     fill_wear_gaps, label_state, label_states,
+                                     load_run_csv, normalize_channel, split,
+                                     window)
 
 
 def ch(samples, name="force", rate=100.0):
@@ -151,33 +150,6 @@ class TestSplit:
             split(self.make(10).subset(np.array([], dtype=int)), SplitSpec())
 
 
-class TestKfold:
-    def make(self, n):
-        rng = np.random.default_rng(0)
-        return FrameDataset(rng.random((n, 2)), label_states(np.zeros(n)),
-                            np.zeros(n), ("a",), 2)
-
-    def test_even_folds(self):
-        pairs = kfold(self.make(10), SplitSpec(folds=5, seed=0))
-        assert [len(v) for _, v in pairs] == [2, 2, 2, 2, 2]
-
-    def test_remainder_distribution(self):
-        pairs = kfold(self.make(11), SplitSpec(folds=5, seed=0))
-        assert sorted(len(v) for _, v in pairs) == [2, 2, 2, 2, 3]
-
-    def test_partition_property(self):
-        ds = self.make(23)
-        pairs = kfold(ds, SplitSpec(folds=5, seed=3))
-        seen = np.concatenate([v.frames for _, v in pairs])
-        assert len(seen) == 23
-        # every original frame appears exactly once across validation folds
-        assert sorted(map(tuple, seen)) == sorted(map(tuple, ds.frames))
-
-    def test_too_few_frames(self):
-        with pytest.raises(DataError):
-            kfold(self.make(3), SplitSpec(folds=5))
-
-
 class TestDatasetPlumbing:
     def test_label_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -209,6 +181,19 @@ class TestDatasetPlumbing:
         assert np.allclose(got_wear, wear)
         assert np.allclose(channels[0].samples, data[:, 0])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_channel_sample_rejected(self, tmp_path, bad):
+        path = tmp_path / "run.csv"
+        path.write_text(f"force,torque,wear_um\n1,2,0\n3,{bad},nan\n5,6,20\n")
+        with pytest.raises(DataError, match=r"channel 'torque'.*row 2"):
+            load_run_csv(path, 100.0)
+
+    def test_wear_gaps_pass_through(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("force,wear_um\n1,0\n3,nan\n5,20\n")
+        _, wear = load_run_csv(path, 100.0)
+        assert np.isnan(wear[1]) and np.allclose(fill_wear_gaps(wear), [0, 10, 20])
+
     def test_fill_wear_gaps_interpolates(self):
         wear = np.array([0.0, np.nan, np.nan, 30.0, np.nan, 50.0, np.nan])
         filled = fill_wear_gaps(wear)
@@ -221,13 +206,3 @@ class TestDatasetPlumbing:
     def test_fill_wear_gaps_noop_when_dense(self):
         wear = np.linspace(0, 10, 5)
         assert np.array_equal(fill_wear_gaps(wear), wear)
-
-    def test_dump_dataset(self, tmp_path):
-        ds = build_dataset([ch([1.0, 2.0, 3.0, 4.0])],
-                           WindowSpec(spindle_rpm=3000, sampling_rate_hz=100),
-                           np.array([0, 10, 20, 30.0]))
-        out = tmp_path / "dump.csv"
-        dump_dataset(ds, out)
-        lines = out.read_text().splitlines()
-        assert lines[0].endswith("state,wear_um")
-        assert len(lines) == len(ds) + 1
