@@ -34,7 +34,8 @@ from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_mdp)
 from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
-                              build_dataset, load_run_csv, split)
+                              build_dataset, load_run_csv, split_indices,
+                              write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -229,6 +230,20 @@ def build_parser() -> _Parser:
 # data plumbing
 # ---------------------------------------------------------------------------
 
+def _sidecar_number(meta: dict, key: str, path) -> float:
+    """The positive finite number a run sidecar holds under `key`."""
+    if key not in meta:
+        raise DataError(f"sidecar {path} lacks key {key!r}")
+    try:
+        value = float(meta[key])
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise DataError(f"sidecar {path}: key {key!r} holds {meta[key]!r}, "
+                        "not a positive number")
+    return value
+
+
 def _load_runs(data_dir: str, stride: int | None):
     """Per-run windowed datasets from a directory of run CSVs + sidecars."""
     root = Path(data_dir)
@@ -241,8 +256,8 @@ def _load_runs(data_dir: str, stride: int | None):
         if not meta_path.exists():
             raise DataError(f"missing sidecar {meta_path}")
         meta = read_run_meta(meta_path)
-        rate = float(meta["sampling_rate_hz"])
-        rpm = float(meta["spindle_rpm"])
+        rate = _sidecar_number(meta, "sampling_rate_hz", meta_path)
+        rpm = _sidecar_number(meta, "spindle_rpm", meta_path)
         channels, wear = load_run_csv(f, rate)
         spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
         datasets.append(build_dataset(channels, spec, wear))
@@ -264,11 +279,17 @@ def _split_runs(datasets, mode: str, ratio: float, seed: int):
         return train, test
     if mode == "frame":
         pooled = FrameDataset.concat(datasets)
-        train, test = split(pooled, SplitSpec(train_ratio=ratio, seed=seed))
+        train, test = split_indices(len(pooled), SplitSpec(train_ratio=ratio, seed=seed))
         if len(test) == 0:
             raise DataError(f"train ratio {ratio} leaves no test frames "
                             f"out of {len(pooled)}")
-        return train, [test]
+        # the held-out frames go back to their runs, in time order: sticky
+        # routing and the trailing smoother read each held-out set as a stream
+        test = np.sort(test)
+        run_ends = np.cumsum([len(ds) for ds in datasets])[:-1]
+        return pooled.subset(train), [
+            pooled.subset(idx) for idx in np.split(test, np.searchsorted(test, run_ends))
+            if len(idx)]
     raise UsageError(f"unknown split mode {mode!r}")
 
 
@@ -295,8 +316,9 @@ def _trial_seeds(cfg: RunConfig) -> list:
 
 
 def _map_trials(fn, seeds):
-    # threads rather than processes: trial closures stay picklable-free and
-    # the numba kernels run nogil, so fan-out still overlaps the hot loops
+    # threads, so trial closures need not pickle. Trials overlap only on the
+    # numba backend, whose kernels release the GIL; on numpy the small calls
+    # hold it, and two threads are no faster than running the trials in turn
     workers = min(_worker_count(), len(seeds))
     if workers <= 1:
         return [fn(s) for s in seeds]
@@ -515,8 +537,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     rpm, rate = cfg["rpm"], cfg["rate"]
     if (rpm is None or rate is None) and meta_path.exists():
         meta = read_run_meta(meta_path)
-        rpm = rpm if rpm is not None else float(meta["spindle_rpm"])
-        rate = rate if rate is not None else float(meta["sampling_rate_hz"])
+        rpm = rpm if rpm is not None else _sidecar_number(meta, "spindle_rpm", meta_path)
+        rate = rate if rate is not None else _sidecar_number(meta, "sampling_rate_hz",
+                                                             meta_path)
     if rpm is None or rate is None:
         raise UsageError("no sidecar found; supply --rpm and --rate")
     channels, wear = load_run_csv(run_path, rate)
@@ -526,11 +549,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     header = (["frame_index", "diagnosed_state"]
               + [f"posterior_{k}" for k in range(N_STATES)]
               + ["wear_estimate_um", "wear_smoothed_um"])
-    rows = [(i, int(states[i])) + tuple(float(p) for p in posteriors[i])
-            + (float(raw[i]), float(smoothed[i])) for i in range(len(ds))]
+    table = np.column_stack([np.arange(len(ds)), states, posteriors, raw, smoothed])
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg["out"], header, rows)
-    print(f"wrote {len(rows)} predictions to {cfg['out']}")
+    write_csv(cfg["out"], header, table, ("%d", "%d") + ("%.10g",) * (N_STATES + 2))
+    print(f"wrote {len(ds)} predictions to {cfg['out']}")
     return 0
 
 

@@ -226,15 +226,19 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
                         tuple(c.channel_id for c in channels), tw)
 
 
-def split(dataset: FrameDataset, spec: SplitSpec):
-    """Seeded uniform shuffle into train/test at the configured ratio."""
-    n = len(dataset)
+def split_indices(n: int, spec: SplitSpec):
+    """Seeded uniform shuffle of range(n) into (train, test) index arrays."""
     if n == 0:
         raise DataError("cannot split an empty dataset")
-    rng = substream(spec.seed, "split")
-    perm = rng.permutation(n)
+    perm = substream(spec.seed, "split").permutation(n)
     n_train = int(np.ceil(spec.train_ratio * n))
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+    return perm[:n_train], perm[n_train:]
+
+
+def split(dataset: FrameDataset, spec: SplitSpec):
+    """Seeded uniform shuffle into train/test at the configured ratio."""
+    train, test = split_indices(len(dataset), spec)
+    return dataset.subset(train), dataset.subset(test)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +278,25 @@ def load_run_csv(path, sampling_rate_hz: float):
     channels = [ChannelSeries(name, sampling_rate_hz, data[:, i])
                 for i, name in enumerate(names) if i != wi]
     return channels, wear
+
+
+_WRITE_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header, data, formats) -> None:
+    """Write a header line, then each row of the 2-D array `data` as CSV.
+
+    `formats` holds one printf format per column. Each block of
+    `_WRITE_BLOCK_ROWS` rows is formatted by one `%` on a repeated row
+    template, not by one Python call per row, and written before the next
+    block is formatted.
+    """
+    row = ",".join(formats) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(data), _WRITE_BLOCK_ROWS):
+            block = data[start:start + _WRITE_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def fill_wear_gaps(wear) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_pipeline import ChannelSeries, WEAR_EDGES_UM
+from .signal_pipeline import ChannelSeries, WEAR_EDGES_UM, write_csv
 from .seeding import substream
 
 CHANNEL_NAMES = ("force", "torque") + tuple(
@@ -261,9 +261,7 @@ def write_run_csv(run: SynthRun, path) -> None:
     """The run-file format the signal pipeline ingests: channels + wear_um."""
     names = [c.channel_id for c in run.channels] + ["wear_um"]
     data = np.column_stack([c.samples for c in run.channels] + [run.wear_trajectory])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        np.savetxt(fh, data, fmt="%.10g", delimiter=",")
+    write_csv(path, names, data, ("%.10g",) * len(names))
 
 
 def write_run_meta(run: SynthRun, path, created: str = "") -> None:

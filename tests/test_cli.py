@@ -7,9 +7,22 @@ from mdp_tcm import _kernels, cli, dbn, experiments
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.metrics import REPORT_KEYS
 from mdp_tcm.model_io import load_model, save_model
-from mdp_tcm.multistate import EcsDbnModel, MultiStateModel, train_mdp
+from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
+                                train_mdp)
+from mdp_tcm.signal_pipeline import (FrameDataset, SplitSpec, WindowSpec, build_dataset,
+                                     load_run_csv, split)
+from mdp_tcm.synth import read_run_meta
 
 from conftest import DE_FLAGS, TRAIN_FLAGS, run_cli
+
+
+def _windowed(run_file):
+    """The frames `predict` windows from a run file and its sidecar."""
+    meta = read_run_meta(run_file.with_suffix(".meta"))
+    channels, wear = load_run_csv(run_file, float(meta["sampling_rate_hz"]))
+    return build_dataset(channels, WindowSpec(
+        spindle_rpm=float(meta["spindle_rpm"]),
+        sampling_rate_hz=float(meta["sampling_rate_hz"])), wear)
 
 
 def tree_bytes(root, suffixes=(".csv", ".model", ".txt")):
@@ -154,13 +167,7 @@ class TestPredict:
                           "wear_estimate_um", "wear_smoothed_um"]
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         # row count equals frame count of the windowed run
-        from mdp_tcm.signal_pipeline import WindowSpec, build_dataset, load_run_csv
-        from mdp_tcm.synth import read_run_meta
-        meta = read_run_meta(run_file.with_suffix(".meta"))
-        channels, wear = load_run_csv(run_file, float(meta["sampling_rate_hz"]))
-        ds = build_dataset(channels, WindowSpec(
-            spindle_rpm=float(meta["spindle_rpm"]),
-            sampling_rate_hz=float(meta["sampling_rate_hz"])), wear)
+        ds = _windowed(run_file)
         assert data.shape[0] == len(ds)
         # smoothed column recomputable as the trailing mean of the raw column
         from mdp_tcm.multistate import smooth
@@ -173,6 +180,20 @@ class TestPredict:
         worn = ds.state_labels == 3
         assert worn.sum() > 30
         assert np.mean(data[worn, 1] == 3) >= 0.9
+
+    def test_prediction_bytes_equal_per_value_rows(self, tmp_path, data_dir,
+                                                   multistate_model):
+        # the reference: one `_fmt` call per value, rows joined by commas
+        run_file = sorted(data_dir.glob("*.csv"))[0]
+        out = tmp_path / "pred.csv"
+        assert run_cli(["predict", "--model", str(multistate_model),
+                        "--run", str(run_file), "--out", str(out)]) == 0
+        states, posteriors, raw, smoothed = estimate_wear_detailed(
+            load_model(multistate_model), _windowed(run_file).frames)
+        rows = [(i, int(states[i])) + tuple(float(p) for p in posteriors[i])
+                + (float(raw[i]), float(smoothed[i])) for i in range(len(states))]
+        assert out.read_text().splitlines()[1:] == [
+            ",".join(cli._fmt(v) for v in row) for row in rows]
 
     def test_predict_deterministic(self, tmp_path, data_dir, multistate_model):
         run_file = sorted(data_dir.glob("*.csv"))[0]
@@ -273,6 +294,22 @@ class TestTrialConfig:
         assert all(c.sticky_steps == 3 and c.de.seed == seed for seed, c in seen)
 
 
+class TestSplitRuns:
+    def test_frame_mode_holds_out_each_run_in_time_order(self, data_dir):
+        datasets = cli._load_runs(str(data_dir), None)
+        want_train, want_test = split(FrameDataset.concat(datasets),
+                                      SplitSpec(train_ratio=0.85, seed=4))
+        train, held = cli._split_runs(datasets, "frame", 0.85, 4)
+        assert np.array_equal(train.frames, want_train.frames)
+        assert np.array_equal(train.wear_targets, want_train.wear_targets)
+        assert len(held) == len(datasets)
+        for ds, run in zip(held, datasets):
+            assert np.all(np.diff(ds.wear_targets) >= 0)
+            assert set(map(bytes, ds.frames)) <= set(map(bytes, run.frames))
+        assert sorted(map(bytes, np.vstack([ds.frames for ds in held]))) \
+            == sorted(map(bytes, want_test.frames))
+
+
 def _tiny_model_file(path, kind="multistate"):
     rng = np.random.default_rng(0)
 
@@ -323,3 +360,25 @@ class TestMalformedInput:
         assert "channel 'torque' has a non-finite sample at data row 5" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("key, replacement", [("sampling_rate_hz", None),
+                                                  ("spindle_rpm", "spindle_rpm = fast")])
+    def test_bad_sidecar_is_data_error(self, tmp_path, data_dir, capsys, command, key,
+                                       replacement):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        run = sorted(data.glob("*.csv"))[0]
+        meta = run.with_suffix(".meta")
+        lines = [ln for ln in meta.read_text().splitlines() if not ln.startswith(key)]
+        meta.write_text("\n".join(lines + [replacement] * bool(replacement)) + "\n")
+        if command == "predict":
+            _tiny_model_file(tmp_path / "m.model")
+            argv = ["predict", "--model", str(tmp_path / "m.model"), "--run", str(run),
+                    "--out", str(tmp_path / "p.csv")]
+        else:
+            argv = ["evaluate", "--data", str(data), "--out", str(tmp_path / "e"),
+                    "--trials", "1"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"sidecar {meta}" in err and f"key {key!r}" in err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mdp_tcm import signal_pipeline
 from mdp_tcm.experiments import window_spec_for, windowed_run
-from mdp_tcm.signal_pipeline import N_STATES, label_states
-from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, generate_fleet,
+from mdp_tcm.signal_pipeline import N_STATES, ChannelSeries, label_states
+from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, SynthRun, generate_fleet,
                            generate_run, read_run_meta, wear_curve,
                            write_run_csv, write_run_meta)
 
@@ -136,3 +137,27 @@ class TestRunFiles:
         write_run_csv(run, p1)
         write_run_csv(run, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_bytes_equal_savetxt(self, tmp_path):
+        # np.savetxt is the reference; the row count spans two full blocks
+        # and a partial one
+        n = 2 * signal_pipeline._WRITE_BLOCK_ROWS + 37
+        run = generate_run(SynthConfig.desk(run_seconds=n / 200.0, seed=4))
+        assert len(run.wear_trajectory) == n
+        special = np.array([-0.0, 1e-300, 1e12, 3.0, -7.0, 0.0, 123456789.0,
+                            -1e-300, 2.5e-7, 1.0 / 3.0])
+        samples = [c.samples.copy() for c in run.channels]
+        samples[0][:len(special)] = special
+        samples[1][-len(special):] = special[::-1]
+        samples[2][:] = np.round(samples[2] * 1e4)  # exact integers
+        run = SynthRun([ChannelSeries(c.channel_id, c.sampling_rate_hz, x)
+                        for c, x in zip(run.channels, samples)], run.wear_trajectory)
+        got = tmp_path / "got.csv"
+        write_run_csv(run, got)
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8") as fh:
+            fh.write(",".join(list(CHANNEL_NAMES) + ["wear_um"]) + "\n")
+            np.savetxt(fh, np.column_stack(samples + [run.wear_trajectory]),
+                       fmt="%.10g", delimiter=",")
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_text().splitlines()[1].startswith("-0,")
