@@ -103,20 +103,21 @@ def cd_epoch_np(W, a, b, X, batch_size, lr, k, U):
     return err / n
 
 
-def classifier_epoch_np(theta, sizes, X, y, batch_size, lr):
+def classifier_epoch_np(theta, sizes, X, y, order, batch_size, lr):
     """One SGD epoch on mean negative log-likelihood with a softmax head.
 
+    Each batch gathers its rows of X and y from the next slice of `order`.
     ReLU hidden layers; theta updated in place; returns the mean NLL over
     the epoch evaluated before each batch update.
     """
     woff, boff = layer_offsets(sizes)
-    n = X.shape[0]
+    n = order.shape[0]
     n_layers = len(sizes) - 1
     total_nll = 0.0
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
-        Xb = X[s:e]
-        yb = y[s:e]
+        rows = order[s:e]
+        Xb, yb = X[rows], y[rows]
         bs = e - s
         acts = [Xb]
         for l in range(n_layers - 1):
@@ -149,16 +150,16 @@ def classifier_epoch_np(theta, sizes, X, y, batch_size, lr):
     return total_nll / n
 
 
-def regressor_epoch_np(theta, sizes, X, t, batch_size, lr):
+def regressor_epoch_np(theta, sizes, X, t, order, batch_size, lr):
     """One SGD epoch on mean squared error with a scalar linear head."""
     woff, boff = layer_offsets(sizes)
-    n = X.shape[0]
+    n = order.shape[0]
     n_layers = len(sizes) - 1
     total_se = 0.0
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
-        Xb = X[s:e]
-        tb = t[s:e]
+        rows = order[s:e]
+        Xb, tb = X[rows], t[rows]
         bs = e - s
         acts = [Xb]
         for l in range(n_layers - 1):
@@ -247,8 +248,8 @@ def _cd_epoch_jit(W, a, b, X, batch_size, lr, k, U):
     return err / n
 
 
-def _classifier_epoch_jit(theta, sizes, X, y, batch_size, lr):
-    n = X.shape[0]
+def _classifier_epoch_jit(theta, sizes, X, y, order, batch_size, lr):
+    n = order.shape[0]
     n_layers = sizes.shape[0] - 1
     woff = np.zeros(n_layers, dtype=np.int64)
     boff = np.zeros(n_layers, dtype=np.int64)
@@ -262,8 +263,8 @@ def _classifier_epoch_jit(theta, sizes, X, y, batch_size, lr):
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
         bs = e - s
-        Xb = X[s:e]
-        acts = [Xb]
+        rows = order[s:e]
+        acts = [X[rows]]
         for l in range(n_layers - 1):
             W = theta[woff[l]:woff[l] + sizes[l] * sizes[l + 1]].reshape(sizes[l], sizes[l + 1])
             bv = theta[boff[l]:boff[l] + sizes[l + 1]]
@@ -290,10 +291,10 @@ def _classifier_epoch_jit(theta, sizes, X, y, batch_size, lr):
                 ev = np.exp(logits[i, j] + bh[j] - m)
                 delta[i, j] = ev
                 zsum += ev
-            total_nll -= logits[i, y[s + i]] + bh[y[s + i]] - m - np.log(zsum)
+            total_nll -= logits[i, y[rows[i]]] + bh[y[rows[i]]] - m - np.log(zsum)
             for j in range(K):
                 delta[i, j] /= zsum
-            delta[i, y[s + i]] -= 1.0
+            delta[i, y[rows[i]]] -= 1.0
             for j in range(K):
                 delta[i, j] /= bs
         dact = np.dot(delta, Wh.T)
@@ -327,8 +328,8 @@ def _classifier_epoch_jit(theta, sizes, X, y, batch_size, lr):
     return total_nll / n
 
 
-def _regressor_epoch_jit(theta, sizes, X, t, batch_size, lr):
-    n = X.shape[0]
+def _regressor_epoch_jit(theta, sizes, X, t, order, batch_size, lr):
+    n = order.shape[0]
     n_layers = sizes.shape[0] - 1
     woff = np.zeros(n_layers, dtype=np.int64)
     boff = np.zeros(n_layers, dtype=np.int64)
@@ -342,8 +343,8 @@ def _regressor_epoch_jit(theta, sizes, X, t, batch_size, lr):
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
         bs = e - s
-        Xb = X[s:e]
-        acts = [Xb]
+        rows = order[s:e]
+        acts = [X[rows]]
         for l in range(n_layers - 1):
             W = theta[woff[l]:woff[l] + sizes[l] * sizes[l + 1]].reshape(sizes[l], sizes[l + 1])
             bv = theta[boff[l]:boff[l] + sizes[l + 1]]
@@ -359,7 +360,7 @@ def _regressor_epoch_jit(theta, sizes, X, t, batch_size, lr):
         pred = np.dot(acts[lh], Wh)
         delta = np.empty((bs, 1))
         for i in range(bs):
-            r = pred[i, 0] + bh[0] - t[s + i]
+            r = pred[i, 0] + bh[0] - t[rows[i]]
             total_se += r * r
             delta[i, 0] = 2.0 * r / bs
         dact = np.dot(delta, Wh.T)

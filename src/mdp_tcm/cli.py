@@ -6,14 +6,16 @@ config file (--config); flags override file values, which override
 preset defaults. Unknown config keys are rejected.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
-MDP_TCM_THREADS caps the worker count for multi-trial fan-out.
+MDP_TCM_THREADS caps the --trials workers (forked, one BLAS thread each).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import math
+import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -41,6 +43,16 @@ from .synth import (SynthConfig, generate_fleet, read_run_meta,
 from .seeding import substream
 
 _REQUIRED = object()
+
+# the tables the CLI writes beside an output stem; `_load_runs` skips them,
+# so they may share a directory with the run CSVs
+_REPORT, _TRIALS, _FINETUNE_LOSS, _DE_HISTORY, _FRAMEWORKS, _SENSOR_ABLATION = \
+    _TABLE_SUFFIXES = (".report.csv", ".trials.csv", ".finetune_loss.csv",
+                       ".de_history.csv", ".frameworks.csv", ".sensor_ablation.csv")
+
+# OpenBLAS thread-count setters, by the names numpy's builds export them
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
 
 class UsageError(Exception):
@@ -247,7 +259,7 @@ def _sidecar_number(meta: dict, key: str, path) -> float:
 def _load_runs(data_dir: str, stride: int | None):
     """Per-run windowed datasets from a directory of run CSVs + sidecars."""
     root = Path(data_dir)
-    files = sorted(root.glob("*.csv"))
+    files = [f for f in sorted(root.glob("*.csv")) if not f.name.endswith(_TABLE_SUFFIXES)]
     if not files:
         raise DataError(f"no run CSVs found in {data_dir}")
     datasets = []
@@ -304,26 +316,61 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MDP_TCM_THREADS", "1")))
-    except ValueError:
-        return 1
+def _worker_count(n_trials: int) -> int:
+    """MDP_TCM_THREADS, capped at the trial count and the usable cores."""
+    text = os.environ.get("MDP_TCM_THREADS", "").strip() or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(f"MDP_TCM_THREADS must be a positive integer, not {text!r}")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(int(text), n_trials, cores or 1)
 
 
 def _trial_seeds(cfg: RunConfig) -> list:
     return [cfg["seed"] + i for i in range(cfg["trials"])]
 
 
+def _pin_blas_to_one_thread() -> None:
+    """Set the loaded OpenBLAS, if one is found, to run one thread."""
+    try:
+        mapped = Path("/proc/self/maps").read_text().split()
+    except OSError:
+        return
+    for lib in sorted({f for f in mapped if "openblas" in f.lower() and f.startswith("/")}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        setter = next((getattr(handle, n) for n in _BLAS_SETTERS if hasattr(handle, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
+
+
+_TRIAL = None  # the trial function forked workers inherit; set while a pool runs
+
+
+def _run_trial(seed: int):
+    return _TRIAL(seed)
+
+
 def _map_trials(fn, seeds):
-    # threads, so trial closures need not pickle. Trials overlap only on the
-    # numba backend, whose kernels release the GIL; on numpy the small calls
-    # hold it, and two threads are no faster than running the trials in turn
-    workers = min(_worker_count(), len(seeds))
-    if workers <= 1:
+    # processes, as the numpy calls hold the GIL. Closures do not pickle:
+    # workers inherit `fn` at fork through `_TRIAL` and are sent only seeds;
+    # results and exceptions come back by pickle. One BLAS thread per worker
+    # keeps n workers on n cores from starting n times BLAS's own threads.
+    global _TRIAL
+    workers = _worker_count(len(seeds))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(s) for s in seeds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
+    _TRIAL = fn
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_pin_blas_to_one_thread) as pool:
+            return list(pool.map(_run_trial, seeds))
+    finally:
+        _TRIAL = None
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +454,14 @@ def _write_histories(out_stem: Path, history: dict) -> None:
         rows = [(name, epoch, float(val))
                 for name, arr in losses.items()
                 for epoch, val in enumerate(arr)]
-        _write_csv(out_stem.parent / f"{out_stem.name}.finetune_loss.csv",
+        _write_csv(out_stem.parent / (out_stem.name + _FINETUNE_LOSS),
                    ["model", "epoch", "loss"], rows)
     de = history.get("de")
     if de is not None:
         rows = [(g, float(de["best_fitness"][g]), float(de["mu_f"][g]),
                  float(de["mu_cr"][g]))
                 for g in range(len(de["best_fitness"]))]
-        _write_csv(out_stem.parent / f"{out_stem.name}.de_history.csv",
+        _write_csv(out_stem.parent / (out_stem.name + _DE_HISTORY),
                    ["generation", "best_fitness", "mu_f", "mu_cr"], rows)
 
 
@@ -481,7 +528,7 @@ def _channel_list(channels: str, channel_ids) -> list | None:
 
 
 def _write_report(out_prefix: Path, report: MetricsReport) -> None:
-    _write_csv(out_prefix.parent / f"{out_prefix.name}.report.csv",
+    _write_csv(out_prefix.parent / (out_prefix.name + _REPORT),
                REPORT_KEYS, [tuple(report.as_dict().values())])
     (out_prefix.parent / f"{out_prefix.name}.report.txt").write_text(
         report.to_kv_text(), encoding="utf-8")
@@ -516,11 +563,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     seeds = _trial_seeds(cfg)
     rows = [tuple(r.as_dict().values()) for r in _map_trials(one_trial, seeds)]
-    _write_csv(out.parent / f"{out.name}.trials.csv", ("trial",) + REPORT_KEYS,
+    _write_csv(out.parent / (out.name + _TRIALS), ("trial",) + REPORT_KEYS,
                [(seed,) + row for seed, row in zip(seeds, rows)])
     arr = np.array(rows, dtype=np.float64)
     mean, std = arr.mean(axis=0), arr.std(axis=0)
-    _write_csv(out.parent / f"{out.name}.report.csv", REPORT_KEYS, [tuple(mean), tuple(std)])
+    _write_csv(out.parent / (out.name + _REPORT), REPORT_KEYS, [tuple(mean), tuple(std)])
     lines = [f"{k} = {m:.10g} +- {s:.10g}" for k, m, s in zip(REPORT_KEYS, mean, std)]
     (out.parent / f"{out.name}.report.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8")
@@ -568,7 +615,7 @@ def _write_table(cfg: RunConfig, suffix: str, first_column: str, names, results,
         rows.append(row)
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out.parent / f"{out.name}.{suffix}",
+    _write_csv(out.parent / (out.name + suffix),
                [first_column] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "std")],
                rows)
     for row in rows:
@@ -587,7 +634,7 @@ def cmd_ablate_sensors(cfg: RunConfig) -> int:
         return sensor_subset_trial(train_set, eval_sets, subsets, config, seed)
 
     results = _map_trials(one_trial, _trial_seeds(cfg))
-    _write_table(cfg, "sensor_ablation.csv", "subset", names, results,
+    _write_table(cfg, _SENSOR_ABLATION, "subset", names, results,
                  ("rmse", "r2score", "mape"))
     return 0
 
@@ -601,7 +648,7 @@ def cmd_compare_frameworks(cfg: RunConfig) -> int:
         return framework_trial(train_set, eval_sets, _mdp_config(cfg, seed), seed)["reports"]
 
     results = _map_trials(one_trial, _trial_seeds(cfg))
-    _write_table(cfg, "frameworks.csv", "framework", FRAMEWORKS, results,
+    _write_table(cfg, _FRAMEWORKS, "framework", FRAMEWORKS, results,
                  ("rmse", "r2score"))
     return 0
 

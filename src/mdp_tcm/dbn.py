@@ -247,12 +247,13 @@ def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
     """Exact loss gradient for one full batch, via a unit-rate SGD step."""
     theta = model.theta.copy()
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(frames, dtype=np.float64)))
+    rows = np.arange(x.shape[0])
     if model.head == SOFTMAX:
         y = np.ascontiguousarray(np.asarray(targets, dtype=np.int64))
-        _kernels.classifier_epoch(theta, model.sizes_array, x, y, x.shape[0], 1.0)
+        _kernels.classifier_epoch(theta, model.sizes_array, x, y, rows, x.shape[0], 1.0)
     else:
         t = np.ascontiguousarray(np.asarray(targets, dtype=np.float64))
-        _kernels.regressor_epoch(theta, model.sizes_array, x, t, x.shape[0], 1.0)
+        _kernels.regressor_epoch(theta, model.sizes_array, x, t, rows, x.shape[0], 1.0)
     return model.theta - theta
 
 
@@ -299,11 +300,8 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig, kind: str,
         y = y / scale
 
     for epoch in range(config.finetune_epochs):
-        perm = rng.permutation(frames.shape[0])
-        xb = np.ascontiguousarray(frames[perm])
-        yb = np.ascontiguousarray(y[perm])
-        history[epoch] = step(theta, sizes, xb, yb, config.batch_size,
-                              config.learning_rate)
+        history[epoch] = step(theta, sizes, frames, y, rng.permutation(frames.shape[0]),
+                              config.batch_size, config.learning_rate)
         if not np.isfinite(theta).all():
             raise NumericError(f"non-finite parameters at fine-tune epoch {epoch}")
     if scale != 1.0:

@@ -46,10 +46,10 @@ def warm_kernels():
     x = rng.random((32, 6))
     sizes = np.array([6, 4, 3], dtype=np.int64)
     _kernels.classifier_epoch(rng.normal(0, 0.1, _kernels.theta_size(sizes)),
-                              sizes, x, rng.integers(0, 3, 32), 16, 0.01)
+                              sizes, x, rng.integers(0, 3, 32), np.arange(32), 16, 0.01)
     sizes_r = np.array([6, 4, 1], dtype=np.int64)
     _kernels.regressor_epoch(rng.normal(0, 0.1, _kernels.theta_size(sizes_r)),
-                             sizes_r, x, rng.random(32), 16, 0.01)
+                             sizes_r, x, rng.random(32), np.arange(32), 16, 0.01)
     _kernels.cd_epoch(rng.normal(0, 0.01, (6, 4)), np.zeros(6), np.zeros(4),
                       x, 16, 0.01, 1, rng.random((32, 1, 4)))
 

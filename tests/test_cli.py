@@ -1,3 +1,4 @@
+import os
 import shutil
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mdp_tcm import _kernels, cli, dbn, experiments
 from mdp_tcm.cost_sensitive import CostVector
+from mdp_tcm.errors import NumericError
 from mdp_tcm.metrics import REPORT_KEYS
 from mdp_tcm.model_io import load_model, save_model
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
@@ -14,6 +16,12 @@ from mdp_tcm.signal_pipeline import (FrameDataset, SplitSpec, WindowSpec, build_
 from mdp_tcm.synth import read_run_meta
 
 from conftest import DE_FLAGS, TRAIN_FLAGS, run_cli
+
+
+# the smallest budgets that still train every model a command trains
+TINY_FLAGS = ["--pretrain-epochs", "1", "--finetune-epochs", "5", "--batch-size", "64",
+              "--hidden-range", "4,6"]
+TINY_DE_FLAGS = ["--de-population", "4", "--de-generations", "1"]
 
 
 def _windowed(run_file):
@@ -283,15 +291,115 @@ class TestTrialConfig:
             seen.append((seed, config))
             return train_mdp(train_set, config, seed)
 
+        # the recorder sees only calls made in this process: no trial workers
+        monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
         monkeypatch.setattr(cli, "train_mdp", recording)
         monkeypatch.setattr(experiments, "train_mdp", recording)
         assert run_cli(command + [
             "--data", str(data_dir), "--out", str(tmp_path / "t"), "--trials", "2",
-            "--seed", "5", "--sticky-steps", "3", "--split-mode", "run",
-            "--pretrain-epochs", "1", "--finetune-epochs", "5", "--batch-size", "64",
-            "--hidden-range", "4,6", "--de-population", "4", "--de-generations", "1"]) == 0
+            "--seed", "5", "--sticky-steps", "3", "--split-mode", "run"]
+            + TINY_FLAGS + TINY_DE_FLAGS) == 0
         assert sorted(seed for seed, _ in seen) == [5, 6]
         assert all(c.sticky_steps == 3 and c.de.seed == seed for seed, c in seen)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so that MDP_TCM_THREADS=2 starts two workers on any host."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+class TestTrialFanOut:
+    @pytest.mark.parametrize("command", [
+        ["compare-frameworks"] + TINY_DE_FLAGS,
+        ["evaluate", "--kind", "multistate"] + TINY_DE_FLAGS,
+        ["ablate-sensors", "--subsets", "force;all"],
+    ])
+    def test_workers_write_the_bytes_of_trials_in_turn(self, tmp_path, data_dir,
+                                                        monkeypatch, two_cores, command):
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MDP_TCM_THREADS", threads)
+            assert run_cli(command + [
+                "--data", str(data_dir), "--out", str(tmp_path / f"t{threads}" / "t"),
+                "--trials", "2", "--seed", "5", "--split-mode", "run"] + TINY_FLAGS) == 0
+        in_turn, fanned_out = tree_bytes(tmp_path / "tNone"), tree_bytes(tmp_path / "t2")
+        assert in_turn and in_turn == fanned_out
+
+    def test_numeric_error_in_a_worker_exits_3(self, tmp_path, data_dir, monkeypatch,
+                                               capsys, two_cores):
+        parent = os.getpid()
+
+        def diverging(train, test_runs, config, seed):
+            where = "a worker" if os.getpid() != parent else "the parent"
+            raise NumericError(f"trial {seed} diverged in {where}")
+
+        monkeypatch.setattr(cli, "framework_trial", diverging)
+        monkeypatch.setenv("MDP_TCM_THREADS", "2")
+        assert run_cli(["compare-frameworks", "--data", str(data_dir),
+                        "--out", str(tmp_path / "t"), "--trials", "2", "--seed", "5",
+                        "--split-mode", "run"] + TINY_FLAGS + TINY_DE_FLAGS) == 3
+        assert "numeric failure: trial 5 diverged in a worker" in capsys.readouterr().err
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("value, trials, cores, want", [
+        (None, 4, 8, 1), ("", 4, 8, 1), (" 3 ", 4, 8, 3), ("8", 2, 8, 2), ("8", 4, 2, 2),
+        ("1", 4, 8, 1)])
+    def test_capped_at_trials_and_cores(self, monkeypatch, value, trials, cores, want):
+        if value is None:
+            monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MDP_TCM_THREADS", value)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert cli._worker_count(trials) == want
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-2"])
+    def test_malformed_is_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("MDP_TCM_THREADS", value)
+        with pytest.raises(cli.UsageError, match="MDP_TCM_THREADS"):
+            cli._worker_count(4)
+
+    def test_malformed_exits_1_naming_the_variable(self, tmp_path, data_dir, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("MDP_TCM_THREADS", "many")
+        assert run_cli(["evaluate", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                        "--trials", "2"]) == 1
+        assert "usage error: MDP_TCM_THREADS" in capsys.readouterr().err
+
+
+class TestDataDirectory:
+    def test_cli_tables_are_not_runs(self, tmp_path, data_dir):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        runs = {p.name for p in data.glob("*.csv")}
+        common = ["--data", str(data), "--seed", "5", "--split-mode", "run"] + TINY_FLAGS
+        model = str(data / "m.model")
+        # each command reads the directory the one before wrote its tables into
+        for argv in (["train", "--out", model] + TINY_DE_FLAGS,
+                     ["compare-frameworks", "--out", str(data / "cmp")] + TINY_DE_FLAGS,
+                     ["ablate-sensors", "--out", str(data / "abl"), "--subsets", "all"],
+                     ["evaluate", "--out", str(data / "tr"), "--trials", "1"]
+                     + TINY_DE_FLAGS):
+            assert run_cli(argv + common) == 0
+        assert run_cli(["evaluate", "--data", str(data), "--model", model,
+                        "--out", str(data / "ev")]) == 0
+        tables = {p.name for p in data.glob("*.csv")} - runs
+        assert {name.partition(".")[2] for name in tables} == {
+            "model.finetune_loss.csv", "model.de_history.csv", "frameworks.csv",
+            "sensor_ablation.csv", "trials.csv", "report.csv"}
+        assert len(cli._load_runs(str(data), None)) == len(runs)
+
+    def test_run_csv_without_sidecar_is_data_error(self, tmp_path, data_dir, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        shutil.copy(data / "run000.csv", data / "extra.csv")
+        assert run_cli(["evaluate", "--data", str(data), "--out", str(tmp_path / "e"),
+                        "--trials", "1"]) == 2
+        assert f"missing sidecar {data / 'extra.meta'}" in capsys.readouterr().err
 
 
 class TestSplitRuns:

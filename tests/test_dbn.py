@@ -267,7 +267,7 @@ class TestGradients:
         y = np.ascontiguousarray(rng.integers(0, 3, 12))
         theta = model.theta.copy()
         kernel_loss = _kernels.classifier_epoch_np(theta, model.sizes_array, x, y,
-                                                   12, 0.0)
+                                                   np.arange(12), 12, 0.0)
         assert kernel_loss == pytest.approx(dbn.classifier_loss(model, x, y), abs=1e-12)
 
 

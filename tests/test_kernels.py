@@ -48,10 +48,11 @@ def test_classifier_epoch_backends_agree():
     X = rng.random((n, 9))
     y = rng.integers(0, 4, n)
     theta0 = rng.normal(0, 0.4, _kernels.theta_size(sizes))
+    order = rng.permutation(n)
     outs = {}
     for name, kern in (("numpy", _kernels.numpy_kernels()), ("numba", numba_kernels)):
         theta = theta0.copy()
-        loss = kern["classifier_epoch"](theta, sizes, X, y, bs, 0.05)
+        loss = kern["classifier_epoch"](theta, sizes, X, y, order, bs, 0.05)
         outs[name] = (theta, loss)
     assert np.max(np.abs(outs["numpy"][0] - outs["numba"][0])) < 1e-10
     assert outs["numpy"][1] == pytest.approx(outs["numba"][1], rel=1e-10)
@@ -65,10 +66,11 @@ def test_regressor_epoch_backends_agree():
     X = rng.random((n, 9))
     t = rng.random(n) * 4.0
     theta0 = rng.normal(0, 0.4, _kernels.theta_size(sizes))
+    order = rng.permutation(n)
     outs = {}
     for name, kern in (("numpy", _kernels.numpy_kernels()), ("numba", numba_kernels)):
         theta = theta0.copy()
-        loss = kern["regressor_epoch"](theta, sizes, X, t, bs, 0.01)
+        loss = kern["regressor_epoch"](theta, sizes, X, t, order, bs, 0.01)
         outs[name] = (theta, loss)
     assert np.max(np.abs(outs["numpy"][0] - outs["numba"][0])) < 1e-10
     assert outs["numpy"][1] == pytest.approx(outs["numba"][1], rel=1e-10)
@@ -80,8 +82,28 @@ def test_partial_final_batch_handled():
     X = rng.random((10, 4))  # batch 4 -> final batch of 2
     y = rng.integers(0, 2, 10)
     theta = rng.normal(0, 0.3, _kernels.theta_size(sizes))
-    loss = _kernels.classifier_epoch_np(theta, sizes, X, y, 4, 0.05)
+    loss = _kernels.classifier_epoch_np(theta, sizes, X, y, np.arange(10), 4, 0.05)
     assert np.isfinite(loss) and np.isfinite(theta).all()
+
+
+@pytest.mark.parametrize("kernel, sizes", [("classifier_epoch", (9, 6, 5, 4)),
+                                           ("regressor_epoch", (9, 6, 1))])
+def test_order_gathers_the_rows_a_shuffled_copy_holds(kernel, sizes):
+    # bit for bit: batches gathered through `order` are the rows of X[order]
+    rng = np.random.default_rng(4)
+    sizes = np.array(sizes, dtype=np.int64)
+    n = 70
+    X = rng.random((n, 9))
+    y = rng.integers(0, 4, n) if kernel == "classifier_epoch" else rng.random(n) * 4.0
+    order = rng.permutation(n)
+    theta0 = rng.normal(0, 0.4, _kernels.theta_size(sizes))
+    step = _kernels.numpy_kernels()[kernel]
+    gathered, copied = theta0.copy(), theta0.copy()
+    loss_gathered = step(gathered, sizes, X, y, order, 16, 0.01)
+    loss_copied = step(copied, sizes, np.ascontiguousarray(X[order]),
+                       np.ascontiguousarray(y[order]), np.arange(n), 16, 0.01)
+    assert loss_gathered == loss_copied
+    assert np.array_equal(gathered, copied)
 
 
 def test_env_flag_selcontrols_backend(monkeypatch):
