@@ -50,6 +50,12 @@ _REPORT, _TRIALS, _FINETUNE_LOSS, _DE_HISTORY, _FRAMEWORKS, _SENSOR_ABLATION = \
     _TABLE_SUFFIXES = (".report.csv", ".trials.csv", ".finetune_loss.csv",
                        ".de_history.csv", ".frameworks.csv", ".sensor_ablation.csv")
 
+# the header line of a `predict` table; `_load_runs` skips a CSV that starts
+# with it, since `predict --out` may name any file
+_PREDICTION_HEADER = (("frame_index", "diagnosed_state")
+                      + tuple(f"posterior_{k}" for k in range(N_STATES))
+                      + ("wear_estimate_um", "wear_smoothed_um"))
+
 # OpenBLAS thread-count setters, by the names numpy's builds export them
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads", "openblas_set_num_threads")
@@ -256,10 +262,16 @@ def _sidecar_number(meta: dict, key: str, path) -> float:
     return value
 
 
+def _is_prediction_table(path: Path) -> bool:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().rstrip("\r\n") == ",".join(_PREDICTION_HEADER)
+
+
 def _load_runs(data_dir: str, stride: int | None):
     """Per-run windowed datasets from a directory of run CSVs + sidecars."""
     root = Path(data_dir)
-    files = [f for f in sorted(root.glob("*.csv")) if not f.name.endswith(_TABLE_SUFFIXES)]
+    files = [f for f in sorted(root.glob("*.csv"))
+             if not f.name.endswith(_TABLE_SUFFIXES) and not _is_prediction_table(f)]
     if not files:
         raise DataError(f"no run CSVs found in {data_dir}")
     datasets = []
@@ -593,12 +605,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=cfg["stride"])
     ds = build_dataset(channels, spec, wear)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
-    header = (["frame_index", "diagnosed_state"]
-              + [f"posterior_{k}" for k in range(N_STATES)]
-              + ["wear_estimate_um", "wear_smoothed_um"])
     table = np.column_stack([np.arange(len(ds)), states, posteriors, raw, smoothed])
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(cfg["out"], header, table, ("%d", "%d") + ("%.10g",) * (N_STATES + 2))
+    write_csv(cfg["out"], _PREDICTION_HEADER, table,
+              ("%d", "%d") + ("%.10g",) * (N_STATES + 2))
     print(f"wrote {len(ds)} predictions to {cfg['out']}")
     return 0
 

@@ -152,13 +152,16 @@ def save_model(path, model, train_config: dict | None = None) -> None:
 
 def load_model(path):
     """Load any model file back into its typed object. A header key or
-    array that the kind needs and the file lacks raises DataError."""
+    array that the kind needs and the file lacks, or an array holding a
+    non-finite value, raises DataError."""
     kind, arrays, config = read_model_file(path)
 
     def need(table, key):
         if key not in table:
             what = "array" if table is arrays else "key"
             raise DataError(f"{path}: {kind} model header lacks {what} {key!r}")
+        if table is arrays and not np.isfinite(arrays[key]).all():
+            raise DataError(f"{path}: array {key!r} holds a non-finite value")
         return table[key]
 
     def network(prefix, head):

@@ -8,8 +8,15 @@ progressive to 200 um, accelerated below 300 um, worn at and above 300 um
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import os
+import stat
+import tempfile
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -245,39 +252,98 @@ def split(dataset: FrameDataset, spec: SplitSpec):
 # run files
 # ---------------------------------------------------------------------------
 
+# hashed ahead of the CSV's bytes to key a parsed-run file; a change to the
+# file's layout or to the parse that fills it must change this tag, so that
+# files written before are parsed again instead of read
+_PARSED_TAG = b"mdp_tcm-parsed-v1\0"
+
+
 def load_run_csv(path, sampling_rate_hz: float):
     """Read one run: header of channel ids plus a wear_um column.
 
     Returns (channels, wear_trajectory). Channels are returned raw;
     normalize before windowing. Every channel sample must be finite; the
     wear column may hold NaN gaps (see fill_wear_gaps).
+
+    The parsed samples are kept beside the run in `<run>.csv.parsed.npy`
+    (see `_read_parsed`), so a run is parsed once while its bytes stay the
+    same. Each CSV column comes back as one contiguous array.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        names = [h.strip() for h in header.split(",")]
-        if "wear_um" not in names:
-            raise DataError(f"{path}: missing wear_um column")
+    # one read: the bytes hashed are the bytes parsed, even if the run is
+    # replaced meanwhile or `path` is a pipe
+    with open(path, "rb") as fh:
+        raw = fh.read()
+        csv_mode = os.fstat(fh.fileno()).st_mode
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    header = text.readline().strip()
+    if not header:
+        raise DataError(f"{path}: empty file")
+    names = [h.strip() for h in header.split(",")]
+    if "wear_um" not in names:
+        raise DataError(f"{path}: missing wear_um column")
+    key = hashlib.sha256(_PARSED_TAG)
+    key.update(raw)
+    digest = key.digest()
+    cache = Path(f"{path}.parsed.npy")
+    columns = _read_parsed(cache, digest)
+    if columns is None:
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            rows = np.loadtxt(text, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"{path}: malformed numeric data: {exc}") from None
-    if data.shape[0] == 0:
+        columns = np.ascontiguousarray(rows.T)
+        _write_parsed(cache, digest, columns, csv_mode)
+    if columns.shape[1] == 0:
         raise DataError(f"{path}: no samples")
-    if data.shape[1] != len(names):
+    if columns.shape[0] != len(names):
         raise DataError(f"{path}: row width does not match header")
     wi = names.index("wear_um")
-    bad = ~np.isfinite(data)
-    bad[:, wi] = False
+    bad = ~np.isfinite(columns)
+    bad[wi] = False
     if bad.any():
-        row, col = np.argwhere(bad)[0]
+        row = int(np.argmax(bad.any(axis=0)))
+        col = int(np.argmax(bad[:, row]))
         raise DataError(f"{path}: channel {names[col]!r} has a non-finite sample "
                         f"at data row {row + 1}")
-    wear = data[:, wi]
-    channels = [ChannelSeries(name, sampling_rate_hz, data[:, i])
+    channels = [ChannelSeries(name, sampling_rate_hz, columns[i])
                 for i, name in enumerate(names) if i != wi]
-    return channels, wear
+    return channels, columns[wi]
+
+
+def _read_parsed(cache: Path, digest: bytes):
+    """The column matrix a parsed-run file holds for a CSV with this
+    digest: the 32-byte sha256 of `_PARSED_TAG` and the CSV's bytes, then
+    the matrix in .npy format.
+    None when the file is missing, keyed to other bytes or unreadable."""
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(len(digest)) != digest:
+                return None
+            columns = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if columns.dtype != np.float64 or columns.ndim != 2:
+        return None
+    return columns
+
+
+def _write_parsed(cache: Path, digest: bytes, columns, csv_mode: int) -> None:
+    """Replace the parsed-run file in one rename, readable by whoever may
+    read the CSV (whose `st_mode` is `csv_mode`). A directory that cannot
+    be written to only costs the next read a parse."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(digest)
+            np.lib.format.write_array(fh, columns, allow_pickle=False)
+        os.chmod(tmp, stat.S_IMODE(csv_mode))
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 _WRITE_BLOCK_ROWS = 1024

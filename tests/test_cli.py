@@ -8,11 +8,11 @@ from mdp_tcm import _kernels, cli, dbn, experiments
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.errors import NumericError
 from mdp_tcm.metrics import REPORT_KEYS
-from mdp_tcm.model_io import load_model, save_model
+from mdp_tcm.model_io import load_model, read_model_file, save_model, write_model_file
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
-from mdp_tcm.signal_pipeline import (FrameDataset, SplitSpec, WindowSpec, build_dataset,
-                                     load_run_csv, split)
+from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, SplitSpec, WindowSpec,
+                                     build_dataset, load_run_csv, split)
 from mdp_tcm.synth import read_run_meta
 
 from conftest import DE_FLAGS, TRAIN_FLAGS, run_cli
@@ -211,6 +211,38 @@ class TestPredict:
                             "--run", str(run_file), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_parsed_run_file_gives_the_bytes_of_a_parse(self, tmp_path, data_dir,
+                                                        multistate_model, monkeypatch):
+        # the reference reads the run as a copy made before any read,
+        # parsed by np.loadtxt into strided columns and never cached
+        source = sorted(data_dir.glob("*.csv"))[0]
+        reference = tmp_path / "ref"
+        reference.mkdir()
+        for suffix in (".csv", ".meta"):
+            shutil.copy(source.with_suffix(suffix), reference / f"run{suffix}")
+        run = tmp_path / "run.csv"
+        shutil.copy(source, run)
+        shutil.copy(source.with_suffix(".meta"), run.with_suffix(".meta"))
+        outs = [tmp_path / f"p{i}.csv" for i in range(3)]
+        for out in outs[:2]:  # a parse, then a read of the parsed-run file
+            assert run_cli(["predict", "--model", str(multistate_model),
+                            "--run", str(run), "--out", str(out)]) == 0
+            assert (tmp_path / "run.csv.parsed.npy").exists()
+
+        def parse_only(path, rate):
+            with open(path, encoding="utf-8") as fh:
+                names = fh.readline().strip().split(",")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            wi = names.index("wear_um")
+            return ([ChannelSeries(n, rate, rows[:, i]) for i, n in enumerate(names)
+                     if i != wi], rows[:, wi])
+
+        monkeypatch.setattr(cli, "load_run_csv", parse_only)
+        assert run_cli(["predict", "--model", str(multistate_model),
+                        "--run", str(reference / "run.csv"), "--out", str(outs[2])]) == 0
+        assert sorted(p.name for p in reference.iterdir()) == ["run.csv", "run.meta"]
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
     def test_wrong_model_kind_rejected(self, tmp_path, data_dir):
         reg = tmp_path / "reg.model"
         assert run_cli(["train", "--data", str(data_dir), "--out", str(reg),
@@ -393,6 +425,16 @@ class TestDataDirectory:
             "sensor_ablation.csv", "trials.csv", "report.csv"}
         assert len(cli._load_runs(str(data), None)) == len(runs)
 
+    def test_prediction_table_is_not_a_run(self, tmp_path, data_dir, multistate_model):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        runs = sorted(data.glob("*.csv"))
+        assert run_cli(["predict", "--model", str(multistate_model), "--run", str(runs[0]),
+                        "--out", str(data / "pred.csv")]) == 0
+        assert run_cli(["evaluate", "--data", str(data), "--model", str(multistate_model),
+                        "--out", str(tmp_path / "ev")]) == 0
+        assert len(cli._load_runs(str(data), None)) == len(runs)
+
     def test_run_csv_without_sidecar_is_data_error(self, tmp_path, data_dir, capsys):
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -451,6 +493,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(path) in err and f"lacks {'array' if 'array' in fragment else 'key'} " \
             f"{key!r}" in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("array, value", [("fallback.theta", np.nan),
+                                              ("reg1.theta", np.inf)])
+    def test_non_finite_model_array_is_data_error(self, tmp_path, data_dir, capsys,
+                                                  command, array, value):
+        path = tmp_path / "m.model"
+        _tiny_model_file(path)
+        kind, arrays, config = read_model_file(path)
+        arrays[array][2] = value
+        write_model_file(path, kind, arrays, config)
+        out = tmp_path / "p.csv"
+        argv = (["predict", "--run", str(sorted(data_dir.glob("*.csv"))[0])]
+                if command == "predict" else ["evaluate", "--data", str(data_dir)])
+        assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 2
+        assert f"{path}: array {array!r} holds a non-finite value" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.glob("p.csv*"))  # no prediction, no report
 
     def test_non_finite_sample_is_data_error(self, tmp_path, data_dir, capsys):
         source = sorted(data_dir.glob("*.csv"))[0]

@@ -1,6 +1,12 @@
+import hashlib
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
+from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, SplitSpec,
                                      WindowSpec, compute_window_size,
@@ -206,3 +212,154 @@ class TestDatasetPlumbing:
     def test_fill_wear_gaps_noop_when_dense(self):
         wear = np.linspace(0, 10, 5)
         assert np.array_equal(fill_wear_gaps(wear), wear)
+
+
+class TestParsedRunCache:
+    """`load_run_csv` keeps the parsed samples in `<run>.csv.parsed.npy`."""
+
+    def make_run(self, tmp_path, rows=50):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "run.csv"
+        with open(path, "w") as fh:
+            fh.write("force,torque,vib_x,wear_um\n")
+            for i, row in enumerate(rng.normal(0, 2, (rows, 3))):
+                fh.write(",".join(f"{v:.10g}" for v in row) + f",{2.0 * i:.10g}\n")
+        return path
+
+    @staticmethod
+    def parse(path):
+        """The parse alone: each channel a column of the loadtxt matrix."""
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return [rows[:, i] for i in range(rows.shape[1])]
+
+    @staticmethod
+    def read(path):
+        channels, wear = load_run_csv(path, 100.0)
+        return [c.samples for c in channels] + [wear]
+
+    def test_hit_is_bit_identical_to_the_parse_and_contiguous(self, tmp_path):
+        path = self.make_run(tmp_path)
+        path.chmod(0o640)
+        cache = tmp_path / "run.csv.parsed.npy"
+        first = self.read(path)
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o640  # the CSV's readers
+        stamp = cache.stat().st_mtime_ns
+        second = self.read(path)
+        assert cache.stat().st_mtime_ns == stamp  # read, not rewritten
+        for got in (first, second):
+            for a, b in zip(got, self.parse(path)):
+                assert a.tobytes() == b.tobytes()
+            assert all(a.flags.c_contiguous for a in got)
+
+    def test_edited_run_is_parsed_again(self, tmp_path):
+        # same size and mtime: only the content tells the edit
+        path = self.make_run(tmp_path)
+        before = self.read(path)
+        text, stat = path.read_text(), path.stat()
+        digit = next(i for i in range(text.index("\n") + 1, len(text))
+                     if text[i] in "12345678")
+        path.write_text(text[:digit] + str(int(text[digit]) + 1) + text[digit + 1:])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size,
+                                                                  stat.st_mtime_ns)
+        got = self.read(path)
+        assert got[0][0] != before[0][0]
+        for a, b in zip(got, self.parse(path)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "digest only", "empty"])
+    def test_damaged_cache_is_parsed_and_rewritten(self, tmp_path, damage):
+        path = self.make_run(tmp_path)
+        cache = tmp_path / "run.csv.parsed.npy"
+        self.read(path)
+        good = cache.read_bytes()
+        cache.write_bytes({"garbage": b"\x93NUMPY" + b"x" * 200,
+                           "truncated": good[:-9],
+                           "digest only": good[:32],
+                           "empty": b""}[damage])
+        for a, b in zip(self.read(path), self.parse(path)):
+            assert a.tobytes() == b.tobytes()
+        assert cache.read_bytes() == good
+
+    @pytest.mark.parametrize("tag", [b"mdp_tcm-parsed-v0\0", b""])
+    def test_file_keyed_under_another_tag_is_parsed_again(self, tmp_path, tag):
+        # a file written for another layout or parse, its digest taken over
+        # another tag (b"": the CSV's bytes alone), is not read
+        path = self.make_run(tmp_path)
+        cache = tmp_path / "run.csv.parsed.npy"
+        self.read(path)
+        good = cache.read_bytes()
+        with open(cache, "wb") as fh:
+            fh.write(hashlib.sha256(tag + path.read_bytes()).digest())
+            np.lib.format.write_array(fh, np.zeros((4, 50)))
+        for a, b in zip(self.read(path), self.parse(path)):
+            assert a.tobytes() == b.tobytes()
+        assert cache.read_bytes() == good
+
+    def test_run_replaced_after_open_is_keyed_to_the_bytes_read(self, tmp_path,
+                                                                monkeypatch):
+        # a writer that renames a new run into place while the old one is
+        # being read: the parsed-run file must hold the old samples under
+        # the old bytes' digest, so the next read parses the new run
+        path = self.make_run(tmp_path)
+        old = self.parse(path)
+        newer = tmp_path / "newer.csv"
+        newer.write_text("force,torque,vib_x,wear_um\n" + "7,8,9,100\n" * 50)
+        real_open, swapped = open, []
+
+        def open_then_replace(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if os.fspath(file) == os.fspath(path) and not swapped:
+                os.replace(newer, path)
+                swapped.append(file)
+            return fh
+
+        monkeypatch.setattr(signal_pipeline, "open", open_then_replace, raising=False)
+        for a, b in zip(self.read(path), old):
+            assert a.tobytes() == b.tobytes()
+        monkeypatch.undo()
+        assert swapped
+        got = self.read(path)
+        assert got[0].tolist() == [7.0] * 50 and got[-1].tolist() == [100.0] * 50
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        # larger than a pipe's buffer, so a second read of the stream
+        # would find it drained
+        path = self.make_run(tmp_path, rows=5000)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        got = self.read(fifo)
+        writer.join(10)
+        assert not writer.is_alive()
+        for a, b in zip(got, self.parse(path)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("target", ["replace", "write_array"])
+    def test_failed_write_returns_the_data_and_leaves_no_temp_file(
+            self, tmp_path, monkeypatch, target):
+        path = self.make_run(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(*((os, "replace") if target == "replace"
+                              else (np.lib.format, "write_array")), refuse)
+        for a, b in zip(self.read(path), self.parse(path)):
+            assert a.tobytes() == b.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+
+    def test_non_finite_sample_raises_on_the_cached_read(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("force,torque,wear_um\n1,2,0\n3,nan,nan\n5,6,20\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DataError) as info:
+                load_run_csv(path, 100.0)
+            messages.append(str(info.value))
+        assert (tmp_path / "run.csv.parsed.npy").exists()
+        assert messages[0] == messages[1]
+        assert "channel 'torque' has a non-finite sample at data row 2" in messages[0]
