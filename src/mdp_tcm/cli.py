@@ -263,8 +263,9 @@ def _sidecar_number(meta: dict, key: str, path) -> float:
 
 
 def _is_prediction_table(path: Path) -> bool:
-    with open(path, encoding="utf-8") as fh:
-        return fh.readline().rstrip("\r\n") == ",".join(_PREDICTION_HEADER)
+    # compared as bytes: a run that is not UTF-8 fails in load_run_csv, which names it
+    with open(path, "rb") as fh:
+        return fh.readline().rstrip(b"\r\n") == ",".join(_PREDICTION_HEADER).encode()
 
 
 def _load_runs(data_dir: str, stride: int | None):

@@ -14,11 +14,10 @@ import numpy as np
 
 from . import _kernels
 from . import rbm as rbm_mod
+from ._kernels import LINEAR, SOFTMAX
 from .errors import NumericError
 from .seeding import substream
 
-SOFTMAX = "softmax"
-LINEAR = "linear"
 N_HIDDEN_LAYERS = 3  # "five-layered": input + 3 hidden + output
 
 
@@ -105,11 +104,7 @@ class DbnModel:
 
     def layer(self, l: int):
         """(weights view, bias view) of affine layer l."""
-        sizes = self.layer_sizes
-        woff, boff = _kernels.layer_offsets(sizes)
-        W = self.theta[woff[l]:woff[l] + sizes[l] * sizes[l + 1]].reshape(sizes[l], sizes[l + 1])
-        b = self.theta[boff[l]:boff[l] + sizes[l + 1]]
-        return W, b
+        return _kernels.layer_views(self.theta, self.layer_sizes)[l]
 
 
 def init_model(layer_sizes, head: str, rng: np.random.Generator,
@@ -246,18 +241,14 @@ def regressor_loss(model: DbnModel, frames, targets) -> float:
 def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
     """Exact loss gradient for one full batch, via a unit-rate SGD step."""
     theta = model.theta.copy()
-    x = np.ascontiguousarray(np.atleast_2d(np.asarray(frames, dtype=np.float64)))
-    rows = np.arange(x.shape[0])
-    if model.head == SOFTMAX:
-        y = np.ascontiguousarray(np.asarray(targets, dtype=np.int64))
-        _kernels.classifier_epoch(theta, model.sizes_array, x, y, rows, x.shape[0], 1.0)
-    else:
-        t = np.ascontiguousarray(np.asarray(targets, dtype=np.float64))
-        _kernels.regressor_epoch(theta, model.sizes_array, x, t, rows, x.shape[0], 1.0)
+    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    t = np.asarray(targets, dtype=np.int64 if model.head == SOFTMAX else np.float64)
+    _kernels.sgd_epoch(theta, model.sizes_array, x, t, np.arange(x.shape[0]),
+                       x.shape[0], 1.0, model.head)
     return model.theta - theta
 
 
-def _finetune(model: DbnModel, frames, targets, config: TrainConfig, kind: str,
+def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
               rng: np.random.Generator | None):
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
@@ -269,43 +260,43 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig, kind: str,
     theta = model.theta.copy()
     sizes = model.sizes_array
     history = np.zeros(config.finetune_epochs)
-    if kind == SOFTMAX:
+    if model.head == SOFTMAX:
         y = np.asarray(targets, dtype=np.int64)
         if len(y) != len(frames):
             raise ValueError("labels and frames must have equal length")
         if y.min() < 0 or y.max() >= model.n_outputs:
             raise ValueError("class label out of range")
-        step = _kernels.classifier_epoch
     else:
         y = np.asarray(targets, dtype=np.float64)
         if len(y) != len(frames):
             raise ValueError("targets and frames must have equal length")
         if not np.isfinite(y).all():
             raise ValueError("regression targets must be finite")
-        step = _kernels.regressor_epoch
 
     # SGD on wear-scale targets is ill-conditioned (optimal head weights grow
     # with the target range), so the linear head trains in target units
     # scaled by a power of two; the scaling round-trips bit-exactly.
     scale = 1.0
-    if kind == LINEAR:
+    if model.head == LINEAR:
         spread = float(np.std(y))
         if spread > 2.0:
             scale = 2.0 ** int(np.ceil(np.log2(spread)))
-    woff, boff = _kernels.layer_offsets(sizes)
-    lh = len(model.layer_sizes) - 2
-    head = theta[woff[lh]:boff[lh] + model.layer_sizes[-1]]
+    head_w, head_b = _kernels.layer_views(theta, sizes)[-1]
     if scale != 1.0:
-        head /= scale
+        head_w /= scale
+        head_b /= scale
         y = y / scale
 
     for epoch in range(config.finetune_epochs):
-        history[epoch] = step(theta, sizes, frames, y, rng.permutation(frames.shape[0]),
-                              config.batch_size, config.learning_rate)
+        history[epoch] = _kernels.sgd_epoch(theta, sizes, frames, y,
+                                            rng.permutation(frames.shape[0]),
+                                            config.batch_size, config.learning_rate,
+                                            model.head)
         if not np.isfinite(theta).all():
             raise NumericError(f"non-finite parameters at fine-tune epoch {epoch}")
     if scale != 1.0:
-        head *= scale
+        head_w *= scale
+        head_b *= scale
         history *= scale * scale
     return DbnModel(model.layer_sizes, model.head, theta), history
 
@@ -315,7 +306,7 @@ def finetune_classifier(model: DbnModel, frames, labels, config: TrainConfig,
     """Mini-batch SGD on mean NLL. Returns (model, per-epoch loss)."""
     if model.head != SOFTMAX:
         raise ValueError("finetune_classifier requires a softmax head")
-    return _finetune(model, frames, labels, config, SOFTMAX, rng)
+    return _finetune(model, frames, labels, config, rng)
 
 
 def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
@@ -323,7 +314,7 @@ def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
     """Mini-batch SGD on mean squared error. Returns (model, per-epoch loss)."""
     if model.head != LINEAR:
         raise ValueError("finetune_regressor requires a linear head")
-    return _finetune(model, frames, targets, config, LINEAR, rng)
+    return _finetune(model, frames, targets, config, rng)
 
 
 def train_classifier(frames, labels, layer_sizes, config: TrainConfig, seed: int):

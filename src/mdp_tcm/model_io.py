@@ -55,7 +55,10 @@ def read_model_file(path):
         head_end = blob.index(b"end-header\n")
     except ValueError:
         raise DataError(f"{path}: not a model file (missing header terminator)") from None
-    header = blob[:head_end].decode("utf-8").splitlines()
+    try:
+        header = blob[:head_end].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: model header is not UTF-8 text: {exc}") from None
     payload = blob[head_end + len(b"end-header\n"):]
     if not header or not header[0].startswith(MAGIC):
         raise DataError(f"{path}: not a model file")
@@ -69,7 +72,10 @@ def read_model_file(path):
     for line in header[1:]:
         if line.startswith("array "):
             _, name, shape = line.split(" ", 2)
-            dims = tuple(int(s) for s in shape.split("x")) if shape else ()
+            try:
+                dims = tuple(int(s) for s in shape.split("x")) if shape else ()
+            except ValueError:
+                raise DataError(f"{path}: array {name} has malformed shape {shape!r}") from None
             specs.append((name, dims))
         elif " = " in line:
             k, v = line.split(" = ", 1)
@@ -152,8 +158,9 @@ def save_model(path, model, train_config: dict | None = None) -> None:
 
 def load_model(path):
     """Load any model file back into its typed object. A header key or
-    array that the kind needs and the file lacks, or an array holding a
-    non-finite value, raises DataError."""
+    array that the kind needs and the file lacks, a header value the model
+    types reject, or an array holding a non-finite value, raises DataError
+    naming the file."""
     kind, arrays, config = read_model_file(path)
 
     def need(table, key):
@@ -165,8 +172,12 @@ def load_model(path):
         return table[key]
 
     def network(prefix, head):
-        return dbn.DbnModel(_sizes_parse(need(config, f"{prefix}layer_sizes")),
-                            head, need(arrays, f"{prefix}theta"))
+        key = f"{prefix}layer_sizes"
+        sizes = need(config, key)
+        try:
+            return dbn.DbnModel(_sizes_parse(sizes), head, need(arrays, f"{prefix}theta"))
+        except ValueError as exc:
+            raise DataError(f"{path}: {key} = {sizes}: {exc}") from None
 
     if kind in (KIND_CLASSIFIER, KIND_REGRESSOR):
         return network("", dbn.SOFTMAX if kind == KIND_CLASSIFIER else dbn.LINEAR)
@@ -181,8 +192,10 @@ def load_model(path):
             route = config.get(f"route.{state}", "fallback")
             if route != "fallback":
                 regressors[state] = network(f"{route}.", dbn.LINEAR)
-        window = int(config.get("smoothing_window", 0)) or None
-        return MultiStateModel(diagnoser, regressors, fallback,
-                               smoothing_window=window,
-                               sticky_steps=int(config.get("sticky_steps", 1)))
+        try:
+            window = int(config.get("smoothing_window", 0)) or None
+            return MultiStateModel(diagnoser, regressors, fallback, smoothing_window=window,
+                                   sticky_steps=int(config.get("sticky_steps", 1)))
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
     raise DataError(f"{path}: unknown model kind {kind!r}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import dbn
 from .adaptive_de import DeConfig, evolve
 from .cost_sensitive import CostVector, predict_cs
-from .errors import DataError
+from .errors import DataError, NumericError
 from .signal_pipeline import FrameDataset, N_STATES
 from .seeding import substream
 
@@ -116,15 +116,23 @@ def _apply_sticky(states: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(values))  # row-major: the first row is the first frame
+    if len(bad):
+        raise NumericError(f"non-finite {what} at frame {int(bad[0, 0])}")
+
+
 def estimate_wear_detailed(model: MultiStateModel, frames):
     """Per-frame diagnosis and wear estimate over a time-ordered batch.
 
     Returns (states, posteriors, raw_wear, smoothed_wear); smoothing is the
     trailing mean (identity when the window is 1 or unset), so estimates at
-    time t never look past t.
+    time t never look past t. Raises NumericError, naming the first bad
+    frame, when a posterior or a raw wear estimate is not finite.
     """
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     states, posteriors = diagnose(model, frames)
+    _check_finite("state posteriors", posteriors)
     states = np.atleast_1d(states)
     if model.sticky_steps > 1:
         states = _apply_sticky(states, model.sticky_steps)
@@ -132,6 +140,7 @@ def estimate_wear_detailed(model: MultiStateModel, frames):
     for state in np.unique(states):
         idx = np.nonzero(states == state)[0]
         raw[idx] = dbn.predict_regression(model.regressor_for(state), frames[idx])
+    _check_finite("wear estimate", raw)
     window = model.smoothing_window or 1
     return states, posteriors, raw, smooth(raw, window)
 

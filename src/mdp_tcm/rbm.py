@@ -126,7 +126,7 @@ def train_rbm(params: RbmParams, data, config: CdConfig,
     reconstructions and the final hidden statistics use probabilities.
 
     Returns (trained params, per-epoch mean squared reconstruction error).
-    Uses the active kernel backend; raises NumericError if parameters
+    Runs the numpy CD kernel; raises NumericError if parameters
     leave the finite range.
     """
     data = np.asarray(data, dtype=np.float64)

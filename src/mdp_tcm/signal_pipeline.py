@@ -275,7 +275,10 @@ def load_run_csv(path, sampling_rate_hz: float):
         raw = fh.read()
         csv_mode = os.fstat(fh.fileno()).st_mode
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    header = text.readline().strip()
+    try:
+        header = text.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not header:
         raise DataError(f"{path}: empty file")
     names = [h.strip() for h in header.split(",")]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 from .signal_pipeline import ChannelSeries, WEAR_EDGES_UM, write_csv
 from .seeding import substream
 
@@ -275,11 +276,16 @@ def write_run_meta(run: SynthRun, path, created: str = "") -> None:
 
 def read_run_meta(path) -> dict:
     meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        k, v = line.split("=", 1)
+        meta[k.strip()] = v.strip()
     return meta

@@ -39,21 +39,6 @@ def report(num, name):
     print(f"ACCEPTANCE {num:02d} {name}: PASS")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels outside the timed criteria."""
-    rng = np.random.default_rng(0)
-    x = rng.random((32, 6))
-    sizes = np.array([6, 4, 3], dtype=np.int64)
-    _kernels.classifier_epoch(rng.normal(0, 0.1, _kernels.theta_size(sizes)),
-                              sizes, x, rng.integers(0, 3, 32), np.arange(32), 16, 0.01)
-    sizes_r = np.array([6, 4, 1], dtype=np.int64)
-    _kernels.regressor_epoch(rng.normal(0, 0.1, _kernels.theta_size(sizes_r)),
-                             sizes_r, x, rng.random(32), np.arange(32), 16, 0.01)
-    _kernels.cd_epoch(rng.normal(0, 0.01, (6, 4)), np.zeros(6), np.zeros(4),
-                      x, 16, 0.01, 1, rng.random((32, 1, 4)))
-
-
 @pytest.fixture(scope="module")
 def framework_results():
     t0 = time.perf_counter()

@@ -512,6 +512,61 @@ class TestMalformedInput:
             in capsys.readouterr().err
         assert not list(tmp_path.glob("p.csv*"))  # no prediction, no report
 
+    @pytest.mark.parametrize("kind, old, new", [
+        ("multistate", b"kind = multistate", b"kind = \xffmultistate"),
+        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,3x,1"),
+        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,4,1"),
+        ("multistate", b"reg1.layer_sizes = 6,3,1", b"reg1.layer_sizes = 6,3,2,1"),
+        ("regressor", b"array theta 25", b"array theta 2y5"),
+        ("multistate", b"sticky_steps = 1", b"sticky_steps = x"),
+    ], ids=["non-utf8", "non-integer-size", "theta-length", "route-theta-length",
+            "array-shape", "sticky-steps"])
+    def test_bad_header_value_names_the_model(self, tmp_path, data_dir, capsys,
+                                              kind, old, new):
+        path = tmp_path / "m.model"
+        _tiny_model_file(path, kind)
+        head, sep, payload = path.read_bytes().partition(b"end-header\n")
+        assert old in head
+        path.write_bytes(head.replace(old, new) + sep + payload)
+        assert run_cli(["predict", "--model", str(path), "--out", str(tmp_path / "p.csv"),
+                        "--run", str(sorted(data_dir.glob("*.csv"))[0])]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("suffix", [".csv", ".meta"])
+    def test_non_utf8_run_names_the_file(self, tmp_path, data_dir, multistate_model,
+                                         capsys, command, suffix):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        run = sorted(data.glob("*.csv"))[0]
+        bad = run.with_suffix(suffix)
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        argv = (["predict", "--run", str(run)] if command == "predict"
+                else ["evaluate", "--data", str(data)])
+        assert run_cli(argv + ["--model", str(multistate_model),
+                               "--out", str(tmp_path / "p.csv")]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("scaled, what", [(("diagnoser.",), "state posteriors"),
+                                              (("fallback.", "reg"), "wear estimate")])
+    def test_non_finite_inference_is_numeric_error(self, tmp_path, data_dir,
+                                                   multistate_model, capsys, command,
+                                                   scaled, what):
+        # finite arrays, so the file loads; the forward pass overflows
+        path = tmp_path / "m.model"
+        kind, arrays, config = read_model_file(multistate_model)
+        for name in arrays:
+            if name.startswith(scaled) and name.endswith(".theta"):
+                arrays[name] = arrays[name] * 1e120
+        write_model_file(path, kind, arrays, config)
+        out = tmp_path / "p.csv"
+        argv = (["predict", "--run", str(sorted(data_dir.glob("*.csv"))[0])]
+                if command == "predict" else ["evaluate", "--data", str(data_dir)])
+        assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 3
+        assert f"non-finite {what} at frame " in capsys.readouterr().err
+        assert not list(tmp_path.glob("p.csv*"))
+
     def test_non_finite_sample_is_data_error(self, tmp_path, data_dir, capsys):
         source = sorted(data_dir.glob("*.csv"))[0]
         run = tmp_path / source.name

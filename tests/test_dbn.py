@@ -261,14 +261,17 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_batch_loss_matches_kernel_loss(self):
-        model = make_model((5, 4, 3), dbn.SOFTMAX, seed=22)
         rng = np.random.default_rng(23)
-        x = np.ascontiguousarray(rng.random((12, 5)))
-        y = np.ascontiguousarray(rng.integers(0, 3, 12))
-        theta = model.theta.copy()
-        kernel_loss = _kernels.classifier_epoch_np(theta, model.sizes_array, x, y,
-                                                   np.arange(12), 12, 0.0)
-        assert kernel_loss == pytest.approx(dbn.classifier_loss(model, x, y), abs=1e-12)
+        for sizes, head, loss in (((5, 4, 3), dbn.SOFTMAX, dbn.classifier_loss),
+                                  ((5, 3), dbn.SOFTMAX, dbn.classifier_loss),
+                                  ((5, 4, 1), dbn.LINEAR, dbn.regressor_loss),
+                                  ((5, 1), dbn.LINEAR, dbn.regressor_loss)):
+            model = make_model(sizes, head, seed=22)
+            x = rng.random((12, 5))
+            t = rng.integers(0, 3, 12) if head == dbn.SOFTMAX else rng.random(12) * 3.0
+            kernel_loss = _kernels.sgd_epoch(model.theta.copy(), model.sizes_array, x, t,
+                                             np.arange(12), 12, 0.0, head)
+            assert kernel_loss == pytest.approx(loss(model, x, t), abs=1e-12)
 
 
 class TestTrainEndToEnd:
