@@ -6,16 +6,16 @@ config file (--config); flags override file values, which override
 preset defaults. Unknown config keys are rejected.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
-MDP_TCM_THREADS caps the --trials workers (forked, one BLAS thread each).
+MDP_TCM_THREADS caps the forked workers, each running BLAS on one thread,
+that run the trials of --trials or the sub-models of a multistate train.
+There is one level of workers: the trials' own trains run in turn. So a
+fanned-out 20 kHz train gets the bytes of one BLAS thread, as trials do.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import ctypes
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -29,6 +29,7 @@ from .adaptive_de import DeConfig, evolve
 from .errors import DataError, NumericError
 from .experiments import (FRAMEWORKS, framework_trial, seeded, sensor_subset_trial,
                           window_spec_for, windowed_run)
+from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
@@ -55,10 +56,6 @@ _REPORT, _TRIALS, _FINETUNE_LOSS, _DE_HISTORY, _FRAMEWORKS, _SENSOR_ABLATION = \
 _PREDICTION_HEADER = (("frame_index", "diagnosed_state")
                       + tuple(f"posterior_{k}" for k in range(N_STATES))
                       + ("wear_estimate_um", "wear_smoothed_um"))
-
-# OpenBLAS thread-count setters, by the names numpy's builds export them
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                 "scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
 
 class UsageError(Exception):
@@ -268,15 +265,20 @@ def _is_prediction_table(path: Path) -> bool:
         return fh.readline().rstrip(b"\r\n") == ",".join(_PREDICTION_HEADER).encode()
 
 
-def _load_runs(data_dir: str, stride: int | None):
-    """Per-run windowed datasets from a directory of run CSVs + sidecars."""
-    root = Path(data_dir)
-    files = [f for f in sorted(root.glob("*.csv"))
+def _run_files(data_dir: str) -> list:
+    """The run CSVs of a directory, in name order."""
+    files = [f for f in sorted(Path(data_dir).glob("*.csv"))
              if not f.name.endswith(_TABLE_SUFFIXES) and not _is_prediction_table(f)]
     if not files:
         raise DataError(f"no run CSVs found in {data_dir}")
+    return files
+
+
+def _load_runs(data_dir: str, stride: int | None):
+    """Per-run windowed datasets from a directory of run CSVs + sidecars,
+    in the order of `_run_files`."""
     datasets = []
-    for f in files:
+    for f in _run_files(data_dir):
         meta_path = f.with_suffix(".meta")
         if not meta_path.exists():
             raise DataError(f"missing sidecar {meta_path}")
@@ -287,6 +289,15 @@ def _load_runs(data_dir: str, stride: int | None):
         spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
         datasets.append(build_dataset(channels, spec, wear))
     return datasets
+
+
+def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
+    """A data error naming both files when the run's frames do not fit the model."""
+    net = model.diagnoser if isinstance(model, MultiStateModel) else model
+    net = net.base if isinstance(net, EcsDbnModel) else net
+    if ds.n_features != net.n_inputs:
+        raise DataError(f"model {model_path} takes frames of {net.n_inputs} values, "
+                        f"but run {run_path} gives frames of {ds.n_features}")
 
 
 def _split_runs(datasets, mode: str, ratio: float, seed: int):
@@ -329,61 +340,20 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _worker_count(n_trials: int) -> int:
-    """MDP_TCM_THREADS, capped at the trial count and the usable cores."""
+def _worker_count(n_items: int) -> int:
+    """MDP_TCM_THREADS, capped at the item count and the usable cores."""
     text = os.environ.get("MDP_TCM_THREADS", "").strip() or "1"
     if not text.isdecimal() or int(text) < 1:
         raise UsageError(f"MDP_TCM_THREADS must be a positive integer, not {text!r}")
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(int(text), n_trials, cores or 1)
+    return min(int(text), n_items, usable_cores())
 
 
 def _trial_seeds(cfg: RunConfig) -> list:
     return [cfg["seed"] + i for i in range(cfg["trials"])]
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Set the loaded OpenBLAS, if one is found, to run one thread."""
-    try:
-        mapped = Path("/proc/self/maps").read_text().split()
-    except OSError:
-        return
-    for lib in sorted({f for f in mapped if "openblas" in f.lower() and f.startswith("/")}):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        setter = next((getattr(handle, n) for n in _BLAS_SETTERS if hasattr(handle, n)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
-
-
-_TRIAL = None  # the trial function forked workers inherit; set while a pool runs
-
-
-def _run_trial(seed: int):
-    return _TRIAL(seed)
-
-
-def _map_trials(fn, seeds):
-    # processes, as the numpy calls hold the GIL. Closures do not pickle:
-    # workers inherit `fn` at fork through `_TRIAL` and are sent only seeds;
-    # results and exceptions come back by pickle. One BLAS thread per worker
-    # keeps n workers on n cores from starting n times BLAS's own threads.
-    global _TRIAL
-    workers = _worker_count(len(seeds))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(s) for s in seeds]
-    _TRIAL = fn
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_pin_blas_to_one_thread) as pool:
-            return list(pool.map(_run_trial, seeds))
-    finally:
-        _TRIAL = None
+def _map_trials(fn, seeds) -> list:
+    return list(map_forked(fn, seeds, _worker_count(len(seeds))))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +411,9 @@ def _train_one(cfg: RunConfig, train_set: FrameDataset, seed: int):
     config = _mdp_config(cfg, seed)
     n_in = train_set.n_features
     if kind == KIND_MULTISTATE:
-        return train_mdp(train_set, config, seed, log=print)
+        # train_mdp's jobs: the diagnoser, the fallback and one regressor per state
+        return train_mdp(train_set, config, seed, log=print,
+                         workers=_worker_count(2 + N_STATES))
     if kind in (KIND_ECS, KIND_CLASSIFIER):
         hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
         model, loss = dbn.train_classifier(train_set.frames, train_set.state_labels,
@@ -557,6 +529,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     if cfg["model"]:
         model = load_model(cfg["model"])
+        for run_path, ds in zip(_run_files(cfg["data"]), datasets):
+            _check_frame_width(model, cfg["model"], ds, run_path)
         if cfg["holdout"]:
             _, eval_sets = _split_runs(datasets, cfg["split-mode"],
                                        cfg["train-ratio"], cfg["seed"])
@@ -605,6 +579,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     channels, wear = load_run_csv(run_path, rate)
     spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=cfg["stride"])
     ds = build_dataset(channels, spec, wear)
+    _check_frame_width(model, cfg["model"], ds, run_path)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
     table = np.column_stack([np.arange(len(ds)), states, posteriors, raw, smoothed])
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)

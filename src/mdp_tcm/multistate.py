@@ -11,6 +11,7 @@ train a dedicated regressor route to a fallback trained on all frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import dbn
 from .adaptive_de import DeConfig, evolve
 from .cost_sensitive import CostVector, predict_cs
 from .errors import DataError, NumericError
+from .fanout import map_forked
 from .signal_pipeline import FrameDataset, N_STATES
 from .seeding import substream
 
@@ -163,8 +165,25 @@ class MdpTrainConfig:
     sticky_steps: int = 1  # >1 holds the routed state until m agreeing diagnoses
 
 
+def _train_diagnoser(train_set: FrameDataset, sizes, config: MdpTrainConfig, seed: int):
+    """The classifier and its evolved costs: (EcsDbnModel, losses, DE history)."""
+    clf, losses = dbn.train_classifier(train_set.frames, train_set.state_labels, sizes,
+                                       config.classifier, seed)
+    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels, config.de)
+    return EcsDbnModel(clf, costs), losses, de_history
+
+
+def _train_regressor(train_set: FrameDataset, idx, sizes, config: MdpTrainConfig,
+                     seed: int):
+    """A wear regressor on the frames `idx` selects (None: every frame)."""
+    frames, targets = train_set.frames, train_set.wear_targets
+    if idx is not None:
+        frames, targets = frames[idx], targets[idx]
+    return dbn.train_regressor(frames, targets, sizes, config.regressor, seed)
+
+
 def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
-              log=None):
+              log=None, workers: int = 1):
     """Train the full pipeline on one dataset.
 
     Trains the classifier, evolves its misclassification costs on the
@@ -172,41 +191,41 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
     least `min_state_samples` frames (true labels) plus a fallback
     regressor on everything. Returns (MultiStateModel, history) where
     history carries the DE trace and per-submodel fine-tune losses.
+
+    The diagnoser and the regressors depend on none of each other, so up
+    to `workers` forked processes train them (`fanout.map_forked`); the
+    model, the history and the log lines are the same for any count.
     """
     if len(train_set) == 0:
         raise DataError("empty training set")
     say = log if log is not None else (lambda msg: None)
-    losses = {}
 
     n_in = train_set.n_features
     hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
     clf_sizes = (n_in,) + hidden + (N_STATES,)
-    say(f"training diagnoser {clf_sizes}")
-    clf, losses["classifier"] = dbn.train_classifier(
-        train_set.frames, train_set.state_labels, clf_sizes, config.classifier, seed)
-    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels,
-                               config.de)
-    diagnoser = EcsDbnModel(clf, costs)
-    say(f"evolved costs {np.array2string(costs.costs, precision=3)}")
-
     reg_hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
     reg_sizes = (n_in,) + reg_hidden + (1,)
-    say(f"training fallback regressor {reg_sizes}")
-    fallback, losses["fallback"] = dbn.train_regressor(
-        train_set.frames, train_set.wear_targets, reg_sizes, config.regressor, seed)
+    state_idx = [np.nonzero(train_set.state_labels == state)[0] for state in range(N_STATES)]
+    jobs = [partial(_train_diagnoser, train_set, clf_sizes, config, seed),
+            partial(_train_regressor, train_set, None, reg_sizes, config, seed)]
+    jobs += [partial(_train_regressor, train_set, idx, reg_sizes, config, seed + 1000 + state)
+             for state, idx in enumerate(state_idx) if len(idx) >= config.min_state_samples]
 
+    say(f"training diagnoser {clf_sizes}")
+    results = map_forked(lambda job: job(), jobs, workers)
+    losses = {}
+    diagnoser, losses["classifier"], de_history = next(results)
+    say(f"evolved costs {np.array2string(diagnoser.costs.costs, precision=3)}")
+    say(f"training fallback regressor {reg_sizes}")
+    fallback, losses["fallback"] = next(results)
     regressors = {}
-    for state in range(N_STATES):
-        idx = np.nonzero(train_set.state_labels == state)[0]
+    for state, idx in enumerate(state_idx):
         if len(idx) < config.min_state_samples:
             say(f"state {state}: {len(idx)} frames < {config.min_state_samples}, "
                 "routing to fallback")
             continue
         say(f"training state-{state} regressor on {len(idx)} frames")
-        reg, losses[f"state{state}"] = dbn.train_regressor(
-            train_set.frames[idx], train_set.wear_targets[idx],
-            reg_sizes, config.regressor, seed + 1000 + state)
-        regressors[state] = reg
+        regressors[state], losses[f"state{state}"] = next(results)
 
     model = MultiStateModel(diagnoser, regressors, fallback,
                             smoothing_window=config.smoothing_window,

@@ -319,8 +319,8 @@ class TestTrialConfig:
                                                    monkeypatch, command):
         seen = []
 
-        def recording(train_set, config, seed=0, log=None):
-            seen.append((seed, config))
+        def recording(train_set, config, seed=0, log=None, workers=1):
+            seen.append((seed, config, workers))
             return train_mdp(train_set, config, seed)
 
         # the recorder sees only calls made in this process: no trial workers
@@ -331,8 +331,9 @@ class TestTrialConfig:
             "--data", str(data_dir), "--out", str(tmp_path / "t"), "--trials", "2",
             "--seed", "5", "--sticky-steps", "3", "--split-mode", "run"]
             + TINY_FLAGS + TINY_DE_FLAGS) == 0
-        assert sorted(seed for seed, _ in seen) == [5, 6]
-        assert all(c.sticky_steps == 3 and c.de.seed == seed for seed, c in seen)
+        assert sorted(seed for seed, _, _ in seen) == [5, 6]
+        assert all(c.sticky_steps == 3 and c.de.seed == seed and workers == 1
+                   for seed, c, workers in seen)
 
 
 @pytest.fixture
@@ -376,6 +377,43 @@ class TestTrialFanOut:
         assert "numeric failure: trial 5 diverged in a worker" in capsys.readouterr().err
 
 
+class TestSubModelFanOut:
+    def test_workers_write_the_bytes_of_train_in_turn(self, tmp_path, data_dir,
+                                                      monkeypatch, capsys, two_cores):
+        out = tmp_path / "m.model"
+        written = {}
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MDP_TCM_THREADS", threads)
+            assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
+                            "--kind", "multistate", "--seed", "5", "--train-ratio", "1.0"]
+                           + TINY_FLAGS + TINY_DE_FLAGS) == 0
+            written[threads] = capsys.readouterr().out, tree_bytes(tmp_path)
+        stdout, files = written[None]
+        assert "training state-" in stdout  # state regressors were among the jobs
+        assert set(files) == {"m.model", "m.model.finetune_loss.csv",
+                              "m.model.de_history.csv"}
+        assert written["2"] == written[None]
+
+    def test_numeric_error_in_a_sub_model_worker_exits_3(self, tmp_path, data_dir,
+                                                         monkeypatch, capsys, two_cores):
+        parent = os.getpid()
+
+        def diverging(frames, targets, layer_sizes, config, seed):
+            where = "a worker" if os.getpid() != parent else "the parent"
+            raise NumericError(f"regressor {seed} diverged in {where}")
+
+        monkeypatch.setattr(dbn, "train_regressor", diverging)
+        monkeypatch.setenv("MDP_TCM_THREADS", "2")
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
+                        "--seed", "5", "--train-ratio", "1.0"]
+                       + TINY_FLAGS + TINY_DE_FLAGS) == 3
+        assert "numeric failure: regressor 5 diverged in a worker" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("value, trials, cores, want", [
         (None, 4, 8, 1), ("", 4, 8, 1), (" 3 ", 4, 8, 3), ("8", 2, 8, 2), ("8", 4, 2, 2),
@@ -395,11 +433,12 @@ class TestWorkerCount:
         with pytest.raises(cli.UsageError, match="MDP_TCM_THREADS"):
             cli._worker_count(4)
 
+    @pytest.mark.parametrize("command", [["evaluate", "--trials", "2"], ["train"]],
+                             ids=["evaluate-trials", "train"])
     def test_malformed_exits_1_naming_the_variable(self, tmp_path, data_dir, monkeypatch,
-                                                   capsys):
+                                                   capsys, command):
         monkeypatch.setenv("MDP_TCM_THREADS", "many")
-        assert run_cli(["evaluate", "--data", str(data_dir), "--out", str(tmp_path / "e"),
-                        "--trials", "2"]) == 1
+        assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "e")]) == 1
         assert "usage error: MDP_TCM_THREADS" in capsys.readouterr().err
 
 
@@ -565,6 +604,20 @@ class TestMalformedInput:
                 if command == "predict" else ["evaluate", "--data", str(data_dir)])
         assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 3
         assert f"non-finite {what} at frame " in capsys.readouterr().err
+        assert not list(tmp_path.glob("p.csv*"))
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_frame_width_mismatch_names_model_and_run(self, tmp_path, data_dir, capsys,
+                                                      command):
+        path = tmp_path / "m.model"
+        _tiny_model_file(path)  # 6 inputs; a desk run gives frames of 98 values
+        run = sorted(data_dir.glob("*.csv"))[0]
+        out = tmp_path / "p.csv"
+        argv = (["predict", "--run", str(run)] if command == "predict"
+                else ["evaluate", "--data", str(data_dir)])
+        assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 2
+        assert (f"data error: model {path} takes frames of 6 values, but run {run} "
+                "gives frames of 98") in capsys.readouterr().err
         assert not list(tmp_path.glob("p.csv*"))
 
     def test_non_finite_sample_is_data_error(self, tmp_path, data_dir, capsys):
