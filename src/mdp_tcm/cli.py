@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dbn
-from .adaptive_de import DeConfig, evolve
+from .adaptive_de import DeConfig
 from .errors import DataError, NumericError
-from .experiments import (FRAMEWORKS, framework_trial, seeded, sensor_subset_trial,
+from .experiments import (FRAMEWORKS, framework_trial, sensor_subset_trial,
                           window_spec_for, windowed_run)
 from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
@@ -35,7 +35,8 @@ from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
                        KIND_REGRESSOR, load_model, save_model)
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
-                         estimate_wear_detailed, train_mdp)
+                         estimate_wear_detailed, train_diagnoser, train_mdp,
+                         train_state_classifier, train_wear_regressor)
 from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
                               build_dataset, load_run_csv, split_indices,
                               write_csv)
@@ -348,12 +349,18 @@ def _worker_count(n_items: int) -> int:
     return min(int(text), n_items, usable_cores())
 
 
-def _trial_seeds(cfg: RunConfig) -> list:
-    return [cfg["seed"] + i for i in range(cfg["trials"])]
+def _run_trials(cfg: RunConfig, datasets, trial) -> list:
+    """`trial(train_set, eval_sets, seed)` for the --trials seeds from --seed
+    on, each on its own split of the runs; the results in seed order."""
+    if cfg["trials"] < 1:
+        raise UsageError(f"--trials must be at least 1, not {cfg['trials']}")
+    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
 
+    def one(seed: int):
+        return trial(*_split_runs(datasets, cfg["split-mode"], cfg["train-ratio"], seed),
+                     seed)
 
-def _map_trials(fn, seeds) -> list:
-    return list(map_forked(fn, seeds, _worker_count(len(seeds))))
+    return list(map_forked(one, seeds, _worker_count(len(seeds))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +399,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _mdp_config(cfg: RunConfig, seed: int) -> MdpTrainConfig:
-    """The command's training config for the trial with this seed."""
-    return seeded(MdpTrainConfig(
+def _mdp_config(cfg: RunConfig) -> MdpTrainConfig:
+    """The command's training config."""
+    return MdpTrainConfig(
         classifier=_train_config(cfg, "diagnosis-default", "classifier"),
         regressor=_train_config(cfg, "prognosis-default", "regressor"),
         de=DeConfig(population_size=cfg["de-population"],
@@ -402,33 +409,24 @@ def _mdp_config(cfg: RunConfig, seed: int) -> MdpTrainConfig:
         min_state_samples=cfg["min-state-samples"],
         smoothing_window=cfg["smoothing-window"] or None,
         sticky_steps=cfg["sticky-steps"],
-    ), seed)
+    )
 
 
-def _train_one(cfg: RunConfig, train_set: FrameDataset, seed: int):
-    """Train the requested kind; returns (model, history dict)."""
-    kind = cfg["kind"]
-    config = _mdp_config(cfg, seed)
-    n_in = train_set.n_features
+def _train_one(kind: str, config: MdpTrainConfig, train_set: FrameDataset, seed: int):
+    """Train the requested kind, the multistate pipeline or one of its
+    sub-models; returns (model, history dict)."""
     if kind == KIND_MULTISTATE:
         # train_mdp's jobs: the diagnoser, the fallback and one regressor per state
         return train_mdp(train_set, config, seed, log=print,
                          workers=_worker_count(2 + N_STATES))
-    if kind in (KIND_ECS, KIND_CLASSIFIER):
-        hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
-        model, loss = dbn.train_classifier(train_set.frames, train_set.state_labels,
-                                           (n_in,) + hidden + (N_STATES,),
-                                           config.classifier, seed)
-        if kind == KIND_CLASSIFIER:
-            return model, {"loss": {"classifier": loss}}
-        costs, de_history = evolve(model, train_set.frames, train_set.state_labels,
-                                   config.de)
-        return EcsDbnModel(model, costs), {"de": de_history,
-                                           "loss": {"classifier": loss}}
+    if kind == KIND_ECS:
+        model, loss, de_history = train_diagnoser(train_set, config, seed)
+        return model, {"de": de_history, "loss": {"classifier": loss}}
+    if kind == KIND_CLASSIFIER:
+        model, loss = train_state_classifier(train_set, config, seed)
+        return model, {"loss": {"classifier": loss}}
     if kind == KIND_REGRESSOR:
-        hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
-        model, loss = dbn.train_regressor(train_set.frames, train_set.wear_targets,
-                                          (n_in,) + hidden + (1,), config.regressor, seed)
+        model, loss = train_wear_regressor(train_set, config, seed)
         return model, {"loss": {"regressor": loss}}
     raise UsageError(f"unknown model kind {kind!r}")
 
@@ -461,7 +459,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg["kind"] in (KIND_ECS, KIND_CLASSIFIER, KIND_MULTISTATE) and np.any(per_state == 0):
         missing = [s for s in range(N_STATES) if per_state[s] == 0]
         print(f"warning: training split has no frames for states {missing}")
-    model, history = _train_one(cfg, train_set, cfg["seed"])
+    model, history = _train_one(cfg["kind"], _mdp_config(cfg), train_set, cfg["seed"])
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(out, model, train_config={
@@ -479,9 +477,9 @@ def _evaluate_model(model, datasets):
     if isinstance(model, MultiStateModel):
         states, estimates = [], []
         for ds in datasets:
-            s, _, raw, smoothed = estimate_wear_detailed(model, ds.frames)
+            s, _, _, smoothed = estimate_wear_detailed(model, ds.frames)
             states.append(s)
-            estimates.append(smoothed if model.smoothing_window else raw)
+            estimates.append(smoothed)
         cls = classification_report(labels, np.concatenate(states), N_STATES)
         reg = regression_report(wear, np.concatenate(estimates))
         return MetricsReport(accuracy=cls.accuracy, gmean=cls.gmean,
@@ -542,16 +540,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         return 0
 
     # no model file: run seeded train+evaluate trials
-    def one_trial(seed: int) -> MetricsReport:
-        train_set, eval_sets = _split_runs(datasets, cfg["split-mode"],
-                                           cfg["train-ratio"], seed)
-        model, _ = _train_one(cfg, train_set, seed)
-        return _evaluate_model(model, eval_sets)
+    config = _mdp_config(cfg)
 
-    seeds = _trial_seeds(cfg)
-    rows = [tuple(r.as_dict().values()) for r in _map_trials(one_trial, seeds)]
+    def trial(train_set, eval_sets, seed: int) -> MetricsReport:
+        return _evaluate_model(_train_one(cfg["kind"], config, train_set, seed)[0], eval_sets)
+
+    rows = [tuple(r.as_dict().values()) for r in _run_trials(cfg, datasets, trial)]
     _write_csv(out.parent / (out.name + _TRIALS), ("trial",) + REPORT_KEYS,
-               [(seed,) + row for seed, row in zip(seeds, rows)])
+               [(seed,) + row for seed, row in enumerate(rows, cfg["seed"])])
     arr = np.array(rows, dtype=np.float64)
     mean, std = arr.mean(axis=0), arr.std(axis=0)
     _write_csv(out.parent / (out.name + _REPORT), REPORT_KEYS, [tuple(mean), tuple(std)])
@@ -613,13 +609,8 @@ def cmd_ablate_sensors(cfg: RunConfig) -> int:
     names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
     subsets = {name: _channel_list(name, datasets[0].channel_ids) for name in names}
     config = _train_config(cfg, "prognosis-default", "regressor")
-
-    def one_trial(seed: int):
-        train_set, eval_sets = _split_runs(datasets, cfg["split-mode"],
-                                           cfg["train-ratio"], seed)
-        return sensor_subset_trial(train_set, eval_sets, subsets, config, seed)
-
-    results = _map_trials(one_trial, _trial_seeds(cfg))
+    results = _run_trials(cfg, datasets, lambda train_set, eval_sets, seed:
+                          sensor_subset_trial(train_set, eval_sets, subsets, config, seed))
     _write_table(cfg, _SENSOR_ABLATION, "subset", names, results,
                  ("rmse", "r2score", "mape"))
     return 0
@@ -627,13 +618,9 @@ def cmd_ablate_sensors(cfg: RunConfig) -> int:
 
 def cmd_compare_frameworks(cfg: RunConfig) -> int:
     datasets = _load_runs(cfg["data"], cfg["stride"])
-
-    def one_trial(seed: int):
-        train_set, eval_sets = _split_runs(datasets, cfg["split-mode"],
-                                           cfg["train-ratio"], seed)
-        return framework_trial(train_set, eval_sets, _mdp_config(cfg, seed), seed)["reports"]
-
-    results = _map_trials(one_trial, _trial_seeds(cfg))
+    config = _mdp_config(cfg)
+    results = _run_trials(cfg, datasets, lambda train_set, eval_sets, seed:
+                          framework_trial(train_set, eval_sets, config, seed)["reports"])
     _write_table(cfg, _FRAMEWORKS, "framework", FRAMEWORKS, results,
                  ("rmse", "r2score"))
     return 0

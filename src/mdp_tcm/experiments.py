@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dbn
-from .adaptive_de import DeConfig, evolve
-from .cost_sensitive import predict_cs
+from .adaptive_de import DeConfig
 from .metrics import confusion, gmean, regression_report, rmse
-from .multistate import MdpTrainConfig, estimate_wear_detailed, train_mdp
+from .multistate import (MdpTrainConfig, diagnose, estimate_wear_detailed, train_diagnoser,
+                         train_mdp)
 from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
                               build_dataset, split)
 from .synth import SynthConfig, generate_fleet
@@ -51,11 +51,6 @@ def windowed_run(run, spec: WindowSpec) -> FrameDataset:
     return build_dataset(run.channels, spec, run.wear_trajectory)
 
 
-def seeded(config: MdpTrainConfig, seed: int) -> MdpTrainConfig:
-    """The config of the trial with this seed: the DE cost search follows it."""
-    return replace(config, de=replace(config.de, seed=seed))
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Shared knobs for one seeded trial at desk scale."""
@@ -79,24 +74,18 @@ def _fleet_datasets(trial: TrialConfig, seed: int):
 def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     """Plain-argmax vs cost-evolved G-mean on an imbalanced state dataset."""
     trial = trial or TrialConfig()
-    config = seeded(trial.mdp, seed)
     synth = replace(trial.synth, seed=seed * 1000 + 29)
     spec = window_spec_for(synth)
     pooled = FrameDataset.concat(
         [windowed_run(r, spec) for r in generate_fleet(synth, trial.n_train_runs)])
     train, test = split(pooled, SplitSpec(seed=seed))
-    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
-    sizes = (train.n_features,) + hidden + (N_STATES,)
-    model, _ = dbn.train_classifier(train.frames, train.state_labels, sizes,
-                                    config.classifier, seed)
-    posteriors = dbn.predict_proba(model, test.frames)
+    diagnoser, _, _ = train_diagnoser(train, trial.mdp, seed)
+    tuned, posteriors = diagnose(diagnoser, test.frames)
     plain = np.argmax(posteriors, axis=1)
-    costs, _ = evolve(model, train.frames, train.state_labels, config.de)
-    tuned = predict_cs(posteriors, costs)
     return {
         "gmean_dbn": gmean(confusion(test.state_labels, plain, N_STATES)),
         "gmean_ecs": gmean(confusion(test.state_labels, tuned, N_STATES)),
-        "costs": costs,
+        "costs": diagnoser.costs,
     }
 
 
@@ -166,7 +155,7 @@ def fleet_framework_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     """framework_trial on a fleet generated from the seed."""
     trial = trial or TrialConfig()
     train, test_runs = _fleet_datasets(trial, seed)
-    return framework_trial(train, test_runs, seeded(trial.mdp, seed), seed)
+    return framework_trial(train, test_runs, trial.mdp, seed)
 
 
 def fleet_sensor_subset_trial(seed: int, subsets: dict,

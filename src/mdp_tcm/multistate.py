@@ -10,7 +10,7 @@ train a dedicated regressor route to a fallback trained on all frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -155,7 +155,11 @@ def estimate_wear(model: MultiStateModel, frames) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MdpTrainConfig:
-    """Bundle of the sub-model training configurations."""
+    """Bundle of the sub-model training configurations.
+
+    `de.seed` is not read: the DE cost search follows the seed the
+    diagnoser is trained with (`train_diagnoser`).
+    """
 
     classifier: dbn.TrainConfig = field(default_factory=lambda: dbn.PRESETS["diagnosis-default"])
     regressor: dbn.TrainConfig = field(default_factory=lambda: dbn.PRESETS["prognosis-default"])
@@ -165,20 +169,39 @@ class MdpTrainConfig:
     sticky_steps: int = 1  # >1 holds the routed state until m agreeing diagnoses
 
 
-def _train_diagnoser(train_set: FrameDataset, sizes, config: MdpTrainConfig, seed: int):
-    """The classifier and its evolved costs: (EcsDbnModel, losses, DE history)."""
-    clf, losses = dbn.train_classifier(train_set.frames, train_set.state_labels, sizes,
-                                       config.classifier, seed)
-    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels, config.de)
+def layer_sizes(config: MdpTrainConfig, n_in: int, seed: int):
+    """(classifier sizes, regressor sizes) of the networks trained with this seed."""
+    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
+    reg_hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
+    return (n_in,) + hidden + (N_STATES,), (n_in,) + reg_hidden + (1,)
+
+
+def train_state_classifier(train_set: FrameDataset, config: MdpTrainConfig, seed: int):
+    """The state classifier, before any cost search: (DbnModel, losses)."""
+    sizes = layer_sizes(config, train_set.n_features, seed)[0]
+    return dbn.train_classifier(train_set.frames, train_set.state_labels, sizes,
+                                config.classifier, seed)
+
+
+def train_diagnoser(train_set: FrameDataset, config: MdpTrainConfig, seed: int):
+    """The state classifier and its costs, evolved by DE seeded from `seed`:
+    (EcsDbnModel, losses, DE history)."""
+    clf, losses = train_state_classifier(train_set, config, seed)
+    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels,
+                               replace(config.de, seed=seed))
     return EcsDbnModel(clf, costs), losses, de_history
 
 
-def _train_regressor(train_set: FrameDataset, idx, sizes, config: MdpTrainConfig,
-                     seed: int):
-    """A wear regressor on the frames `idx` selects (None: every frame)."""
+def train_wear_regressor(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
+                         state: int | None = None):
+    """The fallback wear regressor on every frame, or, given a state, that
+    state's regressor on its frames, seeded `seed + 1000 + state`:
+    (DbnModel, losses)."""
+    sizes = layer_sizes(config, train_set.n_features, seed)[1]
     frames, targets = train_set.frames, train_set.wear_targets
-    if idx is not None:
-        frames, targets = frames[idx], targets[idx]
+    if state is not None:
+        idx = np.nonzero(train_set.state_labels == state)[0]
+        frames, targets, seed = frames[idx], targets[idx], seed + 1000 + state
     return dbn.train_regressor(frames, targets, sizes, config.regressor, seed)
 
 
@@ -200,16 +223,12 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
         raise DataError("empty training set")
     say = log if log is not None else (lambda msg: None)
 
-    n_in = train_set.n_features
-    hidden = dbn.draw_hidden_sizes(config.classifier, substream(seed, "arch-clf"))
-    clf_sizes = (n_in,) + hidden + (N_STATES,)
-    reg_hidden = dbn.draw_hidden_sizes(config.regressor, substream(seed, "arch-reg"))
-    reg_sizes = (n_in,) + reg_hidden + (1,)
-    state_idx = [np.nonzero(train_set.state_labels == state)[0] for state in range(N_STATES)]
-    jobs = [partial(_train_diagnoser, train_set, clf_sizes, config, seed),
-            partial(_train_regressor, train_set, None, reg_sizes, config, seed)]
-    jobs += [partial(_train_regressor, train_set, idx, reg_sizes, config, seed + 1000 + state)
-             for state, idx in enumerate(state_idx) if len(idx) >= config.min_state_samples]
+    clf_sizes, reg_sizes = layer_sizes(config, train_set.n_features, seed)
+    counts = np.bincount(train_set.state_labels, minlength=N_STATES)
+    jobs = [partial(train_diagnoser, train_set, config, seed),
+            partial(train_wear_regressor, train_set, config, seed)]
+    jobs += [partial(train_wear_regressor, train_set, config, seed, state)
+             for state, count in enumerate(counts) if count >= config.min_state_samples]
 
     say(f"training diagnoser {clf_sizes}")
     results = map_forked(lambda job: job(), jobs, workers)
@@ -219,12 +238,12 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
     say(f"training fallback regressor {reg_sizes}")
     fallback, losses["fallback"] = next(results)
     regressors = {}
-    for state, idx in enumerate(state_idx):
-        if len(idx) < config.min_state_samples:
-            say(f"state {state}: {len(idx)} frames < {config.min_state_samples}, "
+    for state, count in enumerate(counts):
+        if count < config.min_state_samples:
+            say(f"state {state}: {count} frames < {config.min_state_samples}, "
                 "routing to fallback")
             continue
-        say(f"training state-{state} regressor on {len(idx)} frames")
+        say(f"training state-{state} regressor on {count} frames")
         regressors[state], losses[f"state{state}"] = next(results)
 
     model = MultiStateModel(diagnoser, regressors, fallback,

@@ -94,6 +94,20 @@ class TestTrain:
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_single_kinds_train_the_multistate_sub_models(self, tmp_path, data_dir):
+        models = {}
+        for kind in ("multistate", "ecs-dbn", "dbn-classifier", "dbn-regressor"):
+            out = tmp_path / f"{kind}.model"
+            assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
+                            "--kind", kind, "--seed", "5"] + TINY_FLAGS + TINY_DE_FLAGS) == 0
+            models[kind] = load_model(out)
+        diagnoser = models["multistate"].diagnoser
+        assert models["ecs-dbn"].base.theta.tobytes() == diagnoser.base.theta.tobytes()
+        assert models["ecs-dbn"].costs.costs.tobytes() == diagnoser.costs.costs.tobytes()
+        assert models["dbn-classifier"].theta.tobytes() == diagnoser.base.theta.tobytes()
+        assert (models["dbn-regressor"].theta.tobytes()
+                == models["multistate"].fallback.theta.tobytes())
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         assert run_cli(["train", "--data", str(tmp_path / "void"),
                         "--out", str(tmp_path / "m.model")]) == 2
@@ -160,6 +174,19 @@ class TestEvaluate:
         assert len(trials) == 1 + 2
         report = (tmp_path / "tr.report.csv").read_text().splitlines()
         assert len(report) == 1 + 2  # mean row + std row
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["evaluate", "--kind", "dbn-regressor"],
+                                         ["compare-frameworks"], ["ablate-sensors"]],
+                             ids=["evaluate", "compare-frameworks", "ablate-sensors"])
+    def test_below_one_is_usage_error(self, tmp_path, data_dir, capsys, command, trials):
+        assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "t"),
+                                  "--trials", trials] + TINY_FLAGS) == 1
+        assert f"usage error: --trials must be at least 1, not {trials}" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.glob("t.*"))
 
 
 class TestPredict:
@@ -317,6 +344,7 @@ class TestTrialConfig:
                                          ["evaluate", "--kind", "multistate"]])
     def test_flags_and_trial_seed_reach_train_mdp(self, tmp_path, data_dir,
                                                    monkeypatch, command):
+        # one config serves every trial; the trial seed reaches train_mdp alone
         seen = []
 
         def recording(train_set, config, seed=0, log=None, workers=1):
@@ -332,8 +360,9 @@ class TestTrialConfig:
             "--seed", "5", "--sticky-steps", "3", "--split-mode", "run"]
             + TINY_FLAGS + TINY_DE_FLAGS) == 0
         assert sorted(seed for seed, _, _ in seen) == [5, 6]
-        assert all(c.sticky_steps == 3 and c.de.seed == seed and workers == 1
-                   for seed, c, workers in seen)
+        config = seen[0][1]
+        assert config.sticky_steps == 3
+        assert all(c is config and workers == 1 for _, c, workers in seen)
 
 
 @pytest.fixture

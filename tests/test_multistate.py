@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mdp_tcm import dbn
 from mdp_tcm import _kernels
 from mdp_tcm.adaptive_de import DeConfig
 from mdp_tcm.cost_sensitive import CostVector
+from mdp_tcm.model_io import save_model
 from mdp_tcm.multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel,
                                 diagnose, estimate_wear, estimate_wear_detailed,
                                 smooth, train_mdp)
@@ -148,6 +151,18 @@ class TestTrainMdp:
         model, history = train_mdp(ds, config, seed=2)
         assert set(model.regressors) == {0, 1, 2, 3}
         assert len(history["de"]["best_fitness"]) == TINY_DE.max_generations + 1
+
+    def test_de_follows_the_seed_argument(self, tmp_path):
+        ds = make_dataset(400, seed=11)
+        histories = []
+        for de_seed in (4, 99):
+            config = MdpTrainConfig(classifier=TINY, regressor=TINY,
+                                    de=replace(TINY_DE, seed=de_seed))
+            model, history = train_mdp(ds, config, seed=4)
+            save_model(tmp_path / f"{de_seed}.model", model)
+            histories.append(history["de"])
+        assert (tmp_path / "4.model").read_bytes() == (tmp_path / "99.model").read_bytes()
+        assert all(np.array_equal(histories[0][k], histories[1][k]) for k in histories[0])
 
     def test_empty_training_set_rejected(self):
         ds = make_dataset(40).subset(np.array([], dtype=int))
