@@ -12,7 +12,7 @@ from .dbn import DbnModel, TrainConfig
 from .metrics import MetricsReport
 from .multistate import EcsDbnModel, MultiStateModel, estimate_wear, train_mdp
 from .rbm import CdConfig, RbmParams
-from .signal_pipeline import ChannelSeries, FrameDataset, SplitSpec, WindowSpec
+from .signal_pipeline import ChannelSeries, FrameDataset, WindowSpec
 from .synth import SynthConfig, SynthRun
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "MetricsReport",
     "MultiStateModel",
     "RbmParams",
-    "SplitSpec",
     "SynthConfig",
     "SynthRun",
     "TrainConfig",

@@ -19,7 +19,6 @@ import numpy as np
 from .cost_sensitive import CostVector
 from .dbn import DbnModel, predict_proba
 from .metrics import confusion, gmean
-from .seeding import substream
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class DeConfig:
     max_generations: int = 50
     p_best_fraction: float = 0.1
     adaptation_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 4:
@@ -52,12 +50,10 @@ class DeState:
 
 
 def init_population(n_classes: int, config: DeConfig,
-                    rng: np.random.Generator | None = None) -> DeState:
+                    rng: np.random.Generator) -> DeState:
     """Uniform population over [0, 1]^K with mu_f = mu_cr = 0.5."""
     if n_classes < 2:
         raise ValueError("need at least two classes")
-    if rng is None:
-        rng = substream(config.seed, "de")
     pop = rng.random((config.population_size, n_classes))
     return DeState(population=pop,
                    fitness=np.full(config.population_size, -np.inf))
@@ -125,15 +121,14 @@ def step(state: DeState, objective, config: DeConfig,
                    generation=state.generation + 1, archive=archive)
 
 
-def optimize(objective, n_classes: int, config: DeConfig):
+def optimize(objective, n_classes: int, config: DeConfig, rng: np.random.Generator):
     """Run the full loop; returns (best vector, history).
 
     history has per-generation columns best_fitness (monotone, tracked
     elitist over everything evaluated), mu_f and mu_cr; row 0 describes the
     initial population.
     """
-    rng = substream(config.seed, "de")
-    state = init_population(n_classes, config, rng=rng)
+    state = init_population(n_classes, config, rng)
     state.fitness = np.array([objective(x) for x in state.population])
     best_i = int(np.argmax(state.fitness))
     best_x = state.population[best_i].copy()
@@ -163,15 +158,15 @@ def make_gmean_objective(posteriors: np.ndarray, labels: np.ndarray, n_classes: 
     return objective
 
 
-def evolve(model: DbnModel, frames, labels, config: DeConfig,
-           n_classes: int | None = None):
-    """Evolve misclassification costs for a trained classifier.
+def evolve(model: DbnModel, frames, labels, config: DeConfig, rng: np.random.Generator):
+    """Evolve misclassification costs for a trained classifier, one per
+    model output.
 
     Posteriors are computed once and cached; candidates only reweight the
     decision rule. Returns (best CostVector, history).
     """
-    k = n_classes if n_classes is not None else model.n_outputs
+    k = model.n_outputs
     posteriors = predict_proba(model, np.asarray(frames, dtype=np.float64))
     objective = make_gmean_objective(posteriors, np.asarray(labels), k)
-    best, history = optimize(objective, k, config)
+    best, history = optimize(objective, k, config, rng)
     return CostVector(best), history

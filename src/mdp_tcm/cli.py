@@ -37,9 +37,8 @@ from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
-from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
-                              build_dataset, load_run_csv, split_indices,
-                              write_csv)
+from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
+                              load_run_csv, split_indices, write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -316,7 +315,7 @@ def _split_runs(datasets, mode: str, ratio: float, seed: int):
         return train, test
     if mode == "frame":
         pooled = FrameDataset.concat(datasets)
-        train, test = split_indices(len(pooled), SplitSpec(train_ratio=ratio, seed=seed))
+        train, test = split_indices(len(pooled), ratio, seed)
         if len(test) == 0:
             raise DataError(f"train ratio {ratio} leaves no test frames "
                             f"out of {len(pooled)}")
@@ -381,9 +380,8 @@ def cmd_generate(cfg: RunConfig) -> int:
         noise_std=cfg["noise-std"],
         noise_scale=cfg["noise-scale"],
         band_frac=cfg["band-frac"],
-        seed=cfg["seed"],
     )
-    runs = generate_fleet(synth, cfg["runs"])
+    runs = generate_fleet(synth, cfg["runs"], cfg["seed"])
     spec = window_spec_for(synth)
     created = datetime.now(timezone.utc).isoformat()
     counts = np.zeros(N_STATES, dtype=np.int64)
@@ -412,12 +410,14 @@ def _mdp_config(cfg: RunConfig) -> MdpTrainConfig:
     )
 
 
-def _train_one(kind: str, config: MdpTrainConfig, train_set: FrameDataset, seed: int):
+def _train_one(kind: str, config: MdpTrainConfig, train_set: FrameDataset, seed: int,
+               log=print):
     """Train the requested kind, the multistate pipeline or one of its
-    sub-models; returns (model, history dict)."""
+    sub-models; returns (model, history dict). A multistate train reports
+    its progress through `log`."""
     if kind == KIND_MULTISTATE:
         # train_mdp's jobs: the diagnoser, the fallback and one regressor per state
-        return train_mdp(train_set, config, seed, log=print,
+        return train_mdp(train_set, config, seed, log=log,
                          workers=_worker_count(2 + N_STATES))
     if kind == KIND_ECS:
         model, loss, de_history = train_diagnoser(train_set, config, seed)
@@ -539,13 +539,20 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         print(report.to_kv_text(), end="")
         return 0
 
-    # no model file: run seeded train+evaluate trials
+    # no model file: run seeded train+evaluate trials; each trial's log lines
+    # come back with its report, so that they print in seed order
     config = _mdp_config(cfg)
 
-    def trial(train_set, eval_sets, seed: int) -> MetricsReport:
-        return _evaluate_model(_train_one(cfg["kind"], config, train_set, seed)[0], eval_sets)
+    def trial(train_set, eval_sets, seed: int):
+        lines = []
+        model = _train_one(cfg["kind"], config, train_set, seed, log=lines.append)[0]
+        return _evaluate_model(model, eval_sets), lines
 
-    rows = [tuple(r.as_dict().values()) for r in _run_trials(cfg, datasets, trial)]
+    rows = []
+    for report, lines in _run_trials(cfg, datasets, trial):
+        for line in lines:
+            print(line)
+        rows.append(tuple(report.as_dict().values()))
     _write_csv(out.parent / (out.name + _TRIALS), ("trial",) + REPORT_KEYS,
                [(seed,) + row for seed, row in enumerate(rows, cfg["seed"])])
     arr = np.array(rows, dtype=np.float64)

@@ -28,7 +28,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 500
     hidden_range: tuple = (5, 60)
-    seed: int = 0
 
     def __post_init__(self):
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
@@ -154,8 +153,7 @@ def rescale_hidden_layers(model: DbnModel, frames, sample: int = 2000) -> None:
         a = np.maximum(a @ W + b, 0.0)
 
 
-def pretrain(layer_sizes, frames, config: TrainConfig,
-             rng: np.random.Generator | None = None):
+def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator):
     """Greedy layer-wise pretraining of the hidden-layer RBM stack.
 
     Each RBM trains on the sigmoid hidden probabilities of its predecessor;
@@ -165,8 +163,6 @@ def pretrain(layer_sizes, frames, config: TrainConfig,
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("pretraining needs a nonempty 2-D frame matrix")
     sizes = tuple(int(s) for s in layer_sizes)
-    if rng is None:
-        rng = substream(config.seed, "pretrain")
     cd = rbm_mod.CdConfig(epochs=config.pretrain_epochs,
                           learning_rate=config.learning_rate,
                           batch_size=config.batch_size)
@@ -175,7 +171,7 @@ def pretrain(layer_sizes, frames, config: TrainConfig,
     for l in range(len(sizes) - 2):
         params = rbm_mod.init_params(sizes[l], sizes[l + 1], rng,
                                      visible_mean=rep.mean(axis=0))
-        params, _ = rbm_mod.train_rbm(params, rep, cd, rng=rng)
+        params, _ = rbm_mod.train_rbm(params, rep, cd, rng)
         stack.append(params)
         rep = rbm_mod.prob_h_given_v(params, rep)
     return stack
@@ -249,14 +245,12 @@ def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
 
 
 def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
-              rng: np.random.Generator | None):
+              rng: np.random.Generator):
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError("fine-tuning needs a nonempty 2-D frame matrix")
     if frames.shape[1] != model.n_inputs:
         raise ValueError("frame width does not match the model input size")
-    if rng is None:
-        rng = substream(config.seed, "finetune")
     theta = model.theta.copy()
     sizes = model.sizes_array
     history = np.zeros(config.finetune_epochs)
@@ -302,7 +296,7 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
 
 
 def finetune_classifier(model: DbnModel, frames, labels, config: TrainConfig,
-                        rng: np.random.Generator | None = None):
+                        rng: np.random.Generator):
     """Mini-batch SGD on mean NLL. Returns (model, per-epoch loss)."""
     if model.head != SOFTMAX:
         raise ValueError("finetune_classifier requires a softmax head")
@@ -310,7 +304,7 @@ def finetune_classifier(model: DbnModel, frames, labels, config: TrainConfig,
 
 
 def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator):
     """Mini-batch SGD on mean squared error. Returns (model, per-epoch loss)."""
     if model.head != LINEAR:
         raise ValueError("finetune_regressor requires a linear head")
@@ -319,11 +313,10 @@ def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
 
 def train_classifier(frames, labels, layer_sizes, config: TrainConfig, seed: int):
     """Pretrain + fine-tune a classifier end to end from a run seed."""
-    stack = pretrain(layer_sizes, frames, config, rng=substream(seed, "pretrain"))
+    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"))
     model = init_model(layer_sizes, SOFTMAX, substream(seed, "init"), rbm_stack=stack)
     rescale_hidden_layers(model, frames)
-    return finetune_classifier(model, frames, labels, config,
-                               rng=substream(seed, "finetune"))
+    return finetune_classifier(model, frames, labels, config, substream(seed, "finetune"))
 
 
 def train_regressor(frames, targets, layer_sizes, config: TrainConfig, seed: int):
@@ -332,10 +325,9 @@ def train_regressor(frames, targets, layer_sizes, config: TrainConfig, seed: int
     The head bias starts at the target mean so early residuals are centered;
     SGD at wear-scale targets diverges otherwise.
     """
-    stack = pretrain(layer_sizes, frames, config, rng=substream(seed, "pretrain"))
+    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"))
     model = init_model(layer_sizes, LINEAR, substream(seed, "init"), rbm_stack=stack)
     rescale_hidden_layers(model, frames)
     _, head_bias = model.layer(len(model.layer_sizes) - 2)
     head_bias[0] = float(np.mean(targets))
-    return finetune_regressor(model, frames, targets, config,
-                              rng=substream(seed, "finetune"))
+    return finetune_regressor(model, frames, targets, config, substream(seed, "finetune"))

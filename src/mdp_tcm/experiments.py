@@ -20,8 +20,7 @@ from .adaptive_de import DeConfig
 from .metrics import confusion, gmean, regression_report, rmse
 from .multistate import (MdpTrainConfig, diagnose, estimate_wear_detailed, train_diagnoser,
                          train_mdp)
-from .signal_pipeline import (FrameDataset, N_STATES, SplitSpec, WindowSpec,
-                              build_dataset, split)
+from .signal_pipeline import FrameDataset, N_STATES, WindowSpec, build_dataset, split
 from .synth import SynthConfig, generate_fleet
 from .seeding import substream
 
@@ -30,9 +29,7 @@ from .seeding import substream
 DESK_CLASSIFIER = dbn.TrainConfig(pretrain_epochs=10, finetune_epochs=300,
                                   learning_rate=0.03, batch_size=128,
                                   hidden_range=(5, 60))
-DESK_REGRESSOR = dbn.TrainConfig(pretrain_epochs=10, finetune_epochs=300,
-                                 learning_rate=0.003, batch_size=128,
-                                 hidden_range=(5, 60))
+DESK_REGRESSOR = replace(DESK_CLASSIFIER, learning_rate=0.003)
 DESK_DE = DeConfig(population_size=30, max_generations=50)
 DESK_MDP = MdpTrainConfig(classifier=DESK_CLASSIFIER, regressor=DESK_REGRESSOR, de=DESK_DE)
 
@@ -63,9 +60,9 @@ class TrialConfig:
 
 def _fleet_datasets(trial: TrialConfig, seed: int):
     """Train pool plus per-run test datasets (run-level split, leakage free)."""
-    synth = replace(trial.synth, seed=seed * 1000 + 17)
-    spec = window_spec_for(synth)
-    runs = generate_fleet(synth, trial.n_train_runs + trial.n_test_runs)
+    spec = window_spec_for(trial.synth)
+    runs = generate_fleet(trial.synth, trial.n_train_runs + trial.n_test_runs,
+                          seed * 1000 + 17)
     datasets = [windowed_run(r, spec) for r in runs]
     train = FrameDataset.concat(datasets[:trial.n_train_runs])
     return train, datasets[trial.n_train_runs:]
@@ -74,11 +71,11 @@ def _fleet_datasets(trial: TrialConfig, seed: int):
 def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     """Plain-argmax vs cost-evolved G-mean on an imbalanced state dataset."""
     trial = trial or TrialConfig()
-    synth = replace(trial.synth, seed=seed * 1000 + 29)
-    spec = window_spec_for(synth)
-    pooled = FrameDataset.concat(
-        [windowed_run(r, spec) for r in generate_fleet(synth, trial.n_train_runs)])
-    train, test = split(pooled, SplitSpec(seed=seed))
+    spec = window_spec_for(trial.synth)
+    pooled = FrameDataset.concat([windowed_run(r, spec) for r in
+                                  generate_fleet(trial.synth, trial.n_train_runs,
+                                                 seed * 1000 + 29)])
+    train, test = split(pooled, 0.85, seed)
     diagnoser, _, _ = train_diagnoser(train, trial.mdp, seed)
     tuned, posteriors = diagnose(diagnoser, test.frames)
     plain = np.argmax(posteriors, axis=1)

@@ -10,7 +10,7 @@ train a dedicated regressor route to a fallback trained on all frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -155,11 +155,7 @@ def estimate_wear(model: MultiStateModel, frames) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MdpTrainConfig:
-    """Bundle of the sub-model training configurations.
-
-    `de.seed` is not read: the DE cost search follows the seed the
-    diagnoser is trained with (`train_diagnoser`).
-    """
+    """Bundle of the sub-model training configurations."""
 
     classifier: dbn.TrainConfig = field(default_factory=lambda: dbn.PRESETS["diagnosis-default"])
     regressor: dbn.TrainConfig = field(default_factory=lambda: dbn.PRESETS["prognosis-default"])
@@ -187,8 +183,8 @@ def train_diagnoser(train_set: FrameDataset, config: MdpTrainConfig, seed: int):
     """The state classifier and its costs, evolved by DE seeded from `seed`:
     (EcsDbnModel, losses, DE history)."""
     clf, losses = train_state_classifier(train_set, config, seed)
-    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels,
-                               replace(config.de, seed=seed))
+    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels, config.de,
+                               substream(seed, "de"))
     return EcsDbnModel(clf, costs), losses, de_history
 
 
@@ -205,7 +201,7 @@ def train_wear_regressor(train_set: FrameDataset, config: MdpTrainConfig, seed: 
     return dbn.train_regressor(frames, targets, sizes, config.regressor, seed)
 
 
-def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int = 0,
+def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
               log=None, workers: int = 1):
     """Train the full pipeline on one dataset.
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericError
-from .seeding import substream
 
 EXACT_ENUMERATION_LIMIT = 20
 
@@ -56,7 +55,6 @@ class CdConfig:
     learning_rate: float = 0.01
     epochs: int = 200
     batch_size: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.gibbs_steps < 1 or self.epochs < 0 or self.batch_size < 1:
@@ -118,8 +116,7 @@ def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     return _sigmoid(h @ params.weights.T + params.visible_bias)
 
 
-def train_rbm(params: RbmParams, data, config: CdConfig,
-              rng: np.random.Generator | None = None):
+def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generator):
     """Mini-batch CD-k training for `epochs` full passes.
 
     Hidden states are sampled binary along the Gibbs chain; visible
@@ -133,8 +130,6 @@ def train_rbm(params: RbmParams, data, config: CdConfig,
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("training data must be a nonempty 2-D matrix")
     _check_units(params, v=data)
-    if rng is None:
-        rng = substream(config.seed, "cd")
     W = params.weights.copy()
     a = params.visible_bias.copy()
     b = params.hidden_bias.copy()

@@ -64,16 +64,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    train_ratio: float = 0.85
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_ratio < 1.0:
-            raise ValueError("train_ratio must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class FrameDataset:
     """Windowed multichannel frames with per-frame state label and wear target.
 
@@ -233,18 +223,20 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
                         tuple(c.channel_id for c in channels), tw)
 
 
-def split_indices(n: int, spec: SplitSpec):
+def split_indices(n: int, train_ratio: float, seed: int):
     """Seeded uniform shuffle of range(n) into (train, test) index arrays."""
+    if not 0.0 < train_ratio < 1.0:
+        raise ValueError("train_ratio must lie in (0, 1)")
     if n == 0:
         raise DataError("cannot split an empty dataset")
-    perm = substream(spec.seed, "split").permutation(n)
-    n_train = int(np.ceil(spec.train_ratio * n))
+    perm = substream(seed, "split").permutation(n)
+    n_train = int(np.ceil(train_ratio * n))
     return perm[:n_train], perm[n_train:]
 
 
-def split(dataset: FrameDataset, spec: SplitSpec):
-    """Seeded uniform shuffle into train/test at the configured ratio."""
-    train, test = split_indices(len(dataset), spec)
+def split(dataset: FrameDataset, train_ratio: float, seed: int):
+    """Seeded uniform shuffle into train/test at the given ratio."""
+    train, test = split_indices(len(dataset), train_ratio, seed)
     return dataset.subset(train), dataset.subset(test)
 
 

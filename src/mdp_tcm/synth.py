@@ -70,7 +70,6 @@ class SynthConfig:
     band_frac: float = 0.5
     state_warp: float = 0.6         # spread of per-state response slopes (0 = off)
     imbalance_skew: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.spindle_rpm <= 0 or self.sampling_rate_hz <= 0 or self.run_seconds <= 0:
@@ -195,11 +194,9 @@ def _state_warp(wear: np.ndarray, channel_index: int, spread: float) -> np.ndarr
     return cum[idx] + slopes[idx] * (wear - edges[idx])
 
 
-def generate_run(config: SynthConfig, seed: int | None = None,
-                 gain_jitter=None) -> SynthRun:
+def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
     """One synthetic run: wear trajectory plus fourteen noisy channels."""
-    run_seed = config.seed if seed is None else seed
-    rng = substream(run_seed, "synth-run")
+    rng = substream(seed, "synth-run")
     n = int(round(config.run_seconds * config.sampling_rate_hz))
     if n < 2:
         raise ValueError("run too short for the sampling rate")
@@ -234,7 +231,7 @@ def generate_run(config: SynthConfig, seed: int | None = None,
         channels.append(ChannelSeries(name, config.sampling_rate_hz, x))
 
     meta = {
-        "seed": run_seed,
+        "seed": seed,
         "spindle_rpm": config.spindle_rpm,
         "sampling_rate_hz": config.sampling_rate_hz,
         "run_seconds": config.run_seconds,
@@ -245,16 +242,16 @@ def generate_run(config: SynthConfig, seed: int | None = None,
     return SynthRun(channels, wear, meta)
 
 
-def generate_fleet(config: SynthConfig, n_runs: int):
-    """Independent runs, seeded config.seed + i, with per-run gain jitter
+def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
+    """Independent runs, seeded seed + i, with per-run gain jitter
     (+-10%) mimicking tool-geometry variation across inserts."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     runs = []
-    for run_seed in range(config.seed, config.seed + n_runs):
+    for run_seed in range(seed, seed + n_runs):
         jrng = substream(run_seed, "fleet-jitter")
         jitter = {c: float(jrng.uniform(0.9, 1.1)) for c in CHANNEL_NAMES}
-        runs.append(generate_run(config, seed=run_seed, gain_jitter=jitter))
+        runs.append(generate_run(config, run_seed, gain_jitter=jitter))
     return runs
 
 

@@ -19,10 +19,11 @@ from mdp_tcm.experiments import (SINGLE_CHANNEL_SUBSETS, TrialConfig,
                                  fleet_framework_trial, fleet_sensor_subset_trial,
                                  imbalance_trial)
 from mdp_tcm.multistate import EcsDbnModel, MultiStateModel, estimate_wear
+from mdp_tcm.seeding import substream
 from mdp_tcm.signal_pipeline import WindowSpec, compute_window_size
 from mdp_tcm.synth import SynthConfig
 
-from conftest import run_cli
+from cli_support import run_cli
 
 N_SEEDS = 10
 IMBALANCE_TRIAL = TrialConfig(synth=SynthConfig.desk(run_seconds=90.0, noise_scale=2.0))
@@ -102,7 +103,7 @@ def test_criterion_03_cd_learning():
         before = rbm.reconstruction_cross_entropy(p0, data)
         trained, _ = rbm.train_rbm(
             p0, data, rbm.CdConfig(epochs=200, learning_rate=0.01,
-                                   batch_size=2, gibbs_steps=1, seed=103))
+                                   batch_size=2, gibbs_steps=1), substream(103, "cd"))
         after = rbm.reconstruction_cross_entropy(trained, data)
         elapsed = time.perf_counter() - t0
         assert after <= 0.5 * before, f"cross-entropy {before:.3f} -> {after:.3f}"
@@ -148,7 +149,7 @@ def test_criterion_06_de_competence():
 
         hits = 0
         for seed in range(10):
-            best, history = optimize(objective, 4, DeConfig(seed=seed))
+            best, history = optimize(objective, 4, DeConfig(), substream(seed, "de"))
             assert np.all(np.diff(history["best_fitness"]) >= 0.0)
             if 1.0 - objective(best) <= 0.05:
                 hits += 1

@@ -18,17 +18,17 @@ def l1_objective(target):
 
 class TestInit:
     def test_population_in_unit_cube(self):
-        state = init_population(4, DeConfig(seed=0))
+        state = init_population(4, DeConfig(), substream(0, "de"))
         assert state.population.shape == (30, 4)
         assert np.all(state.population >= 0.0) and np.all(state.population <= 1.0)
 
     def test_deterministic(self):
-        a = init_population(4, DeConfig(seed=5))
-        b = init_population(4, DeConfig(seed=5))
+        a = init_population(4, DeConfig(), substream(5, "de"))
+        b = init_population(4, DeConfig(), substream(5, "de"))
         assert np.array_equal(a.population, b.population)
 
     def test_adaptation_means_start_at_half(self):
-        state = init_population(3, DeConfig(seed=1))
+        state = init_population(3, DeConfig(), substream(1, "de"))
         assert state.mu_f == 0.5 and state.mu_cr == 0.5
 
     def test_minimum_population(self):
@@ -38,9 +38,9 @@ class TestInit:
 
 class TestStep:
     def test_no_improvement_keeps_everything(self):
-        config = DeConfig(population_size=6, seed=2)
+        config = DeConfig(population_size=6)
         rng = substream(2, "de")
-        state = init_population(2, config, rng=rng)
+        state = init_population(2, config, rng)
         state.fitness = np.full(6, 2.0)  # children (fitness <= 1) can never win
         out = step(state, lambda c: 0.0, config, rng)
         assert np.array_equal(out.population, state.population)
@@ -48,25 +48,25 @@ class TestStep:
         assert out.archive == []
 
     def test_minimum_population_feasible(self):
-        config = DeConfig(population_size=4, seed=3)
+        config = DeConfig(population_size=4)
         rng = substream(3, "de")
-        state = init_population(3, config, rng=rng)
+        state = init_population(3, config, rng)
         out = step(state, l1_objective([0.5, 0.5, 0.5]), config, rng)
         assert out.population.shape == (4, 3)
 
     def test_children_stay_in_unit_cube(self):
-        config = DeConfig(population_size=10, seed=4)
+        config = DeConfig(population_size=10)
         rng = substream(4, "de")
-        state = init_population(5, config, rng=rng)
+        state = init_population(5, config, rng)
         for _ in range(20):
             state = step(state, l1_objective(np.full(5, 0.9)), config, rng)
             assert np.all(state.population >= 0.0)
             assert np.all(state.population <= 1.0)
 
     def test_zero_adaptation_rate_freezes_means(self):
-        config = DeConfig(population_size=8, adaptation_rate=0.0, seed=5)
+        config = DeConfig(population_size=8, adaptation_rate=0.0)
         rng = substream(5, "de")
-        state = init_population(3, config, rng=rng)
+        state = init_population(3, config, rng)
         for _ in range(10):
             state = step(state, l1_objective([0.2, 0.8, 0.5]), config, rng)
         assert state.mu_f == 0.5 and state.mu_cr == 0.5
@@ -74,30 +74,29 @@ class TestStep:
 
 class TestOptimize:
     def test_zero_generations_returns_initial_best(self):
-        config = DeConfig(max_generations=0, seed=6)
+        config = DeConfig(max_generations=0)
         objective = l1_objective([0.3, 0.6])
-        best, history = optimize(objective, 2, config)
-        state = init_population(2, config, rng=substream(6, "de"))
+        best, history = optimize(objective, 2, config, substream(6, "de"))
+        state = init_population(2, config, substream(6, "de"))
         fits = [objective(x) for x in state.population]
         assert objective(best) == pytest.approx(max(fits), abs=1e-15)
         assert len(history["best_fitness"]) == 1
 
     def test_history_monotone(self):
-        config = DeConfig(seed=7)
-        _, history = optimize(l1_objective([0.9, 0.1, 0.5, 0.5]), 4, config)
+        _, history = optimize(l1_objective([0.9, 0.1, 0.5, 0.5]), 4, DeConfig(),
+                              substream(7, "de"))
         assert np.all(np.diff(history["best_fitness"]) >= 0.0)
 
     def test_deterministic_for_seed(self):
-        config = DeConfig(seed=8)
-        a, _ = optimize(l1_objective([0.7, 0.2, 0.4, 0.9]), 4, config)
-        b, _ = optimize(l1_objective([0.7, 0.2, 0.4, 0.9]), 4, config)
+        a, _ = optimize(l1_objective([0.7, 0.2, 0.4, 0.9]), 4, DeConfig(), substream(8, "de"))
+        b, _ = optimize(l1_objective([0.7, 0.2, 0.4, 0.9]), 4, DeConfig(), substream(8, "de"))
         assert np.array_equal(a, b)
 
     def test_converges_near_analytic_optimum(self):
         target = np.array([0.9, 0.1, 0.5, 0.5])
         hits = 0
         for seed in range(10):
-            best, _ = optimize(l1_objective(target), 4, DeConfig(seed=seed))
+            best, _ = optimize(l1_objective(target), 4, DeConfig(), substream(seed, "de"))
             if 1.0 - l1_objective(target)(best) <= 0.05:
                 hits += 1
         assert hits >= 9
@@ -122,7 +121,7 @@ class TestFitness:
         grid = [(objective(np.array([a, b])), a, b)
                 for a in np.linspace(0.01, 1, 34) for b in np.linspace(0.01, 1, 34)]
         best_grid = max(g[0] for g in grid)
-        best_de, _ = optimize(objective, 2, DeConfig(seed=10))
+        best_de, _ = optimize(objective, 2, DeConfig(), substream(10, "de"))
         assert objective(best_de) >= best_grid - 1e-9
 
 
@@ -134,7 +133,7 @@ class TestEvolve:
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=40,
                                  learning_rate=0.05, batch_size=16)
         model, _ = dbn.train_classifier(frames, labels, (4, 5, 2), config, seed=12)
-        costs, history = evolve(model, frames, labels, DeConfig(seed=12))
+        costs, history = evolve(model, frames, labels, DeConfig(), substream(12, "de"))
         objective = make_gmean_objective(dbn.predict_proba(model, frames), labels, 2)
         assert objective(costs.costs) >= objective(np.ones(2)) - 1e-12
         assert np.all(np.diff(history["best_fitness"]) >= 0.0)

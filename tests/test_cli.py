@@ -11,11 +11,11 @@ from mdp_tcm.metrics import REPORT_KEYS
 from mdp_tcm.model_io import load_model, read_model_file, save_model, write_model_file
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
-from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, SplitSpec, WindowSpec,
+from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, WindowSpec,
                                      build_dataset, load_run_csv, split)
 from mdp_tcm.synth import read_run_meta
 
-from conftest import DE_FLAGS, TRAIN_FLAGS, run_cli
+from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
 
 
 # the smallest budgets that still train every model a command trains
@@ -378,7 +378,9 @@ class TestTrialFanOut:
         ["ablate-sensors", "--subsets", "force;all"],
     ])
     def test_workers_write_the_bytes_of_trials_in_turn(self, tmp_path, data_dir,
-                                                        monkeypatch, two_cores, command):
+                                                        monkeypatch, capsys, two_cores,
+                                                        command):
+        stdout = {}
         for threads in (None, "2"):
             if threads is None:
                 monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
@@ -387,8 +389,11 @@ class TestTrialFanOut:
             assert run_cli(command + [
                 "--data", str(data_dir), "--out", str(tmp_path / f"t{threads}" / "t"),
                 "--trials", "2", "--seed", "5", "--split-mode", "run"] + TINY_FLAGS) == 0
+            stdout[threads] = capsys.readouterr().out
         in_turn, fanned_out = tree_bytes(tmp_path / "tNone"), tree_bytes(tmp_path / "t2")
         assert in_turn and in_turn == fanned_out
+        # each trial's log lines (evaluate's train lines) print in seed order
+        assert stdout["2"] == stdout[None]
 
     def test_numeric_error_in_a_worker_exits_3(self, tmp_path, data_dir, monkeypatch,
                                                capsys, two_cores):
@@ -515,8 +520,7 @@ class TestDataDirectory:
 class TestSplitRuns:
     def test_frame_mode_holds_out_each_run_in_time_order(self, data_dir):
         datasets = cli._load_runs(str(data_dir), None)
-        want_train, want_test = split(FrameDataset.concat(datasets),
-                                      SplitSpec(train_ratio=0.85, seed=4))
+        want_train, want_test = split(FrameDataset.concat(datasets), 0.85, 4)
         train, held = cli._split_runs(datasets, "frame", 0.85, 4)
         assert np.array_equal(train.frames, want_train.frames)
         assert np.array_equal(train.wear_targets, want_train.wear_targets)
@@ -537,6 +541,13 @@ def _tiny_model_file(path, kind="multistate"):
     save_model(path, net((6, 3, 1), dbn.LINEAR) if kind == "regressor" else MultiStateModel(
         EcsDbnModel(net((6, 4, 4), dbn.SOFTMAX), CostVector.uniform(4)),
         {1: net((6, 3, 1), dbn.LINEAR)}, net((6, 3, 1), dbn.LINEAR)))
+
+
+def _widen_one_row(data: bytes) -> bytes:
+    """A CSV whose ninth line has one field more than the lines before it."""
+    lines = data.split(b"\n")
+    lines[8] += b",0"
+    return b"\n".join(lines)
 
 
 class TestMalformedInput:
@@ -687,3 +698,26 @@ class TestMalformedInput:
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert f"sidecar {meta}" in err and f"key {key!r}" in err
+
+    @pytest.mark.parametrize("target, mangle, message", [
+        ("run", _widen_one_row, "malformed numeric data"),
+        ("model", lambda b: b[:-100], "checksum mismatch"),
+        ("model", lambda b: b.replace(b"kind = multistate", b"kind = bogus"),
+         "unknown model kind"),
+        ("model", lambda b: b.replace(b"route.1 = reg1", b"route.1 = reg2"), "lacks key"),
+    ], ids=["ragged-run", "truncated-model", "unknown-kind", "route-to-missing-regressor"])
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, data_dir, capsys, target,
+                                              mangle, message):
+        source = sorted(data_dir.glob("*.csv"))[0]
+        files = {"run": tmp_path / source.name, "model": tmp_path / "m.model"}
+        shutil.copy(source, files["run"])
+        shutil.copy(source.with_suffix(".meta"), files["run"].with_suffix(".meta"))
+        _tiny_model_file(files["model"])
+        bad = files[target]
+        mangled = mangle(bad.read_bytes())
+        assert mangled != bad.read_bytes()
+        bad.write_bytes(mangled)
+        assert run_cli(["predict", "--model", str(files["model"]), "--run", str(files["run"]),
+                        "--out", str(tmp_path / "p.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err

@@ -159,7 +159,7 @@ class TestPretrain:
         rng = np.random.default_rng(8)
         frames = rng.random((20, 5))
         config = dbn.TrainConfig(pretrain_epochs=2, finetune_epochs=0, batch_size=10)
-        stack = dbn.pretrain((5, 4, 3, 2), frames, config)
+        stack = dbn.pretrain((5, 4, 3, 2), frames, config, substream(0, "pretrain"))
         assert stack[0].weights.shape == (5, 4)
         assert stack[1].weights.shape == (4, 3)
 
@@ -181,7 +181,7 @@ class TestFinetune:
         y = rng.integers(0, 2, 20)
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=5,
                                  learning_rate=0.0, batch_size=8)
-        out, _ = dbn.finetune_classifier(model, x, y, config)
+        out, _ = dbn.finetune_classifier(model, x, y, config, substream(0, "finetune"))
         assert np.array_equal(out.theta, model.theta)
 
     def test_zero_lr_regressor_identity(self):
@@ -191,14 +191,15 @@ class TestFinetune:
         t = rng.random(20) * 400
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=5,
                                  learning_rate=0.0, batch_size=8)
-        out, _ = dbn.finetune_regressor(model, x, t, config)
+        out, _ = dbn.finetune_regressor(model, x, t, config, substream(0, "finetune"))
         assert np.array_equal(out.theta, model.theta)
 
     def test_label_out_of_range(self):
         model = make_model((4, 3, 2), dbn.SOFTMAX)
         config = dbn.TrainConfig(finetune_epochs=1, batch_size=4)
         with pytest.raises(ValueError):
-            dbn.finetune_classifier(model, np.zeros((3, 4)), [0, 1, 2], config)
+            dbn.finetune_classifier(model, np.zeros((3, 4)), [0, 1, 2], config,
+                                    substream(0, "finetune"))
 
     def test_separable_toy_set_fit(self):
         rng = np.random.default_rng(14)
@@ -231,7 +232,8 @@ class TestFinetune:
         rng = np.random.default_rng(19)
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=7, batch_size=8)
         _, history = dbn.finetune_classifier(model, rng.random((20, 3)),
-                                             rng.integers(0, 2, 20), config)
+                                             rng.integers(0, 2, 20), config,
+                                             substream(0, "finetune"))
         assert history.shape == (7,) and np.isfinite(history).all()
 
 
@@ -296,7 +298,7 @@ class TestTrainEndToEnd:
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=500,
                                  learning_rate=1e6, batch_size=8)
         with pytest.raises(NumericError):
-            dbn.finetune_regressor(model, x, t, config)
+            dbn.finetune_regressor(model, x, t, config, substream(0, "finetune"))
 
     def test_presets_exist(self):
         assert dbn.preset("diagnosis-default").finetune_epochs == 1000

@@ -10,8 +10,8 @@ FAST = TrialConfig(synth=SynthConfig.desk(run_seconds=60.0, noise_scale=1.5))
 
 
 def test_windowing_helper_roundtrip():
-    cfg = SynthConfig.desk(run_seconds=20.0, seed=1)
-    ds = windowed_run(generate_run(cfg), window_spec_for(cfg))
+    cfg = SynthConfig.desk(run_seconds=20.0)
+    ds = windowed_run(generate_run(cfg, 1), window_spec_for(cfg))
     assert len(ds) > 100
     assert ds.frames.min() >= 0.0 and ds.frames.max() <= 1.0
 

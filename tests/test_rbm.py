@@ -61,8 +61,8 @@ class TestCdUpdate:
         pattern = np.array([1.0, 1.0, 0.0, 0.0])
         data = np.tile(pattern, (40, 1))
         p0 = rbm.init_params(4, 6, rng)
-        cfg = rbm.CdConfig(epochs=200, learning_rate=0.05, batch_size=10, seed=3)
-        trained, history = rbm.train_rbm(p0, data, cfg)
+        cfg = rbm.CdConfig(epochs=200, learning_rate=0.05, batch_size=10)
+        trained, history = rbm.train_rbm(p0, data, cfg, substream(3, "cd"))
         assert history[-5:].mean() < history[:5].mean()
 
 
@@ -112,7 +112,7 @@ class TestInvariants:
                                  [0.0, 0.0, 1.0, 1.0]]), (25, 1))
         p0 = rbm.init_params(4, 8, rng)
         before = rbm.reconstruction_cross_entropy(p0, data)
-        cfg = rbm.CdConfig(epochs=200, learning_rate=0.01, batch_size=2, seed=11)
-        trained, _ = rbm.train_rbm(p0, data, cfg)
+        cfg = rbm.CdConfig(epochs=200, learning_rate=0.01, batch_size=2)
+        trained, _ = rbm.train_rbm(p0, data, cfg, substream(11, "cd"))
         after = rbm.reconstruction_cross_entropy(trained, data)
         assert after <= 0.5 * before

@@ -8,7 +8,7 @@ import pytest
 
 from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
-from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, SplitSpec,
+from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset,
                                      WindowSpec, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, normalize_channel, split,
@@ -138,22 +138,22 @@ class TestSplit:
                             np.zeros(n), ("a",), 4)
 
     def test_85_15(self):
-        train, test = split(self.make(100), SplitSpec(seed=1))
+        train, test = split(self.make(100), 0.85, 1)
         assert len(train) == 85 and len(test) == 15
 
     def test_singleton(self):
-        train, test = split(self.make(1), SplitSpec(seed=1))
+        train, test = split(self.make(1), 0.85, 1)
         assert len(train) == 1 and len(test) == 0
 
     def test_deterministic(self):
-        a1, b1 = split(self.make(50), SplitSpec(seed=9))
-        a2, b2 = split(self.make(50), SplitSpec(seed=9))
+        a1, b1 = split(self.make(50), 0.85, 9)
+        a2, b2 = split(self.make(50), 0.85, 9)
         assert np.array_equal(a1.frames, a2.frames)
         assert np.array_equal(b1.frames, b2.frames)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            split(self.make(10).subset(np.array([], dtype=int)), SplitSpec())
+            split(self.make(10).subset(np.array([], dtype=int)), 0.85, 0)
 
 
 class TestDatasetPlumbing:

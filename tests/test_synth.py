@@ -43,7 +43,7 @@ class TestGenerateRun:
         cfg = SynthConfig.desk(run_seconds=30.0, channel_gains=1.0, noise_std=0.0,
                                harmonic_amp=0.0, base_levels=0.0, band_frac=0.0,
                                state_warp=0.0)
-        run = generate_run(cfg)
+        run = generate_run(cfg, 0)
         for c in run.channels:
             assert np.array_equal(c.samples, run.wear_trajectory)
 
@@ -85,7 +85,7 @@ class TestGenerateRun:
         # wear correlates to 1 by construction (normalization is affine)
         cfg = SynthConfig.desk(run_seconds=30.0, noise_std=0.0, harmonic_amp=0.0,
                                band_frac=0.0, state_warp=0.0)
-        run = generate_run(cfg)
+        run = generate_run(cfg, 0)
         ds = windowed_run(run, window_spec_for(cfg))
         tw = ds.window_len
         wear_window_mean = np.array([run.wear_trajectory[t * tw:(t + 1) * tw].mean()
@@ -98,29 +98,29 @@ class TestGenerateRun:
 
 class TestFleet:
     def test_singleton(self):
-        assert len(generate_fleet(DESK, 1)) == 1
+        assert len(generate_fleet(DESK, 1, 0)) == 1
 
     def test_distinct_seeds_distinct_noise(self):
-        runs = generate_fleet(DESK, 2)
+        runs = generate_fleet(DESK, 2, 0)
         assert not np.array_equal(runs[0].channels[0].samples,
                                   runs[1].channels[0].samples)
 
     def test_pooled_fleet_covers_all_classes(self):
         cfg = SynthConfig.desk(run_seconds=20.0)
-        runs = generate_fleet(cfg, 20)
+        runs = generate_fleet(cfg, 20, 0)
         spec = window_spec_for(cfg)
         labels = np.concatenate([windowed_run(r, spec).state_labels for r in runs])
         assert set(np.unique(labels)) == {0, 1, 2, 3}
 
     def test_bad_run_count(self):
         with pytest.raises(ValueError):
-            generate_fleet(DESK, 0)
+            generate_fleet(DESK, 0, 0)
 
 
 class TestRunFiles:
     def test_csv_meta_roundtrip(self, tmp_path):
-        cfg = SynthConfig.desk(run_seconds=5.0, seed=9)
-        run = generate_run(cfg)
+        cfg = SynthConfig.desk(run_seconds=5.0)
+        run = generate_run(cfg, 9)
         csv = tmp_path / "run.csv"
         meta = tmp_path / "run.meta"
         write_run_csv(run, csv)
@@ -132,7 +132,7 @@ class TestRunFiles:
         assert got["created"] == "2026-01-01T00:00:00"
 
     def test_csv_deterministic_bytes(self, tmp_path):
-        run = generate_run(SynthConfig.desk(run_seconds=5.0, seed=9))
+        run = generate_run(SynthConfig.desk(run_seconds=5.0), 9)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_run_csv(run, p1)
         write_run_csv(run, p2)
@@ -142,7 +142,7 @@ class TestRunFiles:
         # np.savetxt is the reference; the row count spans two full blocks
         # and a partial one
         n = 2 * signal_pipeline._WRITE_BLOCK_ROWS + 37
-        run = generate_run(SynthConfig.desk(run_seconds=n / 200.0, seed=4))
+        run = generate_run(SynthConfig.desk(run_seconds=n / 200.0), 4)
         assert len(run.wear_trajectory) == n
         special = np.array([-0.0, 1e-300, 1e12, 3.0, -7.0, 0.0, 123456789.0,
                             -1e-300, 2.5e-7, 1.0 / 3.0])
