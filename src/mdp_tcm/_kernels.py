@@ -66,19 +66,20 @@ def _sigmoid(z):
     return out
 
 
-def cd_epoch(W, a, b, X, batch_size, lr, k, U):
-    """One contrastive-divergence epoch over pre-shuffled rows X.
+def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
+    """One contrastive-divergence epoch over the rows of X in `order`.
 
-    Hidden states are sampled binary against the uniforms U (shape
-    ``(n, k, n_hidden)``); visible reconstructions stay mean-field. Updates
-    W, a, b in place and returns the mean per-row squared reconstruction
-    error.
+    Each batch gathers its rows of X from the next slice of `order`. Hidden
+    states are sampled binary against the uniforms U (shape
+    ``(n, k, n_hidden)``, one row per position in `order`); visible
+    reconstructions stay mean-field. Updates W, a, b in place and returns
+    the mean per-row squared reconstruction error.
     """
-    n = X.shape[0]
+    n = order.shape[0]
     err = 0.0
     for s in range(0, n, batch_size):
         e = min(s + batch_size, n)
-        V0 = X[s:e]
+        V0 = X[order[s:e]]
         bs = e - s
         Ph0 = _sigmoid(V0 @ W + b)
         H = (U[s:e, 0, :] < Ph0).astype(np.float64)

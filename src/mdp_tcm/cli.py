@@ -27,8 +27,7 @@ import numpy as np
 from . import dbn
 from .adaptive_de import DeConfig
 from .errors import DataError, NumericError
-from .experiments import (FRAMEWORKS, framework_trial, sensor_subset_trial,
-                          window_spec_for, windowed_run)
+from .experiments import FRAMEWORKS, framework_trial, sensor_subset_trial, window_spec_for
 from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
@@ -38,7 +37,8 @@ from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
 from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
-                              load_run_csv, split_indices, write_csv)
+                              frame_ends, label_states, load_run_csv, split_indices,
+                              write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -302,6 +302,8 @@ def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
 
 def _split_runs(datasets, mode: str, ratio: float, seed: int):
     """(train pool, held-out per-run datasets) under the chosen split mode."""
+    if not 0.0 < ratio < 1.0:
+        raise UsageError(f"--train-ratio must lie in (0, 1), not {ratio}")
     if mode == "run":
         if len(datasets) < 2:
             raise DataError("run-level split needs at least 2 runs; "
@@ -314,18 +316,19 @@ def _split_runs(datasets, mode: str, ratio: float, seed: int):
         test = [datasets[i] for i in order[n_train:]]
         return train, test
     if mode == "frame":
-        pooled = FrameDataset.concat(datasets)
-        train, test = split_indices(len(pooled), ratio, seed)
+        # indices into the pooled frames, gathered without a pooled copy
+        n_frames = sum(len(ds) for ds in datasets)
+        train, test = split_indices(n_frames, ratio, seed)
         if len(test) == 0:
             raise DataError(f"train ratio {ratio} leaves no test frames "
-                            f"out of {len(pooled)}")
+                            f"out of {n_frames}")
         # the held-out frames go back to their runs, in time order: sticky
         # routing and the trailing smoother read each held-out set as a stream
         test = np.sort(test)
         run_ends = np.cumsum([len(ds) for ds in datasets])[:-1]
-        return pooled.subset(train), [
-            pooled.subset(idx) for idx in np.split(test, np.searchsorted(test, run_ends))
-            if len(idx)]
+        return FrameDataset.pooled_rows(datasets, train), [
+            FrameDataset.pooled_rows(datasets, idx)
+            for idx in np.split(test, np.searchsorted(test, run_ends)) if len(idx)]
     raise UsageError(f"unknown split mode {mode!r}")
 
 
@@ -366,6 +369,16 @@ def _run_trials(cfg: RunConfig, datasets, trial) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
+def _write_run(run, stem: Path, spec: WindowSpec, created: str) -> np.ndarray:
+    """Write a run's CSV and sidecar; the frames per state that `window`
+    would cut from it, counted from the wear at each frame's last sample."""
+    write_run_csv(run, stem.with_suffix(".csv"))
+    write_run_meta(run, stem.with_suffix(".meta"), created=created)
+    wear = run.wear_trajectory
+    return np.bincount(label_states(wear[frame_ends(len(wear), spec)]),
+                       minlength=N_STATES)
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg["runs"] < 1:
         raise UsageError("--runs must be at least 1")
@@ -381,17 +394,15 @@ def cmd_generate(cfg: RunConfig) -> int:
         noise_scale=cfg["noise-scale"],
         band_frac=cfg["band-frac"],
     )
-    runs = generate_fleet(synth, cfg["runs"], cfg["seed"])
     spec = window_spec_for(synth)
     created = datetime.now(timezone.utc).isoformat()
     counts = np.zeros(N_STATES, dtype=np.int64)
-    for i, run in enumerate(runs):
-        stem = out / f"run{i:03d}"
-        write_run_csv(run, stem.with_suffix(".csv"))
-        write_run_meta(run, stem.with_suffix(".meta"), created=created)
-        ds = windowed_run(run, spec)
-        counts += np.bincount(ds.state_labels, minlength=N_STATES)
-    print(f"wrote {len(runs)} runs to {out}")
+    # one run at a time: each is generated from its own seed (as in a
+    # fleet), written, counted and dropped before the next is generated
+    for i in range(cfg["runs"]):
+        counts += _write_run(generate_fleet(synth, 1, cfg["seed"] + i)[0],
+                             out / f"run{i:03d}", spec, created)
+    print(f"wrote {cfg['runs']} runs to {out}")
     for state, count in enumerate(counts):
         print(f"state {state}: {count} frames")
     return 0
@@ -455,6 +466,8 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         train_set, _ = _split_runs(datasets, cfg["split-mode"],
                                    cfg["train-ratio"], cfg["seed"])
+    # the training pool holds its own copy of the frames it needs
+    del datasets
     per_state = np.bincount(train_set.state_labels, minlength=N_STATES)
     if cfg["kind"] in (KIND_ECS, KIND_CLASSIFIER, KIND_MULTISTATE) and np.any(per_state == 0):
         missing = [s for s in range(N_STATES) if per_state[s] == 0]
@@ -584,9 +597,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     ds = build_dataset(channels, spec, wear)
     _check_frame_width(model, cfg["model"], ds, run_path)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
-    table = np.column_stack([np.arange(len(ds)), states, posteriors, raw, smoothed])
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(cfg["out"], _PREDICTION_HEADER, table,
+    write_csv(cfg["out"], _PREDICTION_HEADER,
+              [np.arange(len(ds)), states, *posteriors.T, raw, smoothed],
               ("%d", "%d") + ("%.10g",) * (N_STATES + 2))
     print(f"wrote {len(ds)} predictions to {cfg['out']}")
     return 0

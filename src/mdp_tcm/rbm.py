@@ -135,10 +135,9 @@ def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generato
     b = params.hidden_bias.copy()
     history = np.zeros(config.epochs)
     for epoch in range(config.epochs):
-        perm = rng.permutation(data.shape[0])
-        shuffled = np.ascontiguousarray(data[perm])
+        order = rng.permutation(data.shape[0])
         uniforms = rng.random((data.shape[0], config.gibbs_steps, params.n_hidden))
-        err = _kernels.cd_epoch(W, a, b, shuffled, config.batch_size,
+        err = _kernels.cd_epoch(W, a, b, data, order, config.batch_size,
                                 config.learning_rate, config.gibbs_steps, uniforms)
         if not (np.isfinite(W).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise NumericError(f"non-finite RBM parameters at epoch {epoch}")

@@ -118,18 +118,46 @@ class FrameDataset:
 
     @staticmethod
     def concat(datasets) -> "FrameDataset":
-        datasets = list(datasets)
-        if not datasets:
-            raise DataError("nothing to concatenate")
-        first = datasets[0]
-        for d in datasets[1:]:
-            if d.channel_ids != first.channel_ids or d.window_len != first.window_len:
-                raise DataError("datasets have incompatible channel layout")
+        datasets = _same_layout(datasets)
         return FrameDataset(
             np.vstack([d.frames for d in datasets]),
             np.concatenate([d.state_labels for d in datasets]),
             np.concatenate([d.wear_targets for d in datasets]),
-            first.channel_ids, first.window_len)
+            datasets[0].channel_ids, datasets[0].window_len)
+
+    @staticmethod
+    def pooled_rows(datasets, idx) -> "FrameDataset":
+        """`concat(datasets).subset(idx)`, gathered from each dataset
+        without building the concatenation."""
+        datasets = _same_layout(datasets)
+        idx = np.asarray(idx, dtype=np.int64)
+        sizes = np.array([len(d) for d in datasets])
+        ends = np.cumsum(sizes)
+        run = np.searchsorted(ends, idx, side="right")
+        local = idx - (ends - sizes)[run]
+        frames = np.empty((len(idx), datasets[0].n_features))
+        labels = np.empty(len(idx), dtype=np.int64)
+        wear = np.empty(len(idx))
+        for r, d in enumerate(datasets):
+            rows = run == r
+            take = local[rows]
+            frames[rows] = d.frames[take]
+            labels[rows] = d.state_labels[take]
+            wear[rows] = d.wear_targets[take]
+        return FrameDataset(frames, labels, wear, datasets[0].channel_ids,
+                            datasets[0].window_len)
+
+
+def _same_layout(datasets) -> list:
+    """The datasets as a list, checked to be nonempty and of one channel layout."""
+    datasets = list(datasets)
+    if not datasets:
+        raise DataError("nothing to concatenate")
+    first = datasets[0]
+    for d in datasets[1:]:
+        if d.channel_ids != first.channel_ids or d.window_len != first.window_len:
+            raise DataError("datasets have incompatible channel layout")
+    return datasets
 
 
 def normalize_channel(series: ChannelSeries) -> ChannelSeries:
@@ -187,6 +215,16 @@ def label_states(wear_um) -> np.ndarray:
     return labels
 
 
+def frame_ends(n_samples: int, spec: WindowSpec) -> np.ndarray:
+    """Index of the last sample of each frame that `window` cuts from a
+    series of `n_samples` samples."""
+    tw = compute_window_size(spec)
+    stride = spec.stride if spec.stride is not None else tw
+    if n_samples < tw:
+        raise DataError(f"series of {n_samples} samples is shorter than one window ({tw})")
+    return np.arange((n_samples - tw) // stride + 1) * stride + (tw - 1)
+
+
 def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     """Cut sliding windows over all channels and attach labels and targets.
 
@@ -206,18 +244,12 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     wear = np.asarray(wear_trajectory, dtype=np.float64)
     if len(wear) != tau:
         raise DataError("wear trajectory length must match the channels")
+    ends = frame_ends(tau, spec)
     tw = compute_window_size(spec)
-    stride = spec.stride if spec.stride is not None else tw
-    if tau < tw:
-        raise DataError(f"series of {tau} samples is shorter than one window ({tw})")
-    n_frames = (tau - tw) // stride + 1
-    m = len(channels)
-    frames = np.empty((n_frames, m * tw))
-    starts = np.arange(n_frames) * stride
-    gather = starts[:, None] + np.arange(tw)[None, :]
+    frames = np.empty((len(ends), len(channels) * tw))
+    gather = (ends - (tw - 1))[:, None] + np.arange(tw)[None, :]
     for ci, c in enumerate(channels):
         frames[:, ci * tw:(ci + 1) * tw] = c.samples[gather]
-    ends = starts + tw - 1
     targets = wear[ends]
     return FrameDataset(frames, label_states(targets), targets,
                         tuple(c.channel_id for c in channels), tw)
@@ -344,19 +376,20 @@ def _write_parsed(cache: Path, digest: bytes, columns, csv_mode: int) -> None:
 _WRITE_BLOCK_ROWS = 1024
 
 
-def write_csv(path, header, data, formats) -> None:
-    """Write a header line, then each row of the 2-D array `data` as CSV.
+def write_csv(path, header, columns, formats) -> None:
+    """Write a header line, then CSV rows whose values come from `columns`,
+    a sequence of equal-length 1-D arrays.
 
     `formats` holds one printf format per column. Each block of
-    `_WRITE_BLOCK_ROWS` rows is formatted by one `%` on a repeated row
-    template, not by one Python call per row, and written before the next
-    block is formatted.
+    `_WRITE_BLOCK_ROWS` rows is stacked from the columns, formatted by one
+    `%` on a repeated row template, not by one Python call per row, and
+    written before the next block is stacked: no whole-table copy is made.
     """
     row = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), _WRITE_BLOCK_ROWS):
-            block = data[start:start + _WRITE_BLOCK_ROWS]
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _WRITE_BLOCK_ROWS] for c in columns])
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -258,8 +258,8 @@ def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
 def write_run_csv(run: SynthRun, path) -> None:
     """The run-file format the signal pipeline ingests: channels + wear_um."""
     names = [c.channel_id for c in run.channels] + ["wear_um"]
-    data = np.column_stack([c.samples for c in run.channels] + [run.wear_trajectory])
-    write_csv(path, names, data, ("%.10g",) * len(names))
+    write_csv(path, names, [c.samples for c in run.channels] + [run.wear_trajectory],
+              ("%.10g",) * len(names))
 
 
 def write_run_meta(run: SynthRun, path, created: str = "") -> None:

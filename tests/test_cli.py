@@ -1,10 +1,12 @@
 import os
+import re
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from mdp_tcm import _kernels, cli, dbn, experiments
+from mdp_tcm import _kernels, cli, dbn, experiments, synth
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.errors import NumericError
 from mdp_tcm.metrics import REPORT_KEYS
@@ -12,7 +14,8 @@ from mdp_tcm.model_io import load_model, read_model_file, save_model, write_mode
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, WindowSpec,
-                                     build_dataset, load_run_csv, split)
+                                     build_dataset, compute_window_size, load_run_csv,
+                                     split)
 from mdp_tcm.synth import read_run_meta
 
 from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
@@ -51,6 +54,32 @@ class TestGenerate:
         out = capsys.readouterr().out
         for state in range(4):
             assert f"state {state}:" in out
+
+    def test_streams_one_run_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # 1300 rpm at 200 Hz: 9-sample windows, which 4060 samples do not fill
+        config = synth.SynthConfig.desk(spindle_rpm=1300.0, run_seconds=20.3)
+        spec = experiments.window_spec_for(config)
+        assert 4060 % compute_window_size(spec) != 0
+        alive, alive_at_call = [], []
+        generate_run = synth.generate_run
+
+        def tracked(*args, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in alive))
+            run = generate_run(*args, **kwargs)
+            alive.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(synth, "generate_run", tracked)
+        assert run_cli(["generate", "--out", str(tmp_path), "--runs", "3", "--seed", "4",
+                        "--desk-scale", "--rpm", "1300", "--run-seconds", "20.3"]) == 0
+        assert len(alive_at_call) == 3 and max(alive_at_call) <= 1
+        monkeypatch.undo()
+        want = sum(np.bincount(experiments.windowed_run(run, spec).state_labels,
+                               minlength=4)
+                   for run in synth.generate_fleet(config, 3, 4))
+        got = [int(n) for n in re.findall(r"state \d: (\d+) frames",
+                                          capsys.readouterr().out)]
+        assert got == want.tolist()
 
     def test_zero_runs_is_usage_error(self, tmp_path):
         assert run_cli(["generate", "--out", str(tmp_path), "--runs", "0"]) == 1
@@ -518,6 +547,16 @@ class TestDataDirectory:
 
 
 class TestSplitRuns:
+    @pytest.mark.parametrize("mode", ["run", "frame"])
+    @pytest.mark.parametrize("ratio", ["-0.5", "0", "1.5"])
+    def test_ratio_outside_zero_one_is_usage_error(self, tmp_path, data_dir,
+                                                   multistate_model, capsys, mode, ratio):
+        assert run_cli(["evaluate", "--data", str(data_dir), "--out", str(tmp_path / "e"),
+                        "--model", str(multistate_model), "--holdout",
+                        "--split-mode", mode, "--train-ratio", ratio]) == 1
+        assert (f"--train-ratio must lie in (0, 1), not {float(ratio)}"
+                in capsys.readouterr().err)
+
     def test_frame_mode_holds_out_each_run_in_time_order(self, data_dir):
         datasets = cli._load_runs(str(data_dir), None)
         want_train, want_test = split(FrameDataset.concat(datasets), 0.85, 4)

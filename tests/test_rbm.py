@@ -66,6 +66,56 @@ class TestCdUpdate:
         assert history[-5:].mean() < history[:5].mean()
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _cd_on_shuffled_copies(params, data, config, rng):
+    """CD-k as a loop over a shuffled copy of the data made each epoch."""
+    W, a, b = (params.weights.copy(), params.visible_bias.copy(),
+               params.hidden_bias.copy())
+    n = data.shape[0]
+    history = np.zeros(config.epochs)
+    for epoch in range(config.epochs):
+        shuffled = np.ascontiguousarray(data[rng.permutation(n)])
+        U = rng.random((n, config.gibbs_steps, params.n_hidden))
+        err = 0.0
+        for s in range(0, n, config.batch_size):
+            e = min(s + config.batch_size, n)
+            V0 = shuffled[s:e]
+            Ph0 = _sigmoid(V0 @ W + b)
+            H = (U[s:e, 0, :] < Ph0).astype(np.float64)
+            V = _sigmoid(H @ W.T + a)
+            for step in range(1, config.gibbs_steps):
+                H = (U[s:e, step, :] < _sigmoid(V @ W + b)).astype(np.float64)
+                V = _sigmoid(H @ W.T + a)
+            Phk = _sigmoid(V @ W + b)
+            scale = config.learning_rate / (e - s)
+            W += scale * (V0.T @ Ph0 - V.T @ Phk)
+            a += scale * (V0.sum(axis=0) - V.sum(axis=0))
+            b += scale * (Ph0.sum(axis=0) - Phk.sum(axis=0))
+            err += float(((V0 - V) ** 2).sum())
+        history[epoch] = err / n
+    return W, a, b, history
+
+
+class TestCdGather:
+    @pytest.mark.parametrize("gibbs_steps", [1, 2])
+    def test_bit_identical_to_shuffled_copies(self, gibbs_steps):
+        rng = np.random.default_rng(11)
+        data = rng.random((23, 7))
+        p0 = rbm.init_params(7, 5, rng, visible_mean=data.mean(axis=0))
+        # 23 rows in batches of 5: the last batch holds 3
+        cfg = rbm.CdConfig(gibbs_steps=gibbs_steps, epochs=4, learning_rate=0.1,
+                           batch_size=5)
+        got, history = rbm.train_rbm(p0, data, cfg, substream(8, "cd"))
+        W, a, b, want_history = _cd_on_shuffled_copies(p0, data, cfg, substream(8, "cd"))
+        assert np.array_equal(got.weights, W)
+        assert np.array_equal(got.visible_bias, a)
+        assert np.array_equal(got.hidden_bias, b)
+        assert np.array_equal(history, want_history)
+
+
 class TestExactOracle:
     def test_uniform_joint_for_zero_params(self):
         p = rbm.RbmParams(np.zeros((2, 1)), np.zeros(2), np.zeros(1))

@@ -12,7 +12,7 @@ from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset,
                                      WindowSpec, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, normalize_channel, split,
-                                     window)
+                                     window, write_csv)
 
 
 def ch(samples, name="force", rate=100.0):
@@ -168,6 +168,17 @@ class TestDatasetPlumbing:
         assert sub.channel_ids == ("c", "a")
         assert np.array_equal(sub.frames[0], [4, 5, 0, 1])
 
+    def test_pooled_rows_equal_rows_of_the_concatenation(self):
+        rng = np.random.default_rng(2)
+        datasets = [FrameDataset(rng.random((n, 4)), np.zeros(n), np.full(n, 50.0),
+                                 ("force", "torque"), 2) for n in (5, 1, 7)]
+        pooled = FrameDataset.concat(datasets)
+        for idx in (rng.permutation(13), np.array([12, 0, 5, 5]), np.array([], int)):
+            got, want = FrameDataset.pooled_rows(datasets, idx), pooled.subset(idx)
+            assert np.array_equal(got.frames, want.frames)
+            assert np.array_equal(got.wear_targets, want.wear_targets)
+            assert got.channel_ids == want.channel_ids
+
     def test_select_missing_channel(self):
         ds = FrameDataset(np.zeros((1, 2)), label_states([0.0]), np.zeros(1), ("a",), 2)
         with pytest.raises(DataError):
@@ -186,6 +197,20 @@ class TestDatasetPlumbing:
         assert [c.channel_id for c in channels] == ["force", "torque"]
         assert np.allclose(got_wear, wear)
         assert np.allclose(channels[0].samples, data[:, 0])
+
+    @pytest.mark.parametrize("n_rows", [0, 1024, 2500])
+    def test_write_csv_blocks_give_the_bytes_of_the_whole_matrix(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        columns = [np.arange(n_rows), rng.normal(size=n_rows) * 1e3,
+                   rng.random(n_rows)]
+        formats = ("%d", "%.10g", "%.10g")
+        path = tmp_path / "blocks.csv"
+        write_csv(path, ["i", "x", "y"], columns, formats)
+        # the whole table stacked into one matrix and formatted at once
+        matrix = np.column_stack(columns).reshape(n_rows, len(columns))
+        want = "i,x,y\n" + ((",".join(formats) + "\n") * n_rows) % tuple(
+            matrix.ravel().tolist())
+        assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_channel_sample_rejected(self, tmp_path, bad):
