@@ -32,13 +32,12 @@ from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
-                       KIND_REGRESSOR, load_model, save_model)
+                       KIND_REGRESSOR, load_model, model_kind, save_model)
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
 from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
-                              frame_ends, label_states, load_run_csv, split_indices,
-                              write_csv)
+                              frame_ends, label_states, load_run_csv, write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -94,7 +93,7 @@ _COMMON_TRAIN_OPTS = [
     ("hidden-range", _opt_range, None, "hidden width interval, e.g. 5,60"),
     ("stride", int, None, "window stride in samples (default: one window)"),
     ("train-ratio", float, 0.85, "train fraction of the split"),
-    ("split-mode", str, "frame", "frame | run (run-level split avoids leakage)"),
+    ("split-mode", str, "run", "run, the only mode: held-out data is whole runs"),
 ]
 
 # options of the commands that train the multistate pipeline
@@ -203,6 +202,9 @@ class RunConfig:
                 raise UsageError(f"missing required option --{name}")
             else:
                 self._values[name] = default
+        if self._values.get("split-mode", "run") != "run":
+            raise UsageError(f"--split-mode {self['split-mode']!r}: held-out data is split "
+                             "by whole runs, and 'run' is the only mode")
 
     def __getitem__(self, name: str):
         return self._values[name]
@@ -224,20 +226,25 @@ def _train_config(cfg: RunConfig, default_preset: str,
     return replace(base, **overrides)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, with the options of `command` alone
+    when one is named: each option costs a formatter, so a call parses
+    only its own."""
     parser = _Parser(prog="mdp-tcm",
                      description="Tool-condition monitoring: multi-state "
                                  "diagnosis and wear prognosis experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in COMMANDS.items():
-        p = sub.add_parser(command)
+    for name, opts in COMMANDS.items():
+        p = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", default=None, help="key = value config file")
-        for name, typ, default, help_text in opts:
+        for opt, typ, default, help_text in opts:
             if typ is _opt_bool:
-                p.add_argument(f"--{name}", type=_opt_bool, default=None,
+                p.add_argument(f"--{opt}", type=_opt_bool, default=None,
                                nargs="?", const=True, help=help_text)
             else:
-                p.add_argument(f"--{name}", type=typ, default=None, help=help_text)
+                p.add_argument(f"--{opt}", type=typ, default=None, help=help_text)
     return parser
 
 
@@ -300,36 +307,16 @@ def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
                         f"but run {run_path} gives frames of {ds.n_features}")
 
 
-def _split_runs(datasets, mode: str, ratio: float, seed: int):
-    """(train pool, held-out per-run datasets) under the chosen split mode."""
+def _split_runs(datasets, ratio: float, seed: int):
+    """(train pool, held-out per-run datasets): a seeded split of whole runs."""
     if not 0.0 < ratio < 1.0:
         raise UsageError(f"--train-ratio must lie in (0, 1), not {ratio}")
-    if mode == "run":
-        if len(datasets) < 2:
-            raise DataError("run-level split needs at least 2 runs; "
-                            f"got {len(datasets)}")
-        order = substream(seed, "split").permutation(len(datasets))
-        n_train = int(math.ceil(ratio * len(datasets)))
-        if n_train == len(datasets):
-            n_train -= 1
-        train = FrameDataset.concat([datasets[i] for i in order[:n_train]])
-        test = [datasets[i] for i in order[n_train:]]
-        return train, test
-    if mode == "frame":
-        # indices into the pooled frames, gathered without a pooled copy
-        n_frames = sum(len(ds) for ds in datasets)
-        train, test = split_indices(n_frames, ratio, seed)
-        if len(test) == 0:
-            raise DataError(f"train ratio {ratio} leaves no test frames "
-                            f"out of {n_frames}")
-        # the held-out frames go back to their runs, in time order: sticky
-        # routing and the trailing smoother read each held-out set as a stream
-        test = np.sort(test)
-        run_ends = np.cumsum([len(ds) for ds in datasets])[:-1]
-        return FrameDataset.pooled_rows(datasets, train), [
-            FrameDataset.pooled_rows(datasets, idx)
-            for idx in np.split(test, np.searchsorted(test, run_ends)) if len(idx)]
-    raise UsageError(f"unknown split mode {mode!r}")
+    if len(datasets) < 2:
+        raise DataError(f"a split of whole runs needs at least 2 runs; got {len(datasets)}")
+    order = substream(seed, "split").permutation(len(datasets))
+    n_train = min(int(math.ceil(ratio * len(datasets))), len(datasets) - 1)
+    return (FrameDataset.concat([datasets[i] for i in order[:n_train]]),
+            [datasets[i] for i in order[n_train:]])
 
 
 def _fmt(v) -> str:
@@ -359,8 +346,7 @@ def _run_trials(cfg: RunConfig, datasets, trial) -> list:
     seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
 
     def one(seed: int):
-        return trial(*_split_runs(datasets, cfg["split-mode"], cfg["train-ratio"], seed),
-                     seed)
+        return trial(*_split_runs(datasets, cfg["train-ratio"], seed), seed)
 
     return list(map_forked(one, seeds, _worker_count(len(seeds))))
 
@@ -464,8 +450,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg["train-ratio"] >= 1.0:
         train_set = FrameDataset.concat(datasets)
     else:
-        train_set, _ = _split_runs(datasets, cfg["split-mode"],
-                                   cfg["train-ratio"], cfg["seed"])
+        train_set, _ = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
     # the training pool holds its own copy of the frames it needs
     del datasets
     per_state = np.bincount(train_set.state_labels, minlength=N_STATES)
@@ -543,8 +528,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for run_path, ds in zip(_run_files(cfg["data"]), datasets):
             _check_frame_width(model, cfg["model"], ds, run_path)
         if cfg["holdout"]:
-            _, eval_sets = _split_runs(datasets, cfg["split-mode"],
-                                       cfg["train-ratio"], cfg["seed"])
+            _, eval_sets = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
         else:
             eval_sets = datasets
         report = _evaluate_model(model, eval_sets)
@@ -581,7 +565,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     model = load_model(cfg["model"])
     if not isinstance(model, MultiStateModel):
-        raise DataError("predict needs a multistate model file")
+        raise DataError(f"{cfg['model']}: predict needs a {KIND_MULTISTATE} model file, "
+                        f"not one of kind {model_kind(model)!r}")
     run_path = Path(cfg["run"])
     meta_path = run_path.with_suffix(".meta")
     rpm, rate = cfg["rpm"], cfg["rate"]
@@ -657,7 +642,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}

@@ -117,6 +117,17 @@ def _echo(train_config: dict | None) -> dict:
     return {f"train.{k}": v for k, v in (train_config or {}).items()}
 
 
+def model_kind(model) -> str:
+    """The kind of model file that `save_model` writes for this model."""
+    if isinstance(model, MultiStateModel):
+        return KIND_MULTISTATE
+    if isinstance(model, EcsDbnModel):
+        return KIND_ECS
+    if isinstance(model, dbn.DbnModel):
+        return KIND_CLASSIFIER if model.head == dbn.SOFTMAX else KIND_REGRESSOR
+    raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
 def save_model(path, model, train_config: dict | None = None) -> None:
     """Persist a DbnModel, EcsDbnModel or MultiStateModel."""
     if isinstance(model, MultiStateModel):
@@ -147,13 +158,11 @@ def save_model(path, model, train_config: dict | None = None) -> None:
         write_model_file(path, KIND_ECS,
                          {"theta": model.base.theta, "costs": model.costs.costs},
                          config)
-    elif isinstance(model, dbn.DbnModel):
-        kind = KIND_CLASSIFIER if model.head == dbn.SOFTMAX else KIND_REGRESSOR
+    else:
+        kind = model_kind(model)
         config = {"layer_sizes": _sizes_str(model.layer_sizes)}
         config.update(_echo(train_config))
         write_model_file(path, kind, {"theta": model.theta}, config)
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
 def load_model(path):

@@ -164,6 +164,15 @@ class MdpTrainConfig:
     smoothing_window: int | None = DEFAULT_SMOOTHING_WINDOW
     sticky_steps: int = 1  # >1 holds the routed state until m agreeing diagnoses
 
+    def __post_init__(self):
+        # checked before any training, in the words of MultiStateModel
+        if self.smoothing_window is not None and self.smoothing_window < 1:
+            raise ValueError("smoothing window must be >= 1")
+        if self.sticky_steps < 1:
+            raise ValueError("sticky_steps must be >= 1")
+        if self.min_state_samples < 1:
+            raise ValueError("min_state_samples must be >= 1")
+
 
 def layer_sizes(config: MdpTrainConfig, n_in: int, seed: int):
     """(classifier sizes, regressor sizes) of the networks trained with this seed."""

@@ -125,28 +125,6 @@ class FrameDataset:
             np.concatenate([d.wear_targets for d in datasets]),
             datasets[0].channel_ids, datasets[0].window_len)
 
-    @staticmethod
-    def pooled_rows(datasets, idx) -> "FrameDataset":
-        """`concat(datasets).subset(idx)`, gathered from each dataset
-        without building the concatenation."""
-        datasets = _same_layout(datasets)
-        idx = np.asarray(idx, dtype=np.int64)
-        sizes = np.array([len(d) for d in datasets])
-        ends = np.cumsum(sizes)
-        run = np.searchsorted(ends, idx, side="right")
-        local = idx - (ends - sizes)[run]
-        frames = np.empty((len(idx), datasets[0].n_features))
-        labels = np.empty(len(idx), dtype=np.int64)
-        wear = np.empty(len(idx))
-        for r, d in enumerate(datasets):
-            rows = run == r
-            take = local[rows]
-            frames[rows] = d.frames[take]
-            labels[rows] = d.state_labels[take]
-            wear[rows] = d.wear_targets[take]
-        return FrameDataset(frames, labels, wear, datasets[0].channel_ids,
-                            datasets[0].window_len)
-
 
 def _same_layout(datasets) -> list:
     """The datasets as a list, checked to be nonempty and of one channel layout."""
@@ -246,30 +224,25 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
         raise DataError("wear trajectory length must match the channels")
     ends = frame_ends(tau, spec)
     tw = compute_window_size(spec)
+    stride = spec.stride if spec.stride is not None else tw
     frames = np.empty((len(ends), len(channels) * tw))
-    gather = (ends - (tw - 1))[:, None] + np.arange(tw)[None, :]
     for ci, c in enumerate(channels):
-        frames[:, ci * tw:(ci + 1) * tw] = c.samples[gather]
+        frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
+            c.samples, tw)[::stride]
     targets = wear[ends]
     return FrameDataset(frames, label_states(targets), targets,
                         tuple(c.channel_id for c in channels), tw)
 
 
-def split_indices(n: int, train_ratio: float, seed: int):
-    """Seeded uniform shuffle of range(n) into (train, test) index arrays."""
-    if not 0.0 < train_ratio < 1.0:
-        raise ValueError("train_ratio must lie in (0, 1)")
-    if n == 0:
-        raise DataError("cannot split an empty dataset")
-    perm = substream(seed, "split").permutation(n)
-    n_train = int(np.ceil(train_ratio * n))
-    return perm[:n_train], perm[n_train:]
-
-
 def split(dataset: FrameDataset, train_ratio: float, seed: int):
     """Seeded uniform shuffle into train/test at the given ratio."""
-    train, test = split_indices(len(dataset), train_ratio, seed)
-    return dataset.subset(train), dataset.subset(test)
+    if not 0.0 < train_ratio < 1.0:
+        raise ValueError("train_ratio must lie in (0, 1)")
+    if len(dataset) == 0:
+        raise DataError("cannot split an empty dataset")
+    perm = substream(seed, "split").permutation(len(dataset))
+    n_train = int(np.ceil(train_ratio * len(dataset)))
+    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
 # ---------------------------------------------------------------------------

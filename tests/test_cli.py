@@ -14,8 +14,7 @@ from mdp_tcm.model_io import load_model, read_model_file, save_model, write_mode
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, WindowSpec,
-                                     build_dataset, compute_window_size, load_run_csv,
-                                     split)
+                                     build_dataset, compute_window_size, load_run_csv)
 from mdp_tcm.synth import read_run_meta
 
 from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
@@ -299,14 +298,16 @@ class TestPredict:
         assert sorted(p.name for p in reference.iterdir()) == ["run.csv", "run.meta"]
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
-    def test_wrong_model_kind_rejected(self, tmp_path, data_dir):
+    def test_wrong_model_kind_rejected(self, tmp_path, data_dir, capsys):
         reg = tmp_path / "reg.model"
-        assert run_cli(["train", "--data", str(data_dir), "--out", str(reg),
-                        "--kind", "dbn-regressor", "--seed", "1"] + TRAIN_FLAGS) == 0
+        _tiny_model_file(reg, kind="regressor")
         run_file = sorted(data_dir.glob("*.csv"))[0]
         code = run_cli(["predict", "--model", str(reg), "--run", str(run_file),
                         "--out", str(tmp_path / "p.csv")])
         assert code == 2
+        assert (f"data error: {reg}: predict needs a multistate model file, "
+                "not one of kind 'dbn-regressor'") in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestConfigHandling:
@@ -343,6 +344,39 @@ class TestConfigHandling:
 
     def test_unknown_command_usage_error(self):
         assert run_cli(["frobnicate"]) == 1
+
+    def test_help_lists_every_command_and_the_named_one_s_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in cli.COMMANDS)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["predict", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"--{name}" in out for name, *_ in cli.COMMANDS["predict"])
+        assert "--data" not in out
+        assert run_cli([]) == 1
+
+
+class TestPipelineFlags:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--smoothing-window", "-1", "smoothing window must be >= 1"),
+        ("--sticky-steps", "0", "sticky_steps must be >= 1"),
+        ("--min-state-samples", "0", "min_state_samples must be >= 1"),
+    ])
+    def test_rejected_before_any_training(self, tmp_path, data_dir, capsys, monkeypatch,
+                                          flag, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("train_mdp was called")
+
+        monkeypatch.setattr(cli, "train_mdp", never)
+        out = tmp_path / "m.model"
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
+                        flag, value] + TINY_FLAGS) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestAblateAndCompare:
@@ -547,28 +581,58 @@ class TestDataDirectory:
 
 
 class TestSplitRuns:
-    @pytest.mark.parametrize("mode", ["run", "frame"])
+    @pytest.mark.parametrize("mode", ["run", None])
     @pytest.mark.parametrize("ratio", ["-0.5", "0", "1.5"])
     def test_ratio_outside_zero_one_is_usage_error(self, tmp_path, data_dir,
                                                    multistate_model, capsys, mode, ratio):
         assert run_cli(["evaluate", "--data", str(data_dir), "--out", str(tmp_path / "e"),
                         "--model", str(multistate_model), "--holdout",
-                        "--split-mode", mode, "--train-ratio", ratio]) == 1
+                        "--train-ratio", ratio]
+                       + (["--split-mode", mode] if mode else [])) == 1
         assert (f"--train-ratio must lie in (0, 1), not {float(ratio)}"
                 in capsys.readouterr().err)
 
-    def test_frame_mode_holds_out_each_run_in_time_order(self, data_dir):
+    def test_held_out_data_is_whole_runs(self, data_dir):
         datasets = cli._load_runs(str(data_dir), None)
-        want_train, want_test = split(FrameDataset.concat(datasets), 0.85, 4)
-        train, held = cli._split_runs(datasets, "frame", 0.85, 4)
-        assert np.array_equal(train.frames, want_train.frames)
-        assert np.array_equal(train.wear_targets, want_train.wear_targets)
-        assert len(held) == len(datasets)
-        for ds, run in zip(held, datasets):
-            assert np.all(np.diff(ds.wear_targets) >= 0)
-            assert set(map(bytes, ds.frames)) <= set(map(bytes, run.frames))
-        assert sorted(map(bytes, np.vstack([ds.frames for ds in held]))) \
-            == sorted(map(bytes, want_test.frames))
+        train, held = cli._split_runs(datasets, 0.85, 4)
+        assert len(held) == 1
+        rest = [ds for ds in datasets if ds is not held[0]]
+        assert len(rest) == 2
+        assert any(np.array_equal(train.frames, FrameDataset.concat(runs).frames)
+                   for runs in (rest, rest[::-1]))
+
+    @pytest.mark.parametrize("mode", ["frame", "pooled"])
+    @pytest.mark.parametrize("command", [
+        ["train"], ["evaluate", "--holdout"], ["evaluate", "--trials", "1"],
+        ["ablate-sensors"], ["compare-frameworks"], ["config-file"]],
+        ids=["train", "evaluate-holdout", "evaluate-trials", "ablate-sensors",
+             "compare-frameworks", "config-file"])
+    def test_any_mode_but_run_is_usage_error(self, tmp_path, data_dir, multistate_model,
+                                             capsys, command, mode):
+        if command == ["config-file"]:
+            config = tmp_path / "split.conf"
+            config.write_text(f"split-mode = {mode}\n")
+            argv = ["train", "--config", str(config)]
+        else:
+            argv = command + ["--split-mode", mode]
+        if "--holdout" in command:
+            argv += ["--model", str(multistate_model)]
+        out = tmp_path / "o"
+        assert run_cli(argv + ["--data", str(data_dir), "--out", str(out)]) == 1
+        assert (f"usage error: --split-mode {mode!r}: held-out data is split by whole "
+                "runs, and 'run' is the only mode") in capsys.readouterr().err
+        assert not list(tmp_path.glob("o*"))
+
+    def test_one_run_trains_only_on_every_run(self, tmp_path, data_dir, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for suffix in (".csv", ".meta"):
+            shutil.copy(data_dir / f"run000{suffix}", data / f"run000{suffix}")
+        argv = ["train", "--data", str(data), "--kind", "dbn-regressor"] + TINY_FLAGS
+        assert run_cli(argv + ["--out", str(tmp_path / "a.model")]) == 2
+        assert "a split of whole runs needs at least 2 runs; got 1" in capsys.readouterr().err
+        assert not (tmp_path / "a.model").exists()
+        assert run_cli(argv + ["--out", str(tmp_path / "b.model"), "--train-ratio", "1.0"]) == 0
 
 
 def _tiny_model_file(path, kind="multistate"):
@@ -681,7 +745,8 @@ class TestMalformedInput:
         out = tmp_path / "p.csv"
         argv = (["predict", "--run", str(sorted(data_dir.glob("*.csv"))[0])]
                 if command == "predict" else ["evaluate", "--data", str(data_dir)])
-        assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 3
+        with pytest.warns(RuntimeWarning):
+            assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 3
         assert f"non-finite {what} at frame " in capsys.readouterr().err
         assert not list(tmp_path.glob("p.csv*"))
 

@@ -105,7 +105,9 @@ class TestWindowing:
 
     def test_values_match_enumeration_oracle(self):
         rng = np.random.default_rng(3)
-        for tau, tw, stride, m in [(11, 3, 1, 2), (16, 5, 4, 3), (9, 4, 2, 1)]:
+        # strides below, at and above the window length
+        for tau, tw, stride, m in [(11, 3, 1, 2), (16, 5, 4, 3), (9, 4, 2, 1), (12, 3, 3, 2),
+                                   (23, 3, 5, 2), (20, 4, 7, 1)]:
             chans = [ch(rng.random(tau), f"c{i}") for i in range(m)]
             wear = rng.random(tau) * 400
             ds = window(chans, self.spec(tw, stride=stride), wear)
@@ -167,17 +169,6 @@ class TestDatasetPlumbing:
         sub = ds.select_channels(["c", "a"])
         assert sub.channel_ids == ("c", "a")
         assert np.array_equal(sub.frames[0], [4, 5, 0, 1])
-
-    def test_pooled_rows_equal_rows_of_the_concatenation(self):
-        rng = np.random.default_rng(2)
-        datasets = [FrameDataset(rng.random((n, 4)), np.zeros(n), np.full(n, 50.0),
-                                 ("force", "torque"), 2) for n in (5, 1, 7)]
-        pooled = FrameDataset.concat(datasets)
-        for idx in (rng.permutation(13), np.array([12, 0, 5, 5]), np.array([], int)):
-            got, want = FrameDataset.pooled_rows(datasets, idx), pooled.subset(idx)
-            assert np.array_equal(got.frames, want.frames)
-            assert np.array_equal(got.wear_targets, want.wear_targets)
-            assert got.channel_ids == want.channel_ids
 
     def test_select_missing_channel(self):
         ds = FrameDataset(np.zeros((1, 2)), label_states([0.0]), np.zeros(1), ("a",), 2)
