@@ -32,7 +32,8 @@ from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
-                       KIND_REGRESSOR, load_model, model_kind, save_model)
+                       KIND_REGRESSOR, load_model, model_kind, read_model_file,
+                       save_model)
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
@@ -307,6 +308,24 @@ def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
                         f"but run {run_path} gives frames of {ds.n_features}")
 
 
+def _check_trained_on(model_path, seed: int, n_pool_frames: int) -> None:
+    """A data error unless the model's training echo shows that it was
+    trained with `seed` on a pool of `n_pool_frames` frames: the training
+    pool of the split whose held-out runs `evaluate --holdout` scores."""
+    config = read_model_file(model_path)[2]
+    echo = (config.get("train.seed"), config.get("train.n_train_frames"))
+    if None in echo:
+        raise DataError(f"model {model_path} does not record the seed and frame count "
+                        "it was trained with, so --holdout cannot tell its held-out "
+                        "runs from its training runs")
+    if echo[0] != str(seed):
+        raise DataError(f"model {model_path} was trained with seed {echo[0]}, but "
+                        f"--holdout splits the runs with --seed {seed}")
+    if echo[1] != str(n_pool_frames):
+        raise DataError(f"model {model_path} was trained on {echo[1]} frames, but the "
+                        f"training runs of this split hold {n_pool_frames}")
+
+
 def _split_runs(datasets, ratio: float, seed: int):
     """(train pool, held-out per-run datasets): a seeded split of whole runs."""
     if not 0.0 < ratio < 1.0:
@@ -355,21 +374,18 @@ def _run_trials(cfg: RunConfig, datasets, trial) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
-def _write_run(run, stem: Path, spec: WindowSpec, created: str) -> np.ndarray:
+def _write_run(run, stem: Path, ends: np.ndarray, created: str) -> np.ndarray:
     """Write a run's CSV and sidecar; the frames per state that `window`
-    would cut from it, counted from the wear at each frame's last sample."""
+    would cut from it, counted from the wear at each frame's last sample
+    (`ends`, from `frame_ends`)."""
     write_run_csv(run, stem.with_suffix(".csv"))
     write_run_meta(run, stem.with_suffix(".meta"), created=created)
-    wear = run.wear_trajectory
-    return np.bincount(label_states(wear[frame_ends(len(wear), spec)]),
-                       minlength=N_STATES)
+    return np.bincount(label_states(run.wear_trajectory[ends]), minlength=N_STATES)
 
 
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg["runs"] < 1:
         raise UsageError("--runs must be at least 1")
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     synth = SynthConfig(
         spindle_rpm=cfg["rpm"],
         sampling_rate_hz=200.0 if cfg["desk-scale"] else 20000.0,
@@ -380,14 +396,17 @@ def cmd_generate(cfg: RunConfig) -> int:
         noise_scale=cfg["noise-scale"],
         band_frac=cfg["band-frac"],
     )
-    spec = window_spec_for(synth)
+    # every run has this length: one shorter than a window fails before any is written
+    ends = frame_ends(synth.n_samples, window_spec_for(synth))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     created = datetime.now(timezone.utc).isoformat()
     counts = np.zeros(N_STATES, dtype=np.int64)
     # one run at a time: each is generated from its own seed (as in a
     # fleet), written, counted and dropped before the next is generated
     for i in range(cfg["runs"]):
         counts += _write_run(generate_fleet(synth, 1, cfg["seed"] + i)[0],
-                             out / f"run{i:03d}", spec, created)
+                             out / f"run{i:03d}", ends, created)
     print(f"wrote {cfg['runs']} runs to {out}")
     for state, count in enumerate(counts):
         print(f"state {state}: {count} frames")
@@ -528,7 +547,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for run_path, ds in zip(_run_files(cfg["data"]), datasets):
             _check_frame_width(model, cfg["model"], ds, run_path)
         if cfg["holdout"]:
-            _, eval_sets = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
+            train_pool, eval_sets = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
+            _check_trained_on(cfg["model"], cfg["seed"], len(train_pool))
         else:
             eval_sets = datasets
         report = _evaluate_model(model, eval_sets)
@@ -584,8 +604,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
     write_csv(cfg["out"], _PREDICTION_HEADER,
-              [np.arange(len(ds)), states, *posteriors.T, raw, smoothed],
-              ("%d", "%d") + ("%.10g",) * (N_STATES + 2))
+              [np.arange(len(ds)), states, *posteriors.T, raw, smoothed])
     print(f"wrote {len(ds)} predictions to {cfg['out']}")
     return 0
 

@@ -348,22 +348,125 @@ def _write_parsed(cache: Path, digest: bytes, columns, csv_mode: int) -> None:
 
 _WRITE_BLOCK_ROWS = 1024
 
+# every integer below 10**10 prints the same under %.10g as under %d
+_INT_LIMIT = 10 ** 10
+# `_format_block` scales by 10**(9 - e) as a product by `_MUL[e + 16]` and a
+# quotient by `_DIV[e + 16]`, one of them 1 and the other exact, for the
+# exponents e in [-13, 31] of its fast path (entries outside are never used)
+_MUL = np.array([10.0 ** min(max(9 - e, 0), 22) for e in range(-16, 40)])
+_DIV = np.array([10.0 ** min(max(e - 9, 0), 22) for e in range(-16, 40)])
+# byte slots per value in `_format_block`: a sign, the "0.000" of a value
+# below 1 that prints in full, ten digits each with a slot for a point
+# after it (none follows the last), "e+dd" and a separator
+_SLOTS = 30
+_PREFIX, _DIGITS, _POINTS, _EXP = slice(1, 6), slice(6, 25, 2), slice(7, 25, 2), slice(25, 29)
+_PLACES = np.arange(10, dtype=np.uint8)[:, None]
+# "0.000": "0." before every such value, then one zero per place below -1
+_ZEROS = np.array([-1, -1, 0, 1, 2], dtype=np.int8)[:, None]
+_ZERO_BYTES = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_G_WIDTH = 17  # the longest '%.10g' of a float64: -d.ddddddddde-308
 
-def write_csv(path, header, columns, formats) -> None:
+
+def write_csv(path, header, columns) -> None:
     """Write a header line, then CSV rows whose values come from `columns`,
     a sequence of equal-length 1-D arrays.
 
-    `formats` holds one printf format per column. Each block of
-    `_WRITE_BLOCK_ROWS` rows is stacked from the columns, formatted by one
-    `%` on a repeated row template, not by one Python call per row, and
-    written before the next block is stacked: no whole-table copy is made.
+    Every value is written as the bytes of `'%.10g' % v`; an integer column
+    prints as under `%d`, and one holding a value of 10**10 or more in
+    magnitude is a ValueError. Each block of `_WRITE_BLOCK_ROWS` rows is
+    stacked from the columns and formatted by `_format_block`, then written
+    before the next block is stacked: no whole-table copy is made.
     """
-    row = ",".join(formats) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    for c in columns:
+        c = np.asarray(c)
+        if c.dtype.kind in "iu" and (np.any(c >= _INT_LIMIT) or np.any(c <= -_INT_LIMIT)):
+            raise ValueError("integer column holds a value of 10**10 or more in "
+                             "magnitude, which '%.10g' does not print as an integer")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             block = np.column_stack([c[start:start + _WRITE_BLOCK_ROWS] for c in columns])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(block.astype(np.float64, copy=False)))
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV rows of a float64 matrix, each value as `'%.10g' % v`.
+
+    A finite value whose decimal exponent e lies in [-13, 31] is scaled by
+    one exact power of ten to p = |v| * 10**(9 - e) in [1e9, 1e10], within
+    half an ulp (< 2**-19) of the exact product. Unless p lies within 1e-5
+    of a tie, rounding it to an integer gives the ten correctly rounded
+    digits that `%` prints. Zeros, non-finite values, near-ties and other
+    exponents are formatted by `%`, in one call per block.
+
+    Each value gets `_SLOTS` byte slots, filled a slot row at a time for
+    the whole block; the bytes come out value by value, and the empty
+    slots are dropped.
+    """
+    n_cols = block.shape[1]
+    x = block.ravel()
+    a = np.abs(x)
+    candidate = (a >= 1e-13) & (a < 1e32)  # false for zero, inf and nan
+    a[~candidate] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int8)
+    p = _scale(a, e)
+    # log10 may miss by one next to a power of ten
+    off = np.flatnonzero((p < 1e9) | (p >= 1e10))
+    e[off] -= np.where(p[off] < 1e9, 1, -1).astype(np.int8)
+    p[off] = _scale(a[off], e[off])
+    n = np.rint(p)
+    fast = (candidate & (n >= 1e9) & (n <= 1e10) & (e >= -13) & (e <= 31)
+            & (np.abs(p - n) < 0.5 - 1e-5))
+    carry = n == 1e10  # rounds up to the next power of ten
+    n[carry] = 1e9
+    e += carry
+
+    # the ten digits, from two 5-digit halves in int32
+    hi = np.floor(n / 1e5)
+    halves = (hi.astype(np.int32), (n - hi * 1e5).astype(np.int32))
+    d = np.empty((10, len(x)), dtype=np.uint8)
+    for half, places in zip(halves, (range(4, -1, -1), range(9, 4, -1))):
+        for place in places:
+            q = half // 10
+            d[place] = half - q * 10
+            half = q
+    # a value off the fast path prints no digit, point or exponent here
+    last = np.max((d != 0) * _PLACES, axis=0) * fast  # the last nonzero digit
+    e *= fast
+
+    # '%g' prints d.ddde+XX, or all the digits up to the units when
+    # -4 <= e < 10, with trailing zeros and a bare point dropped
+    sci = (e < -4) | (e >= 10)
+    small = ~sci & (e < 0)  # 0.000ddd
+    whole = ~sci & ~small
+    point = np.where(sci, 0, np.where(small, 9, e)).astype(np.uint8)  # a point follows
+    shown = np.where(whole, np.maximum(last, point), last) + fast  # digits printed
+    slots = np.zeros((_SLOTS, len(x)), dtype=np.uint8)
+    np.multiply(x < 0, np.uint8(ord("-")), out=slots[0])
+    np.multiply(small & (_ZEROS < -1 - e), _ZERO_BYTES, out=slots[_PREFIX])
+    d += ord("0")
+    np.multiply(_PLACES < shown, d, out=slots[_DIGITS])
+    np.multiply(_PLACES[:9] == np.where(last > point, point, 9), np.uint8(ord(".")),
+                out=slots[_POINTS])
+    at = np.flatnonzero(sci)
+    mag = np.abs(e[at]).astype(np.uint8)
+    slots[_EXP, at] = np.stack([np.full(len(at), ord("e")),
+                                np.where(e[at] < 0, ord("-"), ord("+")),
+                                mag // 10 + ord("0"), mag % 10 + ord("0")])
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        # left-aligned in its width; the padding goes with the empty slots
+        text = (f"%-{_G_WIDTH}.10g" * len(slow)) % tuple(x[slow].tolist())
+        slots[:_G_WIDTH, slow] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _G_WIDTH).T
+    slots[-1] = ord(",")
+    slots[-1, n_cols - 1::n_cols] = ord("\n")
+    return slots.T.tobytes().translate(None, b"\0 ")
+
+
+def _scale(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a * 10**(9 - e), rounded once for e in [-13, 31]; e in [-16, 39]."""
+    k = e.astype(np.intp) + 16
+    return a * _MUL[k] / _DIV[k]
 
 
 def fill_wear_gaps(wear) -> np.ndarray:

@@ -85,6 +85,11 @@ class SynthConfig:
         if not 0.0 <= self.band_frac <= 1.0:
             raise ValueError("band_frac must lie in [0, 1]")
 
+    @property
+    def n_samples(self) -> int:
+        """Samples per channel in one run."""
+        return int(round(self.run_seconds * self.sampling_rate_hz))
+
     @classmethod
     def desk(cls, **overrides) -> "SynthConfig":
         """Desk-scale variant: 200 Hz sampling so full runs finish in minutes."""
@@ -197,7 +202,7 @@ def _state_warp(wear: np.ndarray, channel_index: int, spread: float) -> np.ndarr
 def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
     """One synthetic run: wear trajectory plus fourteen noisy channels."""
     rng = substream(seed, "synth-run")
-    n = int(round(config.run_seconds * config.sampling_rate_hz))
+    n = config.n_samples
     if n < 2:
         raise ValueError("run too short for the sampling rate")
     t_norm = np.linspace(0.0, 1.0, n)
@@ -258,8 +263,7 @@ def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
 def write_run_csv(run: SynthRun, path) -> None:
     """The run-file format the signal pipeline ingests: channels + wear_um."""
     names = [c.channel_id for c in run.channels] + ["wear_um"]
-    write_csv(path, names, [c.samples for c in run.channels] + [run.wear_trajectory],
-              ("%.10g",) * len(names))
+    write_csv(path, names, [c.samples for c in run.channels] + [run.wear_trajectory])
 
 
 def write_run_meta(run: SynthRun, path, created: str = "") -> None:

@@ -80,6 +80,15 @@ class TestGenerate:
                                           capsys.readouterr().out)]
         assert got == want.tolist()
 
+    def test_run_shorter_than_a_window_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # 0.01 s at 20 kHz is 200 samples; one rotation at 1650 rpm is 727
+        assert run_cli(["generate", "--out", str(out), "--runs", "2",
+                        "--run-seconds", "0.01"]) == 2
+        assert ("data error: series of 200 samples is shorter than one window (727)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_runs_is_usage_error(self, tmp_path):
         assert run_cli(["generate", "--out", str(tmp_path), "--runs", "0"]) == 1
 
@@ -180,17 +189,47 @@ class TestEvaluate:
                         "--out", str(tmp_path / "r")])
         assert code == 2
 
-    def test_holdout_split_evaluation(self, tmp_path, data_dir, multistate_model):
+    def test_holdout_split_evaluation(self, tmp_path, data_dir):
+        # a model trained on the training runs of the split that --holdout scores
+        model = tmp_path / "split.model"
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(model),
+                        "--seed", "1"] + TINY_FLAGS + TINY_DE_FLAGS) == 0
         out = tmp_path / "ho"
         code = run_cli(["evaluate", "--data", str(data_dir), "--model",
-                        str(multistate_model), "--out", str(out),
+                        str(model), "--out", str(out),
                         "--holdout", "--split-mode", "run", "--seed", "1"])
         assert code == 0
         full = tmp_path / "full"
         assert run_cli(["evaluate", "--data", str(data_dir), "--model",
-                        str(multistate_model), "--out", str(full)]) == 0
+                        str(model), "--out", str(full)]) == 0
         assert (tmp_path / "ho.report.csv").read_text() \
             != (tmp_path / "full.report.csv").read_text()
+
+    @pytest.mark.parametrize("mismatch", ["frames", "seed", "no-echo"])
+    def test_holdout_refuses_a_model_trained_on_other_runs(self, tmp_path, data_dir,
+                                                           multistate_model, capsys,
+                                                           mismatch):
+        # the session model trained with --seed 5 on every run, held-out ones included
+        model = multistate_model
+        seed = 1 if mismatch == "seed" else 5
+        pool = len(cli._split_runs(cli._load_runs(str(data_dir), None), 0.85, seed)[0])
+        trained_on = read_model_file(model)[2]["train.n_train_frames"]
+        if mismatch == "no-echo":
+            model = tmp_path / "bare.model"
+            head, end, payload = multistate_model.read_bytes().partition(b"end-header\n")
+            model.write_bytes(b"".join(line for line in head.splitlines(keepends=True)
+                                       if not line.startswith(b"train.")) + end + payload)
+        out = tmp_path / "ho"
+        assert run_cli(["evaluate", "--data", str(data_dir), "--model", str(model),
+                        "--out", str(out), "--holdout", "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert {"frames": f"data error: model {model} was trained on {trained_on} frames, "
+                          f"but the training runs of this split hold {pool}",
+                "seed": f"data error: model {model} was trained with seed 5, but "
+                        "--holdout splits the runs with --seed 1",
+                "no-echo": f"data error: model {model} does not record the seed and "
+                           "frame count it was trained with"}[mismatch] in err
+        assert not list(tmp_path.glob("ho*"))
 
     def test_trials_emit_mean_and_std(self, tmp_path, data_dir):
         out = tmp_path / "tr"

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import format_corpus
 from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset,
@@ -189,19 +190,43 @@ class TestDatasetPlumbing:
         assert np.allclose(got_wear, wear)
         assert np.allclose(channels[0].samples, data[:, 0])
 
-    @pytest.mark.parametrize("n_rows", [0, 1024, 2500])
-    def test_write_csv_blocks_give_the_bytes_of_the_whole_matrix(self, tmp_path, n_rows):
-        rng = np.random.default_rng(n_rows)
-        columns = [np.arange(n_rows), rng.normal(size=n_rows) * 1e3,
-                   rng.random(n_rows)]
-        formats = ("%d", "%.10g", "%.10g")
+    @pytest.mark.parametrize("case", [
+        "blocks-0", "blocks-1024", "blocks-2500", "random-bits", "special", "ties",
+        "powers-of-ten", "integers"])
+    def test_write_csv_blocks_give_the_bytes_of_the_whole_matrix(self, tmp_path, case):
+        rng = np.random.default_rng(len(case))
+        if case.startswith("blocks-"):
+            n_rows = int(case.removeprefix("blocks-"))
+            columns = [np.arange(n_rows), rng.normal(size=n_rows) * 1e3, rng.random(n_rows)]
+        elif case == "integers":  # below 10**10 in magnitude: printed as under %d
+            ints = rng.integers(-(10 ** 10 - 1), 10 ** 10, size=30_000)
+            ints[:7] = [0, 1, -1, 9, 10, 10 ** 10 - 1, -(10 ** 10 - 1)]
+            columns = [ints, ints[::-1].copy()]
+        else:
+            values = {"random-bits": lambda: format_corpus.random_bits(10 ** 6, 12),
+                      "special": lambda: format_corpus.SPECIAL,
+                      "ties": lambda: format_corpus.ties(12),
+                      "powers-of-ten": format_corpus.power_boundaries}[case]()
+            # four columns, so each value also lands in the last column of a row
+            values = np.concatenate([values, values[:-len(values) % 4]])
+            columns = list(values.reshape(-1, 4).T)
+        formats = ["%d" if c.dtype.kind == "i" else "%.10g" for c in columns]
         path = tmp_path / "blocks.csv"
-        write_csv(path, ["i", "x", "y"], columns, formats)
-        # the whole table stacked into one matrix and formatted at once
+        write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+        # the whole table stacked into one matrix and formatted by `%` at once
+        n_rows = len(columns[0])
         matrix = np.column_stack(columns).reshape(n_rows, len(columns))
-        want = "i,x,y\n" + ((",".join(formats) + "\n") * n_rows) % tuple(
-            matrix.ravel().tolist())
+        want = ",".join(f"c{i}" for i in range(len(columns))) + "\n" + (
+            (",".join(formats) + "\n") * n_rows) % tuple(matrix.ravel().tolist())
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("value", [10 ** 10, -10 ** 10, 2 ** 62])
+    def test_write_csv_rejects_an_integer_that_prints_in_exponent_form(self, tmp_path,
+                                                                       value):
+        path = tmp_path / "ints.csv"
+        with pytest.raises(ValueError, match=r"10\*\*10 or more"):
+            write_csv(path, ["i", "x"], [np.array([1, value]), np.array([0.5, 0.25])])
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_channel_sample_rejected(self, tmp_path, bad):

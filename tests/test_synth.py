@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import format_corpus
 from mdp_tcm import signal_pipeline
 from mdp_tcm.experiments import window_spec_for, windowed_run
 from mdp_tcm.signal_pipeline import N_STATES, ChannelSeries, label_states
@@ -138,26 +139,34 @@ class TestRunFiles:
         write_run_csv(run, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_bytes_equal_savetxt(self, tmp_path):
-        # np.savetxt is the reference; the row count spans two full blocks
-        # and a partial one
+    @pytest.mark.parametrize("case", ["mixed", "special", "ties", "powers-of-ten"])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, case):
+        # np.savetxt, one `%` per row, is the reference; the row count spans
+        # two full blocks and a partial one
         n = 2 * signal_pipeline._WRITE_BLOCK_ROWS + 37
         run = generate_run(SynthConfig.desk(run_seconds=n / 200.0), 4)
         assert len(run.wear_trajectory) == n
-        special = np.array([-0.0, 1e-300, 1e12, 3.0, -7.0, 0.0, 123456789.0,
-                            -1e-300, 2.5e-7, 1.0 / 3.0])
-        samples = [c.samples.copy() for c in run.channels]
-        samples[0][:len(special)] = special
-        samples[1][-len(special):] = special[::-1]
-        samples[2][:] = np.round(samples[2] * 1e4)  # exact integers
+        special = {
+            "mixed": lambda: np.array([-0.0, 1e-300, 1e12, 3.0, -7.0, 0.0, 123456789.0,
+                                       -1e-300, 2.5e-7, 1.0 / 3.0]),
+            "special": lambda: format_corpus.SPECIAL,
+            "ties": lambda: format_corpus.ties(4),
+            "powers-of-ten": format_corpus.power_boundaries}[case]()
+        # row by row across the channels from the first sample, and reversed
+        # up to the last
+        samples = np.column_stack([c.samples for c in run.channels])
+        samples[:, 2] = np.round(samples[:, 2] * 1e4)  # exact integers
+        samples.ravel()[:len(special)] = special
+        samples.ravel()[-len(special):] = special[::-1]
         run = SynthRun([ChannelSeries(c.channel_id, c.sampling_rate_hz, x)
-                        for c, x in zip(run.channels, samples)], run.wear_trajectory)
+                        for c, x in zip(run.channels, samples.T)], run.wear_trajectory)
         got = tmp_path / "got.csv"
         write_run_csv(run, got)
         want = tmp_path / "want.csv"
         with open(want, "w", encoding="utf-8") as fh:
             fh.write(",".join(list(CHANNEL_NAMES) + ["wear_um"]) + "\n")
-            np.savetxt(fh, np.column_stack(samples + [run.wear_trajectory]),
+            np.savetxt(fh, np.column_stack([samples, run.wear_trajectory]),
                        fmt="%.10g", delimiter=",")
         assert got.read_bytes() == want.read_bytes()
-        assert got.read_text().splitlines()[1].startswith("-0,")
+        if case == "mixed":
+            assert got.read_text().splitlines()[1].startswith("-0,")
