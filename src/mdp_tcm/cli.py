@@ -291,12 +291,17 @@ def _load_runs(data_dir: str, stride: int | None):
         if not meta_path.exists():
             raise DataError(f"missing sidecar {meta_path}")
         meta = read_run_meta(meta_path)
-        rate = _sidecar_number(meta, "sampling_rate_hz", meta_path)
-        rpm = _sidecar_number(meta, "spindle_rpm", meta_path)
-        channels, wear = load_run_csv(f, rate)
-        spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
-        datasets.append(build_dataset(channels, spec, wear))
+        datasets.append(_windowed_run(f, _sidecar_number(meta, "sampling_rate_hz", meta_path),
+                                      _sidecar_number(meta, "spindle_rpm", meta_path), stride))
     return datasets
+
+
+def _windowed_run(path, rate: float, rpm: float, stride: int | None) -> FrameDataset:
+    """The frames of one run CSV. Its samples go when this returns, before
+    the caller reads another run or runs inference."""
+    channels, wear = load_run_csv(path, rate)
+    spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
+    return build_dataset(channels, spec, wear)
 
 
 def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
@@ -326,16 +331,30 @@ def _check_trained_on(model_path, seed: int, n_pool_frames: int) -> None:
                         f"training runs of this split hold {n_pool_frames}")
 
 
-def _split_runs(datasets, ratio: float, seed: int):
-    """(train pool, held-out per-run datasets): a seeded split of whole runs."""
+def _split_indices(n_runs: int, ratio: float, seed: int):
+    """(training run indices, held-out run indices): a seeded split of whole runs."""
     if not 0.0 < ratio < 1.0:
         raise UsageError(f"--train-ratio must lie in (0, 1), not {ratio}")
-    if len(datasets) < 2:
-        raise DataError(f"a split of whole runs needs at least 2 runs; got {len(datasets)}")
-    order = substream(seed, "split").permutation(len(datasets))
-    n_train = min(int(math.ceil(ratio * len(datasets))), len(datasets) - 1)
-    return (FrameDataset.concat([datasets[i] for i in order[:n_train]]),
-            [datasets[i] for i in order[n_train:]])
+    if n_runs < 2:
+        raise DataError(f"a split of whole runs needs at least 2 runs; got {n_runs}")
+    order = substream(seed, "split").permutation(n_runs)
+    n_train = min(int(math.ceil(ratio * n_runs)), n_runs - 1)
+    return order[:n_train], order[n_train:]
+
+
+def _split_runs(datasets: list, ratio: float, seed: int):
+    """(train pool, held-out per-run datasets): a seeded split of whole runs.
+
+    Each training run's entry of `datasets` is replaced by a view into the
+    pool, so that the pool alone holds that run's frames while it trains.
+    An earlier pool is freed once no entry views it."""
+    train, held = _split_indices(len(datasets), ratio, seed)
+    pool = FrameDataset.concat([datasets[i] for i in train])
+    start = 0
+    for i in train:
+        datasets[i] = pool.subset(slice(start, start + len(datasets[i])))
+        start += len(datasets[i])
+    return pool, [datasets[i] for i in held]
 
 
 def _fmt(v) -> str:
@@ -466,11 +485,11 @@ def _write_histories(out_stem: Path, history: dict) -> None:
 
 def cmd_train(cfg: RunConfig) -> int:
     datasets = _load_runs(cfg["data"], cfg["stride"])
-    if cfg["train-ratio"] >= 1.0:
-        train_set = FrameDataset.concat(datasets)
-    else:
-        train_set, _ = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
+    if cfg["train-ratio"] < 1.0:
+        train = _split_indices(len(datasets), cfg["train-ratio"], cfg["seed"])[0]
+        datasets = [datasets[i] for i in train]
     # the training pool holds its own copy of the frames it needs
+    train_set = FrameDataset.concat(datasets)
     del datasets
     per_state = np.bincount(train_set.state_labels, minlength=N_STATES)
     if cfg["kind"] in (KIND_ECS, KIND_CLASSIFIER, KIND_MULTISTATE) and np.any(per_state == 0):
@@ -547,8 +566,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for run_path, ds in zip(_run_files(cfg["data"]), datasets):
             _check_frame_width(model, cfg["model"], ds, run_path)
         if cfg["holdout"]:
-            train_pool, eval_sets = _split_runs(datasets, cfg["train-ratio"], cfg["seed"])
-            _check_trained_on(cfg["model"], cfg["seed"], len(train_pool))
+            train, held = _split_indices(len(datasets), cfg["train-ratio"], cfg["seed"])
+            _check_trained_on(cfg["model"], cfg["seed"],
+                              sum(len(datasets[i]) for i in train))
+            eval_sets = [datasets[i] for i in held]
         else:
             eval_sets = datasets
         report = _evaluate_model(model, eval_sets)
@@ -597,9 +618,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                                                              meta_path)
     if rpm is None or rate is None:
         raise UsageError("no sidecar found; supply --rpm and --rate")
-    channels, wear = load_run_csv(run_path, rate)
-    spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=cfg["stride"])
-    ds = build_dataset(channels, spec, wear)
+    ds = _windowed_run(run_path, rate, rpm, cfg["stride"])
     _check_frame_width(model, cfg["model"], ds, run_path)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)

@@ -74,6 +74,8 @@ def read_model_file(path):
             _, name, shape = line.split(" ", 2)
             try:
                 dims = tuple(int(s) for s in shape.split("x")) if shape else ()
+                if any(d < 0 for d in dims):
+                    raise ValueError("negative dimension")
             except ValueError:
                 raise DataError(f"{path}: array {name} has malformed shape {shape!r}") from None
             specs.append((name, dims))

@@ -144,6 +144,15 @@ def normalize_channel(series: ChannelSeries) -> ChannelSeries:
     A constant channel maps to all zeros with a warning so a dead sensor
     does not abort the run.
     """
+    lo, span = _min_max_bounds(series)
+    out = np.zeros_like(series.samples) if span is None else (series.samples - lo) / span
+    return ChannelSeries(series.channel_id, series.sampling_rate_hz, out)
+
+
+def _min_max_bounds(series: ChannelSeries):
+    """(lo, hi - lo) over the channel's samples: min-max scaling maps each
+    sample x to (x - lo) / (hi - lo). (lo, None), with a warning, for a
+    constant channel, which maps to zeros (see `normalize_channel`)."""
     x = series.samples
     if x.size == 0:
         raise ValueError("cannot normalize an empty channel")
@@ -151,11 +160,9 @@ def normalize_channel(series: ChannelSeries) -> ChannelSeries:
     hi = float(x.max())
     if hi == lo:
         warnings.warn(f"channel {series.channel_id!r} is constant; normalized to zeros",
-                      RuntimeWarning, stacklevel=2)
-        out = np.zeros_like(x)
-    else:
-        out = (x - lo) / (hi - lo)
-    return ChannelSeries(series.channel_id, series.sampling_rate_hz, out)
+                      RuntimeWarning, stacklevel=3)
+        return lo, None
+    return lo, hi - lo
 
 
 def compute_window_size(spec: WindowSpec) -> int:
@@ -208,7 +215,8 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
 
     Frame t covers samples [t*stride, t*stride + tw) of every channel,
     flattened channel-major. Its wear target is the wear at the window's
-    last sample; its state label follows from that wear.
+    last sample, with NaN gaps filled (see fill_wear_gaps); its state label
+    follows from that wear.
     """
     channels = list(channels)
     if not channels:
@@ -223,13 +231,14 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     if len(wear) != tau:
         raise DataError("wear trajectory length must match the channels")
     ends = frame_ends(tau, spec)
+    # the gap-filled copy of the wear goes before the frame matrix is made
+    targets = fill_wear_gaps(wear)[ends]
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
     frames = np.empty((len(ends), len(channels) * tw))
     for ci, c in enumerate(channels):
         frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
             c.samples, tw)[::stride]
-    targets = wear[ends]
     return FrameDataset(frames, label_states(targets), targets,
                         tuple(c.channel_id for c in channels), tw)
 
@@ -253,6 +262,10 @@ def split(dataset: FrameDataset, train_ratio: float, seed: int):
 # file's layout or to the parse that fills it must change this tag, so that
 # files written before are parsed again instead of read
 _PARSED_TAG = b"mdp_tcm-parsed-v1\0"
+_DIGEST_SIZE = 32  # sha256
+
+# bytes per read of a run CSV: the reads stream through one buffer this size
+_READ_BLOCK = 1 << 16
 
 
 def load_run_csv(path, sampling_rate_hz: float):
@@ -265,34 +278,38 @@ def load_run_csv(path, sampling_rate_hz: float):
     The parsed samples are kept beside the run in `<run>.csv.parsed.npy`
     (see `_read_parsed`), so a run is parsed once while its bytes stay the
     same. Each CSV column comes back as one contiguous array.
+
+    The CSV is streamed, never held whole: when a parsed-run file exists,
+    a first pass hashes the CSV to check its key; on a miss, the parse
+    hashes each block it reads, and that digest keys the file it writes.
+    So the bytes hashed are the bytes parsed, even if the run is replaced
+    meanwhile or `path` is a pipe (which is read once, by the parse).
     """
-    # one read: the bytes hashed are the bytes parsed, even if the run is
-    # replaced meanwhile or `path` is a pipe
-    with open(path, "rb") as fh:
-        raw = fh.read()
-        csv_mode = os.fstat(fh.fileno()).st_mode
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    try:
-        header = text.readline().strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    if not header:
-        raise DataError(f"{path}: empty file")
-    names = [h.strip() for h in header.split(",")]
-    if "wear_um" not in names:
-        raise DataError(f"{path}: missing wear_um column")
-    key = hashlib.sha256(_PARSED_TAG)
-    key.update(raw)
-    digest = key.digest()
     cache = Path(f"{path}.parsed.npy")
-    columns = _read_parsed(cache, digest)
-    if columns is None:
+    with open(path, "rb", buffering=0) as fh:
+        csv_mode = os.fstat(fh.fileno()).st_mode
+        columns = None
+        if stat.S_ISREG(csv_mode):
+            columns = _read_parsed(cache, fh)
+            fh.seek(0)
+        key = hashlib.sha256(_PARSED_TAG)
+        text = io.TextIOWrapper(io.BufferedReader(_HashingReader(fh, key), _READ_BLOCK),
+                                encoding="utf-8")
         try:
-            rows = np.loadtxt(text, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed numeric data: {exc}") from None
-        columns = np.ascontiguousarray(rows.T)
-        _write_parsed(cache, digest, columns, csv_mode)
+            header = text.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        if not header:
+            raise DataError(f"{path}: empty file")
+        names = [h.strip() for h in header.split(",")]
+        if "wear_um" not in names:
+            raise DataError(f"{path}: missing wear_um column")
+        if columns is None:
+            try:
+                columns = np.ascontiguousarray(np.loadtxt(text, delimiter=",", ndmin=2).T)
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed numeric data: {exc}") from None
+            _write_parsed(cache, key.digest(), columns, csv_mode)
     if columns.shape[1] == 0:
         raise DataError(f"{path}: no samples")
     if columns.shape[0] != len(names):
@@ -310,14 +327,40 @@ def load_run_csv(path, sampling_rate_hz: float):
     return channels, columns[wi]
 
 
-def _read_parsed(cache: Path, digest: bytes):
-    """The column matrix a parsed-run file holds for a CSV with this
-    digest: the 32-byte sha256 of `_PARSED_TAG` and the CSV's bytes, then
-    the matrix in .npy format.
+class _HashingReader(io.RawIOBase):
+    """A raw binary stream over `fh` that feeds each block read into `key`."""
+
+    def __init__(self, fh, key):
+        self._fh, self._key = fh, key
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self._key.update(memoryview(buffer)[:n])
+        return n
+
+
+def _csv_digest(fh) -> bytes:
+    """The sha256 of `_PARSED_TAG` and the rest of the CSV that `fh` reads."""
+    key = hashlib.sha256(_PARSED_TAG)
+    reader, buffer = _HashingReader(fh, key), bytearray(_READ_BLOCK)
+    while reader.readinto(buffer):
+        pass
+    return key.digest()
+
+
+def _read_parsed(cache: Path, csv):
+    """The column matrix a parsed-run file holds, if it is keyed to the CSV
+    that the binary file `csv` reads from its start: the file holds the
+    32-byte sha256 of `_PARSED_TAG` and the CSV's bytes, then the matrix in
+    .npy format.
     None when the file is missing, keyed to other bytes or unreadable."""
     try:
         with open(cache, "rb") as fh:
-            if fh.read(len(digest)) != digest:
+            digest = fh.read(_DIGEST_SIZE)
+            if len(digest) < _DIGEST_SIZE or digest != _csv_digest(csv):
                 return None
             columns = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError, EOFError):
@@ -487,6 +530,21 @@ def fill_wear_gaps(wear) -> np.ndarray:
 
 
 def build_dataset(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
-    """Normalize each channel to [0, 1] and window into frames."""
-    return window([normalize_channel(c) for c in channels], spec,
-                  fill_wear_gaps(wear_trajectory))
+    """Normalize each channel to [0, 1] and window into frames.
+
+    The frames are those of `window` over `normalize_channel` of each
+    channel, bit for bit, but the windows are cut from the raw samples and
+    scaled in place, each column by its channel's bounds: no scaled copy of
+    a channel is made. Overlapping windows scale each sample once per frame
+    that holds it."""
+    channels = list(channels)
+    bounds = [_min_max_bounds(c) for c in channels]
+    ds = window(channels, spec, wear_trajectory)
+    frames, tw = ds.frames, ds.window_len
+    # one value per frame column; a constant channel's columns are zeroed
+    frames -= np.repeat([lo for lo, _ in bounds], tw)
+    frames /= np.repeat([1.0 if span is None else span for _, span in bounds], tw)
+    for ci, (_, span) in enumerate(bounds):
+        if span is None:
+            frames[:, ci * tw:(ci + 1) * tw] = 0.0
+    return ds

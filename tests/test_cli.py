@@ -205,6 +205,24 @@ class TestEvaluate:
         assert (tmp_path / "ho.report.csv").read_text() \
             != (tmp_path / "full.report.csv").read_text()
 
+    def test_holdout_counts_the_training_runs_without_pooling_them(self, tmp_path, data_dir,
+                                                                  monkeypatch):
+        model = tmp_path / "split.model"
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(model),
+                        "--seed", "1"] + TINY_FLAGS + TINY_DE_FLAGS) == 0
+        argv = ["evaluate", "--data", str(data_dir), "--model", str(model),
+                "--holdout", "--seed", "1", "--out"]
+        assert run_cli(argv + [str(tmp_path / "first")]) == 0
+
+        def refuse(datasets):
+            raise AssertionError("evaluate --holdout pooled the frames of its runs")
+
+        monkeypatch.setattr(FrameDataset, "concat", staticmethod(refuse))
+        assert run_cli(argv + [str(tmp_path / "second")]) == 0
+        for suffix in (".report.csv", ".report.txt"):
+            assert ((tmp_path / f"second{suffix}").read_bytes()
+                    == (tmp_path / f"first{suffix}").read_bytes())
+
     @pytest.mark.parametrize("mismatch", ["frames", "seed", "no-echo"])
     def test_holdout_refuses_a_model_trained_on_other_runs(self, tmp_path, data_dir,
                                                            multistate_model, capsys,
@@ -640,6 +658,19 @@ class TestSplitRuns:
         assert any(np.array_equal(train.frames, FrameDataset.concat(runs).frames)
                    for runs in (rest, rest[::-1]))
 
+    def test_training_runs_are_held_once_by_the_pool(self, data_dir):
+        datasets = cli._load_runs(str(data_dir), None)
+        fresh = cli._load_runs(str(data_dir), None)
+        pool, held = cli._split_runs(datasets, 0.85, 4)
+        for ds, same in zip(datasets, fresh):
+            assert np.shares_memory(ds.frames, pool.frames) == (ds is not held[0])
+            assert ds.frames.tobytes() == same.frames.tobytes()
+            assert np.array_equal(ds.wear_targets, same.wear_targets)
+        # the splits of later trials, drawn from the views, pool the same frames
+        for seed in (5, 6):
+            assert (cli._split_runs(datasets, 0.85, seed)[0].frames.tobytes()
+                    == cli._split_runs(list(fresh), 0.85, seed)[0].frames.tobytes())
+
     @pytest.mark.parametrize("mode", ["frame", "pooled"])
     @pytest.mark.parametrize("command", [
         ["train"], ["evaluate", "--holdout"], ["evaluate", "--trials", "1"],
@@ -733,17 +764,27 @@ class TestMalformedInput:
             in capsys.readouterr().err
         assert not list(tmp_path.glob("p.csv*"))  # no prediction, no report
 
-    @pytest.mark.parametrize("kind, old, new", [
-        ("multistate", b"kind = multistate", b"kind = \xffmultistate"),
-        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,3x,1"),
-        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,4,1"),
-        ("multistate", b"reg1.layer_sizes = 6,3,1", b"reg1.layer_sizes = 6,3,2,1"),
-        ("regressor", b"array theta 25", b"array theta 2y5"),
-        ("multistate", b"sticky_steps = 1", b"sticky_steps = x"),
+    @pytest.mark.parametrize("kind, old, new, message", [
+        ("multistate", b"kind = multistate", b"kind = \xffmultistate",
+         "model header is not UTF-8 text"),
+        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,3x,1",
+         "layer_sizes = 6,3x,1"),
+        ("regressor", b"layer_sizes = 6,3,1", b"layer_sizes = 6,4,1",
+         "layer_sizes = 6,4,1"),
+        ("multistate", b"reg1.layer_sizes = 6,3,1", b"reg1.layer_sizes = 6,3,2,1",
+         "reg1.layer_sizes = 6,3,2,1"),
+        ("regressor", b"array theta 25", b"array theta 2y5",
+         "array theta has malformed shape '2y5'"),
+        ("multistate", b"array diagnoser.costs 4", b"array diagnoser.costs -4",
+         "array diagnoser.costs has malformed shape '-4'"),
+        ("regressor", b"array theta 25", b"array theta 2x-2",
+         "array theta has malformed shape '2x-2'"),
+        ("multistate", b"sticky_steps = 1", b"sticky_steps = x", "invalid literal"),
     ], ids=["non-utf8", "non-integer-size", "theta-length", "route-theta-length",
-            "array-shape", "sticky-steps"])
+            "array-shape", "negative-array-size", "negative-array-dimension",
+            "sticky-steps"])
     def test_bad_header_value_names_the_model(self, tmp_path, data_dir, capsys,
-                                              kind, old, new):
+                                              kind, old, new, message):
         path = tmp_path / "m.model"
         _tiny_model_file(path, kind)
         head, sep, payload = path.read_bytes().partition(b"end-header\n")
@@ -751,7 +792,8 @@ class TestMalformedInput:
         path.write_bytes(head.replace(old, new) + sep + payload)
         assert run_cli(["predict", "--model", str(path), "--out", str(tmp_path / "p.csv"),
                         "--run", str(sorted(data_dir.glob("*.csv"))[0])]) == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("suffix", [".csv", ".meta"])

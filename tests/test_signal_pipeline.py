@@ -2,6 +2,8 @@ import hashlib
 import os
 import stat
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import format_corpus
 from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
 from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset,
-                                     WindowSpec, compute_window_size,
+                                     WindowSpec, build_dataset, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, normalize_channel, split,
                                      window, write_csv)
@@ -253,6 +255,87 @@ class TestDatasetPlumbing:
     def test_fill_wear_gaps_noop_when_dense(self):
         wear = np.linspace(0, 10, 5)
         assert np.array_equal(fill_wear_gaps(wear), wear)
+
+
+class TestBuildDataset:
+    """`build_dataset` scales each channel inside its block of the frames."""
+
+    @pytest.mark.parametrize("case", ["stride-tw", "overlapping", "constant-channel"])
+    def test_frames_equal_window_over_normalized_channels(self, case):
+        rng = np.random.default_rng(11)
+        tau, tw = 3000, 40
+        channels = [ch(rng.normal(0, 10 ** k, tau) + 5 * k, f"c{k}") for k in range(-2, 3)]
+        if case == "constant-channel":
+            channels[2] = ch(np.full(tau, -0.25), "dead")
+        wear = np.linspace(0, 380, tau)
+        spec = WindowSpec(spindle_rpm=60.0 * 100.0 / tw, sampling_rate_hz=100.0,
+                          stride=tw // 3 if case == "overlapping" else None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = build_dataset(channels, spec, wear)
+            want = window([normalize_channel(c) for c in channels], spec, wear)
+        assert got.frames.tobytes() == want.frames.tobytes()
+        assert got.wear_targets.tobytes() == want.wear_targets.tobytes()
+        assert np.array_equal(got.state_labels, want.state_labels)
+        assert got.channel_ids == want.channel_ids
+        constant = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert constant == (["channel 'dead' is constant; normalized to zeros"] * 2
+                            if case == "constant-channel" else [])
+
+
+class TestReadMemory:
+    """Traced peaks of reading and windowing one run of a few MB of samples."""
+
+    N_ROWS, N_CHANNELS = 40_000, 14
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "run.csv"
+        names = [f"c{i}" for i in range(self.N_CHANNELS)] + ["wear_um"]
+        write_csv(path, names, list(rng.normal(0, 3, (self.N_CHANNELS, self.N_ROWS)))
+                  + [np.linspace(0, 350, self.N_ROWS)])
+        return path
+
+    @property
+    def sample_bytes(self) -> int:
+        return (self.N_CHANNELS + 1) * self.N_ROWS * 8
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cold_read_holds_no_bytes_of_the_csv(self, run):
+        # the parse's row-major matrix and its transposed copy, not the CSV's bytes
+        _, peak = self.traced_peak(lambda: load_run_csv(run, 20000.0))
+        assert (run.parent / "run.csv.parsed.npy").exists()
+        assert peak <= 2.3 * self.sample_bytes
+
+    def test_warm_read_holds_the_samples_once(self, run):
+        load_run_csv(run, 20000.0)
+        _, peak = self.traced_peak(lambda: load_run_csv(run, 20000.0))
+        assert peak <= 1.3 * self.sample_bytes
+
+    def test_build_dataset_holds_the_frames_and_one_channel(self, run):
+        channels, wear = load_run_csv(run, 20000.0)
+        spec = WindowSpec(spindle_rpm=1650.0, sampling_rate_hz=20000.0)
+        ds, peak = self.traced_peak(lambda: build_dataset(channels, spec, wear))
+        assert peak <= ds.frames.nbytes + wear.nbytes
+
+    def test_first_read_hashes_once(self, run, monkeypatch):
+        # with no parsed-run file there is nothing to check a hash against:
+        # the parse alone hashes the CSV
+        def refuse(fh):
+            raise AssertionError("hash-only pass on a first read")
+
+        monkeypatch.setattr(signal_pipeline, "_csv_digest", refuse)
+        load_run_csv(run, 20000.0)
+        assert (run.parent / "run.csv.parsed.npy").exists()
 
 
 class TestParsedRunCache:
