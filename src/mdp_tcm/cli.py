@@ -342,19 +342,11 @@ def _split_indices(n_runs: int, ratio: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
-def _split_runs(datasets: list, ratio: float, seed: int):
-    """(train pool, held-out per-run datasets): a seeded split of whole runs.
-
-    Each training run's entry of `datasets` is replaced by a view into the
-    pool, so that the pool alone holds that run's frames while it trains.
-    An earlier pool is freed once no entry views it."""
+def _split_runs(datasets, ratio: float, seed: int):
+    """(train pool, held-out per-run datasets): a seeded split of whole runs."""
     train, held = _split_indices(len(datasets), ratio, seed)
-    pool = FrameDataset.concat([datasets[i] for i in train])
-    start = 0
-    for i in train:
-        datasets[i] = pool.subset(slice(start, start + len(datasets[i])))
-        start += len(datasets[i])
-    return pool, [datasets[i] for i in held]
+    return (FrameDataset.concat([datasets[i] for i in train]),
+            [datasets[i] for i in held])
 
 
 def _fmt(v) -> str:

@@ -305,6 +305,9 @@ def load_run_csv(path, sampling_rate_hz: float):
         if "wear_um" not in names:
             raise DataError(f"{path}: missing wear_um column")
         if columns is None:
+            # the parse decodes a whole block per read: at the default 8 KiB,
+            # each read passes through `_HashingReader.readinto` on its own
+            text._CHUNK_SIZE = _READ_BLOCK
             try:
                 columns = np.ascontiguousarray(np.loadtxt(text, delimiter=",", ndmin=2).T)
             except ValueError as exc:

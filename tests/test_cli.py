@@ -658,19 +658,6 @@ class TestSplitRuns:
         assert any(np.array_equal(train.frames, FrameDataset.concat(runs).frames)
                    for runs in (rest, rest[::-1]))
 
-    def test_training_runs_are_held_once_by_the_pool(self, data_dir):
-        datasets = cli._load_runs(str(data_dir), None)
-        fresh = cli._load_runs(str(data_dir), None)
-        pool, held = cli._split_runs(datasets, 0.85, 4)
-        for ds, same in zip(datasets, fresh):
-            assert np.shares_memory(ds.frames, pool.frames) == (ds is not held[0])
-            assert ds.frames.tobytes() == same.frames.tobytes()
-            assert np.array_equal(ds.wear_targets, same.wear_targets)
-        # the splits of later trials, drawn from the views, pool the same frames
-        for seed in (5, 6):
-            assert (cli._split_runs(datasets, 0.85, seed)[0].frames.tobytes()
-                    == cli._split_runs(list(fresh), 0.85, seed)[0].frames.tobytes())
-
     @pytest.mark.parametrize("mode", ["frame", "pooled"])
     @pytest.mark.parametrize("command", [
         ["train"], ["evaluate", "--holdout"], ["evaluate", "--trials", "1"],
