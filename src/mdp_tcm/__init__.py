@@ -12,14 +12,13 @@ from .dbn import DbnModel, TrainConfig
 from .metrics import MetricsReport
 from .multistate import EcsDbnModel, MultiStateModel, estimate_wear, train_mdp
 from .rbm import CdConfig, RbmParams
-from .signal_pipeline import ChannelSeries, FrameDataset, WindowSpec
+from .signal_pipeline import FrameDataset, WindowSpec
 from .synth import SynthConfig, SynthRun
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACTIVE_BACKEND",
-    "ChannelSeries",
     "CdConfig",
     "CostVector",
     "DbnModel",

@@ -20,23 +20,22 @@ from .cost_sensitive import CostVector
 from .dbn import DbnModel, predict_proba
 from .metrics import confusion, gmean
 
+# share of the population, by fitness, that each mutation draws its pbest from
+P_BEST_FRACTION = 0.1
+# weight of each generation's successful F and CR in the moves of mu_f and mu_cr
+ADAPTATION_RATE = 0.1
+
 
 @dataclass(frozen=True)
 class DeConfig:
     population_size: int = 30
     max_generations: int = 50
-    p_best_fraction: float = 0.1
-    adaptation_rate: float = 0.1
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
-        if not 0.0 < self.p_best_fraction <= 1.0:
-            raise ValueError("p_best_fraction must lie in (0, 1]")
-        if not 0.0 <= self.adaptation_rate <= 1.0:
-            raise ValueError("adaptation_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -76,7 +75,7 @@ def step(state: DeState, objective, config: DeConfig,
     for i in np.nonzero(unevaluated)[0]:
         fitness[i] = objective(pop[i])
 
-    n_pbest = max(1, int(round(config.p_best_fraction * np_)))
+    n_pbest = max(1, int(round(P_BEST_FRACTION * np_)))
     top = np.argsort(fitness)[::-1][:n_pbest]
     archive = list(state.archive)
     new_pop = pop.copy()
@@ -113,7 +112,7 @@ def step(state: DeState, objective, config: DeConfig,
 
     mu_f, mu_cr = state.mu_f, state.mu_cr
     if s_f:
-        c = config.adaptation_rate
+        c = ADAPTATION_RATE
         s_f = np.asarray(s_f)
         mu_f = (1.0 - c) * mu_f + c * float(np.sum(s_f ** 2) / np.sum(s_f))
         mu_cr = (1.0 - c) * mu_cr + c * float(np.mean(s_cr))

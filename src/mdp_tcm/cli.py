@@ -76,6 +76,17 @@ def _opt_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _opt_float(text: str) -> float:
+    """A finite number; for any other text, argparse's usage error names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _opt_range(text: str) -> tuple:
     lo, hi = (int(p) for p in text.split(","))
     return lo, hi
@@ -87,13 +98,13 @@ _COMMON_TRAIN_OPTS = [
     ("preset", str, None, "training preset: diagnosis-default | prognosis-default"),
     ("pretrain-epochs", int, None, "CD pretraining epochs"),
     ("finetune-epochs", int, None, "SGD fine-tuning epochs"),
-    ("learning-rate", float, None, "learning rate for pretraining and fine-tuning"),
-    ("classifier-learning-rate", float, None, "override for the state classifier"),
-    ("regressor-learning-rate", float, None, "override for the wear regressors"),
+    ("learning-rate", _opt_float, None, "learning rate for pretraining and fine-tuning"),
+    ("classifier-learning-rate", _opt_float, None, "override for the state classifier"),
+    ("regressor-learning-rate", _opt_float, None, "override for the wear regressors"),
     ("batch-size", int, None, "mini-batch size"),
     ("hidden-range", _opt_range, None, "hidden width interval, e.g. 5,60"),
     ("stride", int, None, "window stride in samples (default: one window)"),
-    ("train-ratio", float, 0.85, "train fraction of the split"),
+    ("train-ratio", _opt_float, 0.85, "train fraction of the split"),
     ("split-mode", str, "run", "run, the only mode: held-out data is whole runs"),
 ]
 
@@ -112,13 +123,13 @@ COMMANDS = {
         ("runs", int, 1, "number of runs to generate"),
         ("seed", int, 0, "base seed"),
         ("desk-scale", _opt_bool, False, "sample at 200 Hz instead of 20 kHz"),
-        ("rpm", float, 1650.0, "spindle speed"),
-        ("run-seconds", float, 120.0, "run length"),
-        ("skew", float, 10.0, "state dwell-time imbalance ratio"),
-        ("wear-end", float, 400.0, "end-of-life wear in micrometers"),
-        ("noise-std", float, None, "override all channel noise levels"),
-        ("noise-scale", float, 1.0, "multiplier on the per-channel noise levels"),
-        ("band-frac", float, 0.5, "fraction of wear coupling via channel sub-bands"),
+        ("rpm", _opt_float, 1650.0, "spindle speed"),
+        ("run-seconds", _opt_float, 120.0, "run length"),
+        ("skew", _opt_float, 10.0, "state dwell-time imbalance ratio"),
+        ("wear-end", _opt_float, 400.0, "end-of-life wear in micrometers"),
+        ("noise-std", _opt_float, None, "override all channel noise levels"),
+        ("noise-scale", _opt_float, 1.0, "multiplier on the per-channel noise levels"),
+        ("band-frac", _opt_float, 0.5, "fraction of wear coupling via channel sub-bands"),
     ],
     "train": [
         ("data", str, _REQUIRED, "directory of run CSVs"),
@@ -141,8 +152,8 @@ COMMANDS = {
         ("model", str, _REQUIRED, "multistate model file"),
         ("run", str, _REQUIRED, "run CSV to predict on"),
         ("out", str, _REQUIRED, "prediction CSV to write"),
-        ("rpm", float, None, "spindle rpm (default: run sidecar)"),
-        ("rate", float, None, "sampling rate Hz (default: run sidecar)"),
+        ("rpm", _opt_float, None, "spindle rpm (default: run sidecar)"),
+        ("rate", _opt_float, None, "sampling rate Hz (default: run sidecar)"),
         ("stride", int, None, "window stride in samples"),
     ],
     "ablate-sensors": [
@@ -197,7 +208,7 @@ class RunConfig:
             elif name in file_values:
                 try:
                     self._values[name] = typ(file_values[name])
-                except ValueError as exc:
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"config key {name}: {exc}") from None
             elif default is _REQUIRED:
                 raise UsageError(f"missing required option --{name}")
@@ -299,7 +310,7 @@ def _load_runs(data_dir: str, stride: int | None):
 def _windowed_run(path, rate: float, rpm: float, stride: int | None) -> FrameDataset:
     """The frames of one run CSV. Its samples go when this returns, before
     the caller reads another run or runs inference."""
-    channels, wear = load_run_csv(path, rate)
+    channels, wear = load_run_csv(path)
     spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
     return build_dataset(channels, spec, wear)
 

@@ -8,7 +8,7 @@ layers, which fine-tune under rectified-linear activations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import NumericError
 from .seeding import substream
 
 N_HIDDEN_LAYERS = 3  # "five-layered": input + 3 hidden + output
+RESCALE_ROWS = 2000  # frames that set each hidden layer's scale before fine-tuning
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,16 @@ PRESETS = {
 }
 
 
-def preset(name: str, **overrides) -> TrainConfig:
+def preset(name: str) -> TrainConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return replace(PRESETS[name], **overrides)
+    return PRESETS[name]
 
 
-def draw_hidden_sizes(config: TrainConfig, rng: np.random.Generator,
-                      n_layers: int = N_HIDDEN_LAYERS) -> tuple:
-    """Hidden layer widths drawn uniformly from the config's range."""
+def draw_hidden_sizes(config: TrainConfig, rng: np.random.Generator) -> tuple:
+    """N_HIDDEN_LAYERS hidden layer widths drawn uniformly from the config's range."""
     lo, hi = config.hidden_range
-    return tuple(int(v) for v in rng.integers(lo, hi + 1, size=n_layers))
+    return tuple(int(v) for v in rng.integers(lo, hi + 1, size=N_HIDDEN_LAYERS))
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ def init_model(layer_sizes, head: str, rng: np.random.Generator,
     return model
 
 
-def rescale_hidden_layers(model: DbnModel, frames, sample: int = 2000) -> None:
-    """Scale each hidden layer to unit mean active preactivation, in place.
+def rescale_hidden_layers(model: DbnModel, frames) -> None:
+    """Scale each hidden layer to unit mean active preactivation over the
+    first RESCALE_ROWS frames, in place.
 
     Rectified-linear layers are positively homogeneous, so per-layer
     positive rescaling leaves the representable function family unchanged;
@@ -140,7 +141,7 @@ def rescale_hidden_layers(model: DbnModel, frames, sample: int = 2000) -> None:
     sigmoid-unit pretraining otherwise leaves deep unrolled activations
     orders of magnitude too small.
     """
-    x = np.asarray(frames, dtype=np.float64)[:sample]
+    x = np.asarray(frames, dtype=np.float64)[:RESCALE_ROWS]
     a = x
     for l in range(len(model.layer_sizes) - 2):
         W, b = model.layer(l)

@@ -35,6 +35,10 @@ DESK_MDP = MdpTrainConfig(classifier=DESK_CLASSIFIER, regressor=DESK_REGRESSOR, 
 
 SINGLE_CHANNEL_SUBSETS = {"force": ["force"], "torque": ["torque"], "vib1_x": ["vib1_x"]}
 
+# runs per generated fleet: the training pool, then the held-out runs
+N_TRAIN_RUNS = 2
+N_TEST_RUNS = 1
+
 # framework names, in the order the CLI reports them
 FRAMEWORKS = ("multistate-smoothed", "multistate", "single-state-dbn")
 
@@ -54,18 +58,15 @@ class TrialConfig:
 
     synth: SynthConfig = field(default_factory=lambda: SynthConfig.desk(run_seconds=90.0))
     mdp: MdpTrainConfig = DESK_MDP
-    n_train_runs: int = 2
-    n_test_runs: int = 1
 
 
 def _fleet_datasets(trial: TrialConfig, seed: int):
     """Train pool plus per-run test datasets (run-level split, leakage free)."""
     spec = window_spec_for(trial.synth)
-    runs = generate_fleet(trial.synth, trial.n_train_runs + trial.n_test_runs,
-                          seed * 1000 + 17)
+    runs = generate_fleet(trial.synth, N_TRAIN_RUNS + N_TEST_RUNS, seed * 1000 + 17)
     datasets = [windowed_run(r, spec) for r in runs]
-    train = FrameDataset.concat(datasets[:trial.n_train_runs])
-    return train, datasets[trial.n_train_runs:]
+    train = FrameDataset.concat(datasets[:N_TRAIN_RUNS])
+    return train, datasets[N_TRAIN_RUNS:]
 
 
 def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
@@ -73,7 +74,7 @@ def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     trial = trial or TrialConfig()
     spec = window_spec_for(trial.synth)
     pooled = FrameDataset.concat([windowed_run(r, spec) for r in
-                                  generate_fleet(trial.synth, trial.n_train_runs,
+                                  generate_fleet(trial.synth, N_TRAIN_RUNS,
                                                  seed * 1000 + 29)])
     train, test = split(pooled, 0.85, seed)
     diagnoser, _, _ = train_diagnoser(train, trial.mdp, seed)
@@ -120,7 +121,6 @@ def framework_trial(train: FrameDataset, test_runs, config: MdpTrainConfig,
                for name, est in estimates.items()}
     return {
         "rmse_mdp": reports["multistate"].rmse,
-        "rmse_mdp_smoothed": reports["multistate-smoothed"].rmse,
         "rmse_single": reports["single-state-dbn"].rmse,
         "reports": reports,
         "specialist_wins": (sum(wins), len(wins)),

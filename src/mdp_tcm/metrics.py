@@ -16,6 +16,9 @@ import numpy as np
 
 REPORT_KEYS = ("accuracy", "gmean", "precision", "recall", "f1", "rmse", "r2score", "mape")
 
+# MAPE counts only targets of at least this wear: near-zero wear would dominate it
+MAPE_FLOOR_UM = 1.0
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -183,12 +186,12 @@ def classification_report(y, yhat, n_classes: int) -> MetricsReport:
     )
 
 
-def regression_report(y, yhat, mape_floor_um: float = 1.0) -> MetricsReport:
-    """RMSE / R2 / MAPE bundle; MAPE restricted to targets >= mape_floor_um."""
+def regression_report(y, yhat) -> MetricsReport:
+    """RMSE / R2 / MAPE bundle; MAPE restricted to targets >= MAPE_FLOOR_UM."""
     y, yhat = _check_pair(y, yhat)
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
-    mask = y >= mape_floor_um
+    mask = y >= MAPE_FLOOR_UM
     return MetricsReport(
         rmse=rmse(y, yhat),
         r2score=r2score(y, yhat),

@@ -190,6 +190,12 @@ def load_model(path):
         except ValueError as exc:
             raise DataError(f"{path}: {key} = {sizes}: {exc}") from None
 
+    def integer(key, default):
+        try:
+            return int(config.get(key, default))
+        except ValueError:
+            raise DataError(f"{path}: {key} = {config[key]}: not an integer") from None
+
     if kind in (KIND_CLASSIFIER, KIND_REGRESSOR):
         return network("", dbn.SOFTMAX if kind == KIND_CLASSIFIER else dbn.LINEAR)
     if kind == KIND_ECS:
@@ -204,9 +210,9 @@ def load_model(path):
             if route != "fallback":
                 regressors[state] = network(f"{route}.", dbn.LINEAR)
         try:
-            window = int(config.get("smoothing_window", 0)) or None
-            return MultiStateModel(diagnoser, regressors, fallback, smoothing_window=window,
-                                   sticky_steps=int(config.get("sticky_steps", 1)))
+            return MultiStateModel(diagnoser, regressors, fallback,
+                                   smoothing_window=integer("smoothing_window", 0) or None,
+                                   sticky_steps=integer("sticky_steps", 1))
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
     raise DataError(f"{path}: unknown model kind {kind!r}")

@@ -98,22 +98,18 @@ def energy(params: RbmParams, v, h) -> float:
                  - (v @ params.weights @ h))
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def prob_h_given_v(params: RbmParams, v) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(b_j + sum_i v_i w_ij). Accepts batches."""
     v = np.asarray(v, dtype=np.float64)
     _check_units(params, v=v)
-    return _sigmoid(v @ params.weights + params.hidden_bias)
+    return _kernels._sigmoid(v @ params.weights + params.hidden_bias)
 
 
 def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     """P(v_i = 1 | h) = sigmoid(a_i + sum_j h_j w_ij). Accepts batches."""
     h = np.asarray(h, dtype=np.float64)
     _check_units(params, h=h)
-    return _sigmoid(h @ params.weights.T + params.visible_bias)
+    return _kernels._sigmoid(h @ params.weights.T + params.visible_bias)
 
 
 def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generator):

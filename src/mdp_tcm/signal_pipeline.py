@@ -29,23 +29,6 @@ WEAR_EDGES_UM = (100.0, 200.0, 300.0)
 
 
 @dataclass(frozen=True)
-class ChannelSeries:
-    """One sensor channel sampled at a fixed rate."""
-
-    channel_id: str
-    sampling_rate_hz: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
 class WindowSpec:
     """Window sizing from spindle speed: tw covers `multiple` full rotations."""
 
@@ -138,28 +121,26 @@ def _same_layout(datasets) -> list:
     return datasets
 
 
-def normalize_channel(series: ChannelSeries) -> ChannelSeries:
-    """Min-max normalize one channel to [0, 1].
+def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
+    """The samples of one channel, min-max normalized to [0, 1].
 
     A constant channel maps to all zeros with a warning so a dead sensor
     does not abort the run.
     """
-    lo, span = _min_max_bounds(series)
-    out = np.zeros_like(series.samples) if span is None else (series.samples - lo) / span
-    return ChannelSeries(series.channel_id, series.sampling_rate_hz, out)
+    lo, span = _min_max_bounds(channel_id, samples)
+    return np.zeros_like(samples) if span is None else (samples - lo) / span
 
 
-def _min_max_bounds(series: ChannelSeries):
-    """(lo, hi - lo) over the channel's samples: min-max scaling maps each
-    sample x to (x - lo) / (hi - lo). (lo, None), with a warning, for a
+def _min_max_bounds(channel_id: str, x: np.ndarray):
+    """(lo, hi - lo) over a channel's samples `x`: min-max scaling maps each
+    sample to (x - lo) / (hi - lo). (lo, None), with a warning, for a
     constant channel, which maps to zeros (see `normalize_channel`)."""
-    x = series.samples
     if x.size == 0:
         raise ValueError("cannot normalize an empty channel")
     lo = float(x.min())
     hi = float(x.max())
     if hi == lo:
-        warnings.warn(f"channel {series.channel_id!r} is constant; normalized to zeros",
+        warnings.warn(f"channel {channel_id!r} is constant; normalized to zeros",
                       RuntimeWarning, stacklevel=3)
         return lo, None
     return lo, hi - lo
@@ -210,23 +191,20 @@ def frame_ends(n_samples: int, spec: WindowSpec) -> np.ndarray:
     return np.arange((n_samples - tw) // stride + 1) * stride + (tw - 1)
 
 
-def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
+def window(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     """Cut sliding windows over all channels and attach labels and targets.
 
-    Frame t covers samples [t*stride, t*stride + tw) of every channel,
-    flattened channel-major. Its wear target is the wear at the window's
-    last sample, with NaN gaps filled (see fill_wear_gaps); its state label
-    follows from that wear.
+    `channels` maps each channel id to its samples, in frame order, all
+    sampled at `spec.sampling_rate_hz`. Frame t covers samples
+    [t*stride, t*stride + tw) of every channel, flattened channel-major.
+    Its wear target is the wear at the window's last sample, with NaN gaps
+    filled (see fill_wear_gaps); its state label follows from that wear.
     """
-    channels = list(channels)
     if not channels:
         raise DataError("no channels given")
-    tau = len(channels[0])
-    for c in channels:
-        if len(c) != tau:
-            raise DataError("all channels must have the same length")
-        if c.sampling_rate_hz != channels[0].sampling_rate_hz:
-            raise DataError("all channels must share one sampling rate")
+    tau = len(next(iter(channels.values())))
+    if any(len(x) != tau for x in channels.values()):
+        raise DataError("all channels must have the same length")
     wear = np.asarray(wear_trajectory, dtype=np.float64)
     if len(wear) != tau:
         raise DataError("wear trajectory length must match the channels")
@@ -236,11 +214,10 @@ def window(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
     frames = np.empty((len(ends), len(channels) * tw))
-    for ci, c in enumerate(channels):
+    for ci, x in enumerate(channels.values()):
         frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
-            c.samples, tw)[::stride]
-    return FrameDataset(frames, label_states(targets), targets,
-                        tuple(c.channel_id for c in channels), tw)
+            x, tw)[::stride]
+    return FrameDataset(frames, label_states(targets), targets, tuple(channels), tw)
 
 
 def split(dataset: FrameDataset, train_ratio: float, seed: int):
@@ -268,12 +245,13 @@ _DIGEST_SIZE = 32  # sha256
 _READ_BLOCK = 1 << 16
 
 
-def load_run_csv(path, sampling_rate_hz: float):
+def load_run_csv(path):
     """Read one run: header of channel ids plus a wear_um column.
 
-    Returns (channels, wear_trajectory). Channels are returned raw;
-    normalize before windowing. Every channel sample must be finite; the
-    wear column may hold NaN gaps (see fill_wear_gaps).
+    Returns (channels, wear_trajectory): `channels` maps each channel id to
+    its raw samples, in header order; normalize before windowing. Every
+    channel sample must be finite; the wear column may hold NaN gaps (see
+    fill_wear_gaps). A column name may appear once.
 
     The parsed samples are kept beside the run in `<run>.csv.parsed.npy`
     (see `_read_parsed`), so a run is parsed once while its bytes stay the
@@ -304,6 +282,8 @@ def load_run_csv(path, sampling_rate_hz: float):
         names = [h.strip() for h in header.split(",")]
         if "wear_um" not in names:
             raise DataError(f"{path}: missing wear_um column")
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}: a column name appears more than once")
         if columns is None:
             # the parse decodes a whole block per read: at the default 8 KiB,
             # each read passes through `_HashingReader.readinto` on its own
@@ -325,8 +305,7 @@ def load_run_csv(path, sampling_rate_hz: float):
         col = int(np.argmax(bad[:, row]))
         raise DataError(f"{path}: channel {names[col]!r} has a non-finite sample "
                         f"at data row {row + 1}")
-    channels = [ChannelSeries(name, sampling_rate_hz, columns[i])
-                for i, name in enumerate(names) if i != wi]
+    channels = {name: columns[i] for i, name in enumerate(names) if i != wi}
     return channels, columns[wi]
 
 
@@ -532,16 +511,15 @@ def fill_wear_gaps(wear) -> np.ndarray:
     return wear
 
 
-def build_dataset(channels, spec: WindowSpec, wear_trajectory) -> FrameDataset:
+def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     """Normalize each channel to [0, 1] and window into frames.
 
     The frames are those of `window` over `normalize_channel` of each
-    channel, bit for bit, but the windows are cut from the raw samples and
-    scaled in place, each column by its channel's bounds: no scaled copy of
-    a channel is made. Overlapping windows scale each sample once per frame
-    that holds it."""
-    channels = list(channels)
-    bounds = [_min_max_bounds(c) for c in channels]
+    channel in `channels` (channel id -> samples), bit for bit, but the
+    windows are cut from the raw samples and scaled in place, each column
+    by its channel's bounds: no scaled copy of a channel is made.
+    Overlapping windows scale each sample once per frame that holds it."""
+    bounds = [_min_max_bounds(name, x) for name, x in channels.items()]
     ds = window(channels, spec, wear_trajectory)
     frames, tw = ds.frames, ds.window_len
     # one value per frame column; a constant channel's columns are zeroed

@@ -5,13 +5,14 @@ exponential to end-of-life) drives force, torque and twelve vibration
 channels. Dwell times per tool state follow a geometric progression set by
 `imbalance_skew`, so the fresh state dominates and worn is the minority.
 
-Each channel couples to wear through a shared linear component plus a
-channel-specific wear sub-band (`band_frac` sets the mix; 0 gives a pure
-linear coupling). The sub-bands are distributed so no single channel
-resolves the whole wear range, which is what makes multi-sensor fusion
-strictly more informative than any single channel. This generator makes no
-claim about drilling physics; it exists to give every pipeline property a
-checkable ground truth.
+Each channel couples to wear through a shared component, piecewise linear
+with a slope per tool state, plus a channel-specific wear sub-band
+(`band_frac` sets the mix; 0 leaves the shared component alone). The
+sub-bands are distributed so no single channel resolves the whole wear
+range, which is what makes multi-sensor fusion strictly more informative
+than any single channel. This generator makes no claim about drilling
+physics; it exists to give every pipeline property a checkable ground
+truth.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .signal_pipeline import ChannelSeries, WEAR_EDGES_UM, write_csv
+from .signal_pipeline import WEAR_EDGES_UM, write_csv
 from .seeding import substream
 
 CHANNEL_NAMES = ("force", "torque") + tuple(
@@ -47,13 +48,9 @@ for _s in range(1, 5):
     for _ax in ("x", "y", "z"):
         _BANDS[f"vib{_s}_{_ax}"] = ((_s - 1) / 4.0, _s / 4.0)
 
-
-def _per_channel(value, defaults):
-    if value is None:
-        return {c: defaults[c] for c in CHANNEL_NAMES}
-    if np.isscalar(value):
-        return {c: float(value) for c in CHANNEL_NAMES}
-    return {c: float(value[c]) for c in CHANNEL_NAMES}
+# spread of the per-state response slopes (see `_state_warp`); below 1, so
+# every response stays monotone in wear
+_STATE_WARP = 0.6
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,9 @@ class SynthConfig:
     sampling_rate_hz: float = 20000.0
     run_seconds: float = 120.0
     wear_end_um: float = 400.0
-    channel_gains: object = None    # scalar, mapping, or None for defaults
-    noise_std: object = None
+    noise_std: float | None = None  # one level for every channel; None for defaults
     noise_scale: float = 1.0        # multiplier on the per-channel noise levels
-    harmonic_amp: object = None
-    base_levels: object = None
     band_frac: float = 0.5
-    state_warp: float = 0.6         # spread of per-state response slopes (0 = off)
     imbalance_skew: float = 10.0
 
     def __post_init__(self):
@@ -80,8 +73,6 @@ class SynthConfig:
             raise ValueError("imbalance_skew must be >= 1")
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")
-        if not 0.0 <= self.state_warp < 1.0:
-            raise ValueError("state_warp must lie in [0, 1) to keep responses monotone")
         if not 0.0 <= self.band_frac <= 1.0:
             raise ValueError("band_frac must lie in [0, 1]")
 
@@ -99,7 +90,10 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthRun:
-    channels: tuple
+    """One run: each channel id's samples in CSV column order, and the wear
+    at each sample."""
+
+    channels: dict
     wear_trajectory: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -108,7 +102,7 @@ class SynthRun:
         if np.any(np.diff(wear) < 0):
             raise ValueError("wear trajectory must be monotone nondecreasing")
         object.__setattr__(self, "wear_trajectory", wear)
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "channels", dict(self.channels))
 
 
 def _state_dwells(skew: float) -> np.ndarray:
@@ -210,30 +204,21 @@ def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
     times = np.arange(n) / config.sampling_rate_hz
     spindle_hz = config.spindle_rpm / 60.0
 
-    gains = _per_channel(config.channel_gains, _GAIN)
-    noises = {c: config.noise_scale * v
-              for c, v in _per_channel(config.noise_std, _NOISE).items()}
-    amps = _per_channel(config.harmonic_amp, _AMP)
-    bases = _per_channel(config.base_levels, _BASE)
-    if gain_jitter is not None:
-        gains = {c: g * gain_jitter[c] for c, g in gains.items()}
-
-    channels = []
+    channels = {}
     for ci, name in enumerate(CHANNEL_NAMES):
-        lin = wear
-        if config.state_warp > 0.0:
-            lin = _state_warp(wear, ci, config.state_warp)
-        resp = lin
+        gain = _GAIN[name] if gain_jitter is None else _GAIN[name] * gain_jitter[name]
+        noise = config.noise_scale * (
+            _NOISE[name] if config.noise_std is None else float(config.noise_std))
+        resp = _state_warp(wear, ci, _STATE_WARP)
         if config.band_frac > 0.0:
             band = _band_response(wear, _BANDS[name], config.wear_end_um)
-            resp = (1.0 - config.band_frac) * lin + config.band_frac * band
-        x = bases[name] + gains[name] * resp
-        if amps[name] != 0.0:
-            x = x + amps[name] * np.sin(
-                2.0 * np.pi * spindle_hz * times + 2.0 * np.pi * ci / len(CHANNEL_NAMES))
-        if noises[name] > 0.0:
-            x = x + rng.normal(0.0, noises[name], size=n)
-        channels.append(ChannelSeries(name, config.sampling_rate_hz, x))
+            resp = (1.0 - config.band_frac) * resp + config.band_frac * band
+        x = _BASE[name] + gain * resp
+        x = x + _AMP[name] * np.sin(
+            2.0 * np.pi * spindle_hz * times + 2.0 * np.pi * ci / len(CHANNEL_NAMES))
+        if noise > 0.0:
+            x = x + rng.normal(0.0, noise, size=n)
+        channels[name] = x
 
     meta = {
         "seed": seed,
@@ -262,8 +247,8 @@ def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
 
 def write_run_csv(run: SynthRun, path) -> None:
     """The run-file format the signal pipeline ingests: channels + wear_um."""
-    names = [c.channel_id for c in run.channels] + ["wear_um"]
-    write_csv(path, names, [c.samples for c in run.channels] + [run.wear_trajectory])
+    write_csv(path, list(run.channels) + ["wear_um"],
+              list(run.channels.values()) + [run.wear_trajectory])
 
 
 def write_run_meta(run: SynthRun, path, created: str = "") -> None:

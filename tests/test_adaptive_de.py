@@ -63,14 +63,6 @@ class TestStep:
             assert np.all(state.population >= 0.0)
             assert np.all(state.population <= 1.0)
 
-    def test_zero_adaptation_rate_freezes_means(self):
-        config = DeConfig(population_size=8, adaptation_rate=0.0)
-        rng = substream(5, "de")
-        state = init_population(3, config, rng)
-        for _ in range(10):
-            state = step(state, l1_objective([0.2, 0.8, 0.5]), config, rng)
-        assert state.mu_f == 0.5 and state.mu_cr == 0.5
-
 
 class TestOptimize:
     def test_zero_generations_returns_initial_best(self):

@@ -13,8 +13,8 @@ from mdp_tcm.metrics import REPORT_KEYS
 from mdp_tcm.model_io import load_model, read_model_file, save_model, write_model_file
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
-from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset, WindowSpec,
-                                     build_dataset, compute_window_size, load_run_csv)
+from mdp_tcm.signal_pipeline import (FrameDataset, WindowSpec, build_dataset,
+                                     compute_window_size, load_run_csv)
 from mdp_tcm.synth import read_run_meta
 
 from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
@@ -29,7 +29,7 @@ TINY_DE_FLAGS = ["--de-population", "4", "--de-generations", "1"]
 def _windowed(run_file):
     """The frames `predict` windows from a run file and its sidecar."""
     meta = read_run_meta(run_file.with_suffix(".meta"))
-    channels, wear = load_run_csv(run_file, float(meta["sampling_rate_hz"]))
+    channels, wear = load_run_csv(run_file)
     return build_dataset(channels, WindowSpec(
         spindle_rpm=float(meta["spindle_rpm"]),
         sampling_rate_hz=float(meta["sampling_rate_hz"])), wear)
@@ -341,13 +341,12 @@ class TestPredict:
                             "--run", str(run), "--out", str(out)]) == 0
             assert (tmp_path / "run.csv.parsed.npy").exists()
 
-        def parse_only(path, rate):
+        def parse_only(path):
             with open(path, encoding="utf-8") as fh:
                 names = fh.readline().strip().split(",")
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
             wi = names.index("wear_um")
-            return ([ChannelSeries(n, rate, rows[:, i]) for i, n in enumerate(names)
-                     if i != wi], rows[:, wi])
+            return ({n: rows[:, i] for i, n in enumerate(names) if i != wi}, rows[:, wi])
 
         monkeypatch.setattr(cli, "load_run_csv", parse_only)
         assert run_cli(["predict", "--model", str(multistate_model),
@@ -365,6 +364,49 @@ class TestPredict:
         assert (f"data error: {reg}: predict needs a multistate model file, "
                 "not one of kind 'dbn-regressor'") in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+
+class TestFloatOptions:
+    # the options each command needs; none of the files exist, since the
+    # value is refused before any is read
+    REQUIRED = {"generate": ["--out", "o"],
+                "train": ["--data", "d", "--out", "o"],
+                "evaluate": ["--data", "d", "--out", "o"],
+                "predict": ["--model", "m", "--run", "r", "--out", "o"],
+                "ablate-sensors": ["--data", "d", "--out", "o"],
+                "compare-frameworks": ["--data", "d", "--out", "o"]}
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("generate", "--run-seconds", "inf"),
+        ("generate", "--rpm", "nan"),
+        ("generate", "--noise-std", "-inf"),
+        ("generate", "--band-frac", "NaN"),
+        ("predict", "--rate", "nan"),
+        ("predict", "--rate", "inf"),
+        ("predict", "--rpm", "1e999"),
+        ("predict", "--rate", "fast"),
+        ("train", "--learning-rate", "inf"),
+        ("evaluate", "--train-ratio", "nan"),
+        ("ablate-sensors", "--regressor-learning-rate", "-inf"),
+        ("compare-frameworks", "--classifier-learning-rate", "nan"),
+    ])
+    def test_non_finite_value_is_usage_error_naming_the_flag(self, tmp_path, monkeypatch,
+                                                             capsys, command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        # `--flag=value`, so that argparse takes "-inf" as a value
+        assert run_cli([command, f"{flag}={value}"] + self.REQUIRED[command]) == 1
+        assert (f"usage error: argument {flag}: not a finite number: {value!r}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_config_value_is_usage_error_naming_the_key(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("run-seconds = inf\n")
+        out = tmp_path / "o"
+        assert run_cli(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert ("usage error: config key run-seconds: not a finite number: 'inf'"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -766,10 +808,13 @@ class TestMalformedInput:
          "array diagnoser.costs has malformed shape '-4'"),
         ("regressor", b"array theta 25", b"array theta 2x-2",
          "array theta has malformed shape '2x-2'"),
-        ("multistate", b"sticky_steps = 1", b"sticky_steps = x", "invalid literal"),
+        ("multistate", b"sticky_steps = 1", b"sticky_steps = x",
+         "sticky_steps = x: not an integer"),
+        ("multistate", b"smoothing_window = 50", b"smoothing_window = 2.5",
+         "smoothing_window = 2.5: not an integer"),
     ], ids=["non-utf8", "non-integer-size", "theta-length", "route-theta-length",
             "array-shape", "negative-array-size", "negative-array-dimension",
-            "sticky-steps"])
+            "sticky-steps", "smoothing-window"])
     def test_bad_header_value_names_the_model(self, tmp_path, data_dir, capsys,
                                               kind, old, new, message):
         path = tmp_path / "m.model"

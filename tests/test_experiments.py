@@ -1,9 +1,9 @@
 """Single-seed smoke checks of the trial harness; the 10-seed sweeps live in
 the acceptance module."""
 
-from mdp_tcm.experiments import (FRAMEWORKS, TrialConfig, fleet_framework_trial,
-                                 fleet_sensor_subset_trial, imbalance_trial,
-                                 window_spec_for, windowed_run)
+from mdp_tcm.experiments import (FRAMEWORKS, N_TEST_RUNS, TrialConfig,
+                                 fleet_framework_trial, fleet_sensor_subset_trial,
+                                 imbalance_trial, window_spec_for, windowed_run)
 from mdp_tcm.synth import SynthConfig, generate_run
 
 FAST = TrialConfig(synth=SynthConfig.desk(run_seconds=60.0, noise_scale=1.5))
@@ -26,7 +26,7 @@ def test_imbalance_trial_fields():
 def test_framework_trial_fields():
     r = fleet_framework_trial(0, FAST)
     assert r["rmse_mdp"] > 0.0 and r["rmse_single"] > 0.0
-    assert len(r["per_run"]) == FAST.n_test_runs
+    assert len(r["per_run"]) == N_TEST_RUNS
     assert tuple(r["reports"]) == FRAMEWORKS
     assert r["reports"]["multistate"].rmse == r["rmse_mdp"]
     better, total = r["specialist_wins"]

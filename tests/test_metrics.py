@@ -129,5 +129,5 @@ class TestReport:
     def test_regression_report_mape_floor(self):
         y = np.array([0.5, 100.0, 200.0])
         yhat = np.array([0.0, 90.0, 210.0])
-        rep = metrics.regression_report(y, yhat, mape_floor_um=1.0)
+        rep = metrics.regression_report(y, yhat)
         assert rep.mape == pytest.approx((0.1 + 0.05) / 2, abs=1e-12)

@@ -11,36 +11,34 @@ import pytest
 import format_corpus
 from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
-from mdp_tcm.signal_pipeline import (ChannelSeries, FrameDataset,
+from mdp_tcm.signal_pipeline import (FrameDataset,
                                      WindowSpec, build_dataset, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, normalize_channel, split,
                                      window, write_csv)
 
 
-def ch(samples, name="force", rate=100.0):
-    return ChannelSeries(name, rate, np.asarray(samples, dtype=float))
+def norm(samples):
+    return normalize_channel("force", np.asarray(samples, dtype=float))
 
 
 class TestNormalize:
     def test_affine_endpoints(self):
-        out = normalize_channel(ch([2.0, 4.0, 6.0]))
-        assert np.allclose(out.samples, [0.0, 0.5, 1.0])
+        assert np.allclose(norm([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
 
     def test_constant_channel_warns_and_zeroes(self):
-        with pytest.warns(RuntimeWarning):
-            out = normalize_channel(ch([5.0, 5.0, 5.0]))
-        assert np.all(out.samples == 0.0)
+        with pytest.warns(RuntimeWarning, match="'force' is constant"):
+            out = norm([5.0, 5.0, 5.0])
+        assert np.all(out == 0.0)
 
     def test_already_normalized(self):
-        out = normalize_channel(ch([0.0, 1.0]))
-        assert np.array_equal(out.samples, [0.0, 1.0])
+        assert np.array_equal(norm([0.0, 1.0]), [0.0, 1.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        once = normalize_channel(ch(rng.normal(5, 3, 100)))
-        twice = normalize_channel(once)
-        assert np.max(np.abs(once.samples - twice.samples)) < 1e-12
+        once = norm(rng.normal(5, 3, 100))
+        twice = norm(once)
+        assert np.max(np.abs(once - twice)) < 1e-12
 
 
 class TestWindowSize:
@@ -90,18 +88,18 @@ class TestWindowing:
                           stride=stride)
 
     def test_frame_count_single_channel(self):
-        ds = window([ch(np.arange(10) / 10.0)], self.spec(4), np.zeros(10))
+        ds = window({"force": np.arange(10) / 10.0}, self.spec(4), np.zeros(10))
         assert len(ds) == 7
         assert np.allclose(ds.frames[0], np.arange(4) / 10.0)
 
     def test_frame_count_stride_three_two_channels(self):
-        chans = [ch(np.arange(10) / 10.0, "a"), ch(np.arange(10) / 20.0, "b")]
+        chans = {"a": np.arange(10) / 10.0, "b": np.arange(10) / 20.0}
         ds = window(chans, self.spec(4, stride=3), np.zeros(10))
         assert len(ds) == 3
         assert ds.frames.shape == (3, 8)
 
     def test_exact_fit_single_frame(self):
-        chans = [ch(np.linspace(0, 1, 1000), f"c{i}") for i in range(14)]
+        chans = {f"c{i}": np.linspace(0, 1, 1000) for i in range(14)}
         ds = window(chans, self.spec(1000), np.zeros(1000))
         assert len(ds) == 1
         assert ds.frames.shape == (1, 14000)
@@ -111,29 +109,30 @@ class TestWindowing:
         # strides below, at and above the window length
         for tau, tw, stride, m in [(11, 3, 1, 2), (16, 5, 4, 3), (9, 4, 2, 1), (12, 3, 3, 2),
                                    (23, 3, 5, 2), (20, 4, 7, 1)]:
-            chans = [ch(rng.random(tau), f"c{i}") for i in range(m)]
+            chans = [rng.random(tau) for _ in range(m)]
             wear = rng.random(tau) * 400
-            ds = window(chans, self.spec(tw, stride=stride), wear)
+            ds = window({f"c{i}": x for i, x in enumerate(chans)},
+                        self.spec(tw, stride=stride), wear)
             n_frames = (tau - tw) // stride + 1
             assert len(ds) == n_frames
             for t in range(n_frames):
                 for c in range(m):
                     for i in range(tw):
-                        assert ds.frames[t, c * tw + i] == chans[c].samples[t * stride + i]
+                        assert ds.frames[t, c * tw + i] == chans[c][t * stride + i]
                 assert ds.wear_targets[t] == wear[t * stride + tw - 1]
 
     def test_wear_target_is_window_end(self):
         wear = np.arange(10, dtype=float)
-        ds = window([ch(np.zeros(10) + 0.5)], self.spec(4), wear)
+        ds = window({"force": np.zeros(10) + 0.5}, self.spec(4), wear)
         assert np.array_equal(ds.wear_targets, [3, 4, 5, 6, 7, 8, 9])
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
-            window([ch(np.zeros(3))], self.spec(4), np.zeros(3))
+            window({"force": np.zeros(3)}, self.spec(4), np.zeros(3))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
-            window([ch(np.zeros(10)), ch(np.zeros(9), "b")], self.spec(4), np.zeros(10))
+            window({"force": np.zeros(10), "b": np.zeros(9)}, self.spec(4), np.zeros(10))
 
 
 class TestSplit:
@@ -187,10 +186,10 @@ class TestDatasetPlumbing:
             fh.write("force,torque,wear_um\n")
             for row, w in zip(data, wear):
                 fh.write(f"{row[0]:.12g},{row[1]:.12g},{w:.12g}\n")
-        channels, got_wear = load_run_csv(path, 100.0)
-        assert [c.channel_id for c in channels] == ["force", "torque"]
+        channels, got_wear = load_run_csv(path)
+        assert list(channels) == ["force", "torque"]
         assert np.allclose(got_wear, wear)
-        assert np.allclose(channels[0].samples, data[:, 0])
+        assert np.allclose(channels["force"], data[:, 0])
 
     @pytest.mark.parametrize("case", [
         "blocks-0", "blocks-1024", "blocks-2500", "random-bits", "special", "ties",
@@ -235,12 +234,18 @@ class TestDatasetPlumbing:
         path = tmp_path / "run.csv"
         path.write_text(f"force,torque,wear_um\n1,2,0\n3,{bad},nan\n5,6,20\n")
         with pytest.raises(DataError, match=r"channel 'torque'.*row 2"):
-            load_run_csv(path, 100.0)
+            load_run_csv(path)
+
+    def test_duplicate_column_name_rejected(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("force,force,wear_um\n1,2,0\n3,4,10\n")
+        with pytest.raises(DataError, match="a column name appears more than once"):
+            load_run_csv(path)
 
     def test_wear_gaps_pass_through(self, tmp_path):
         path = tmp_path / "run.csv"
         path.write_text("force,wear_um\n1,0\n3,nan\n5,20\n")
-        _, wear = load_run_csv(path, 100.0)
+        _, wear = load_run_csv(path)
         assert np.isnan(wear[1]) and np.allclose(fill_wear_gaps(wear), [0, 10, 20])
 
     def test_fill_wear_gaps_interpolates(self):
@@ -264,16 +269,19 @@ class TestBuildDataset:
     def test_frames_equal_window_over_normalized_channels(self, case):
         rng = np.random.default_rng(11)
         tau, tw = 3000, 40
-        channels = [ch(rng.normal(0, 10 ** k, tau) + 5 * k, f"c{k}") for k in range(-2, 3)]
+        names = [f"c{k}" for k in range(-2, 3)]
+        samples = [rng.normal(0, 10 ** k, tau) + 5 * k for k in range(-2, 3)]
         if case == "constant-channel":
-            channels[2] = ch(np.full(tau, -0.25), "dead")
+            names[2], samples[2] = "dead", np.full(tau, -0.25)
+        channels = dict(zip(names, samples))
         wear = np.linspace(0, 380, tau)
         spec = WindowSpec(spindle_rpm=60.0 * 100.0 / tw, sampling_rate_hz=100.0,
                           stride=tw // 3 if case == "overlapping" else None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = build_dataset(channels, spec, wear)
-            want = window([normalize_channel(c) for c in channels], spec, wear)
+            want = window({name: normalize_channel(name, x) for name, x in channels.items()},
+                          spec, wear)
         assert got.frames.tobytes() == want.frames.tobytes()
         assert got.wear_targets.tobytes() == want.wear_targets.tobytes()
         assert np.array_equal(got.state_labels, want.state_labels)
@@ -312,17 +320,17 @@ class TestReadMemory:
 
     def test_cold_read_holds_no_bytes_of_the_csv(self, run):
         # the parse's row-major matrix and its transposed copy, not the CSV's bytes
-        _, peak = self.traced_peak(lambda: load_run_csv(run, 20000.0))
+        _, peak = self.traced_peak(lambda: load_run_csv(run))
         assert (run.parent / "run.csv.parsed.npy").exists()
         assert peak <= 2.3 * self.sample_bytes
 
     def test_warm_read_holds_the_samples_once(self, run):
-        load_run_csv(run, 20000.0)
-        _, peak = self.traced_peak(lambda: load_run_csv(run, 20000.0))
+        load_run_csv(run)
+        _, peak = self.traced_peak(lambda: load_run_csv(run))
         assert peak <= 1.3 * self.sample_bytes
 
     def test_build_dataset_holds_the_frames_and_one_channel(self, run):
-        channels, wear = load_run_csv(run, 20000.0)
+        channels, wear = load_run_csv(run)
         spec = WindowSpec(spindle_rpm=1650.0, sampling_rate_hz=20000.0)
         ds, peak = self.traced_peak(lambda: build_dataset(channels, spec, wear))
         assert peak <= ds.frames.nbytes + wear.nbytes
@@ -334,7 +342,7 @@ class TestReadMemory:
             raise AssertionError("hash-only pass on a first read")
 
         monkeypatch.setattr(signal_pipeline, "_csv_digest", refuse)
-        load_run_csv(run, 20000.0)
+        load_run_csv(run)
         assert (run.parent / "run.csv.parsed.npy").exists()
 
 
@@ -358,8 +366,8 @@ class TestParsedRunCache:
 
     @staticmethod
     def read(path):
-        channels, wear = load_run_csv(path, 100.0)
-        return [c.samples for c in channels] + [wear]
+        channels, wear = load_run_csv(path)
+        return list(channels.values()) + [wear]
 
     def test_hit_is_bit_identical_to_the_parse_and_contiguous(self, tmp_path):
         path = self.make_run(tmp_path)
@@ -482,7 +490,7 @@ class TestParsedRunCache:
         messages = []
         for _ in range(2):
             with pytest.raises(DataError) as info:
-                load_run_csv(path, 100.0)
+                load_run_csv(path)
             messages.append(str(info.value))
         assert (tmp_path / "run.csv.parsed.npy").exists()
         assert messages[0] == messages[1]
