@@ -15,6 +15,7 @@ fanned-out 20 kHz train gets the bytes of one BLAS thread, as trials do.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -38,7 +39,8 @@ from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
 from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
-                              frame_ends, label_states, load_run_csv, write_csv)
+                              compute_window_size, frame_ends, label_states, load_run_csv,
+                              open_run_csv, write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -293,26 +295,52 @@ def _run_files(data_dir: str) -> list:
     return files
 
 
-def _load_runs(data_dir: str, stride: int | None):
-    """Per-run windowed datasets from a directory of run CSVs + sidecars,
-    in the order of `_run_files`."""
-    datasets = []
-    for f in _run_files(data_dir):
-        meta_path = f.with_suffix(".meta")
-        if not meta_path.exists():
-            raise DataError(f"missing sidecar {meta_path}")
-        meta = read_run_meta(meta_path)
-        datasets.append(_windowed_run(f, _sidecar_number(meta, "sampling_rate_hz", meta_path),
-                                      _sidecar_number(meta, "spindle_rpm", meta_path), stride))
-    return datasets
+def _load_runs(data_dir: str, stride: int | None, keep=None):
+    """(pool, runs): the windowed runs of a directory of run CSVs + sidecars,
+    all in the rows of one frame matrix, which `pool` holds. `runs` holds
+    each run's dataset, a row-slice view of `pool`, in the order of
+    `_run_files`; given `keep`, run indices into that order, only those
+    runs are read, in that order.
+
+    A first pass opens every run (`open_run_csv`: one hash of its CSV, or
+    its parse on a first read), which checks it and gives its frame count;
+    the matrix is then made, and each kept run read into its rows in turn.
+    So no run's samples or frames are held twice, and one run's samples
+    at a time."""
+    files = _run_files(data_dir)
+    with contextlib.ExitStack() as stack:
+        opened = []
+        for f in files:
+            meta_path = f.with_suffix(".meta")
+            if not meta_path.exists():
+                raise DataError(f"missing sidecar {meta_path}")
+            meta = read_run_meta(meta_path)
+            rate = _sidecar_number(meta, "sampling_rate_hz", meta_path)
+            spec = WindowSpec(spindle_rpm=_sidecar_number(meta, "spindle_rpm", meta_path),
+                              sampling_rate_hz=rate, stride=stride)
+            run = stack.enter_context(open_run_csv(f))
+            layout = (run.channel_ids, compute_window_size(spec))
+            if opened and layout != opened[0][1]:
+                raise DataError(f"run {f} differs from run {files[0]} in its channels "
+                                "or its window length")
+            opened.append((run, layout, spec, len(frame_ends(run.n_samples, spec))))
+        kept = opened if keep is None else [opened[i] for i in keep]
+        channel_ids, tw = opened[0][1]
+        ends = np.cumsum([n for *_, n in kept])
+        frames = np.empty((ends[-1], len(channel_ids) * tw))
+        runs = [_windowed_run(run, spec, frames[end - n:end])
+                for (run, _, spec, n), end in zip(kept, ends)]
+    pool = FrameDataset(frames, np.concatenate([ds.state_labels for ds in runs]),
+                        np.concatenate([ds.wear_targets for ds in runs]), channel_ids, tw)
+    return pool, runs
 
 
-def _windowed_run(path, rate: float, rpm: float, stride: int | None) -> FrameDataset:
-    """The frames of one run CSV. Its samples go when this returns, before
-    the caller reads another run or runs inference."""
+def _windowed_run(path, spec: WindowSpec, out=None) -> FrameDataset:
+    """The frames of one run CSV, or of a `RunCsv`, made in `out` when it is
+    given. Its samples go when this returns, before the caller reads
+    another run or runs inference."""
     channels, wear = load_run_csv(path)
-    spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=stride)
-    return build_dataset(channels, spec, wear)
+    return build_dataset(channels, spec, wear, out)
 
 
 def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
@@ -353,11 +381,21 @@ def _split_indices(n_runs: int, ratio: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
-def _split_runs(datasets, ratio: float, seed: int):
-    """(train pool, held-out per-run datasets): a seeded split of whole runs."""
-    train, held = _split_indices(len(datasets), ratio, seed)
-    return (FrameDataset.concat([datasets[i] for i in train]),
-            [datasets[i] for i in held])
+def _split_runs(runs, ratio: float, seed: int):
+    """(training rows, held-out runs): a seeded split of whole runs, which
+    lie in turn in the rows of one pool (`_load_runs`). The training rows
+    index the pool's frames of the training runs, run after run in split
+    order."""
+    train, held = _split_indices(len(runs), ratio, seed)
+    bounds = _run_bounds(runs)
+    return (np.concatenate([np.arange(*bounds[i]) for i in train]),
+            [runs[i] for i in held])
+
+
+def _run_bounds(runs) -> list:
+    """(start, stop) of each run's rows in the pool that holds them in turn."""
+    ends = np.cumsum([len(ds) for ds in runs])
+    return [(int(end) - len(ds), int(end)) for ds, end in zip(runs, ends)]
 
 
 def _fmt(v) -> str:
@@ -379,15 +417,17 @@ def _worker_count(n_items: int) -> int:
     return min(int(text), n_items, usable_cores())
 
 
-def _run_trials(cfg: RunConfig, datasets, trial) -> list:
-    """`trial(train_set, eval_sets, seed)` for the --trials seeds from --seed
-    on, each on its own split of the runs; the results in seed order."""
+def _run_trials(cfg: RunConfig, pool: FrameDataset, runs, trial) -> list:
+    """`trial(pool, train_rows, eval_sets, seed)` for the --trials seeds from
+    --seed on, each on its own split of the runs (`_split_runs`); the
+    results in seed order."""
     if cfg["trials"] < 1:
         raise UsageError(f"--trials must be at least 1, not {cfg['trials']}")
     seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
 
     def one(seed: int):
-        return trial(*_split_runs(datasets, cfg["train-ratio"], seed), seed)
+        rows, held = _split_runs(runs, cfg["train-ratio"], seed)
+        return trial(pool, rows, held, seed)
 
     return list(map_forked(one, seeds, _worker_count(len(seeds))))
 
@@ -449,22 +489,22 @@ def _mdp_config(cfg: RunConfig) -> MdpTrainConfig:
 
 
 def _train_one(kind: str, config: MdpTrainConfig, train_set: FrameDataset, seed: int,
-               log=print):
+               log=print, rows=None):
     """Train the requested kind, the multistate pipeline or one of its
-    sub-models; returns (model, history dict). A multistate train reports
-    its progress through `log`."""
+    sub-models, on `train_set` or on its `rows`; returns (model, history
+    dict). A multistate train reports its progress through `log`."""
     if kind == KIND_MULTISTATE:
         # train_mdp's jobs: the diagnoser, the fallback and one regressor per state
         return train_mdp(train_set, config, seed, log=log,
-                         workers=_worker_count(2 + N_STATES))
+                         workers=_worker_count(2 + N_STATES), rows=rows)
     if kind == KIND_ECS:
-        model, loss, de_history = train_diagnoser(train_set, config, seed)
+        model, loss, de_history = train_diagnoser(train_set, config, seed, rows)
         return model, {"de": de_history, "loss": {"classifier": loss}}
     if kind == KIND_CLASSIFIER:
-        model, loss = train_state_classifier(train_set, config, seed)
+        model, loss = train_state_classifier(train_set, config, seed, rows)
         return model, {"loss": {"classifier": loss}}
     if kind == KIND_REGRESSOR:
-        model, loss = train_wear_regressor(train_set, config, seed)
+        model, loss = train_wear_regressor(train_set, config, seed, rows=rows)
         return model, {"loss": {"regressor": loss}}
     raise UsageError(f"unknown model kind {kind!r}")
 
@@ -487,13 +527,12 @@ def _write_histories(out_stem: Path, history: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    datasets = _load_runs(cfg["data"], cfg["stride"])
+    keep = None
     if cfg["train-ratio"] < 1.0:
-        train = _split_indices(len(datasets), cfg["train-ratio"], cfg["seed"])[0]
-        datasets = [datasets[i] for i in train]
-    # the training pool holds its own copy of the frames it needs
-    train_set = FrameDataset.concat(datasets)
-    del datasets
+        keep = _split_indices(len(_run_files(cfg["data"])), cfg["train-ratio"],
+                              cfg["seed"])[0]
+    # every run is checked, and the training runs alone are read, in split order
+    train_set = _load_runs(cfg["data"], cfg["stride"], keep)[0]
     per_state = np.bincount(train_set.state_labels, minlength=N_STATES)
     if cfg["kind"] in (KIND_ECS, KIND_CLASSIFIER, KIND_MULTISTATE) and np.any(per_state == 0):
         missing = [s for s in range(N_STATES) if per_state[s] == 0]
@@ -557,10 +596,11 @@ def _write_report(out_prefix: Path, report: MetricsReport) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    datasets = _load_runs(cfg["data"], cfg["stride"])
-    channels = _channel_list(cfg["channels"], datasets[0].channel_ids)
+    pool, datasets = _load_runs(cfg["data"], cfg["stride"])
+    channels = _channel_list(cfg["channels"], pool.channel_ids)
     if channels is not None:
-        datasets = [ds.select_channels(channels) for ds in datasets]
+        pool = pool.select_channels(channels)
+        datasets = [pool.subset(slice(*bounds)) for bounds in _run_bounds(datasets)]
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -584,13 +624,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     # come back with its report, so that they print in seed order
     config = _mdp_config(cfg)
 
-    def trial(train_set, eval_sets, seed: int):
+    def trial(pool, train_rows, eval_sets, seed: int):
         lines = []
-        model = _train_one(cfg["kind"], config, train_set, seed, log=lines.append)[0]
+        model = _train_one(cfg["kind"], config, pool, seed, log=lines.append,
+                           rows=train_rows)[0]
         return _evaluate_model(model, eval_sets), lines
 
     rows = []
-    for report, lines in _run_trials(cfg, datasets, trial):
+    for report, lines in _run_trials(cfg, pool, datasets, trial):
         for line in lines:
             print(line)
         rows.append(tuple(report.as_dict().values()))
@@ -621,7 +662,8 @@ def cmd_predict(cfg: RunConfig) -> int:
                                                              meta_path)
     if rpm is None or rate is None:
         raise UsageError("no sidecar found; supply --rpm and --rate")
-    ds = _windowed_run(run_path, rate, rpm, cfg["stride"])
+    ds = _windowed_run(run_path, WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate,
+                                            stride=cfg["stride"]))
     _check_frame_width(model, cfg["model"], ds, run_path)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
@@ -651,22 +693,22 @@ def _write_table(cfg: RunConfig, suffix: str, first_column: str, names, results,
 
 
 def cmd_ablate_sensors(cfg: RunConfig) -> int:
-    datasets = _load_runs(cfg["data"], cfg["stride"])
+    pool, runs = _load_runs(cfg["data"], cfg["stride"])
     names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
-    subsets = {name: _channel_list(name, datasets[0].channel_ids) for name in names}
+    subsets = {name: _channel_list(name, pool.channel_ids) for name in names}
     config = _train_config(cfg, "prognosis-default", "regressor")
-    results = _run_trials(cfg, datasets, lambda train_set, eval_sets, seed:
-                          sensor_subset_trial(train_set, eval_sets, subsets, config, seed))
+    results = _run_trials(cfg, pool, runs, lambda pool, rows, eval_sets, seed:
+                          sensor_subset_trial(pool, eval_sets, subsets, config, seed, rows))
     _write_table(cfg, _SENSOR_ABLATION, "subset", names, results,
                  ("rmse", "r2score", "mape"))
     return 0
 
 
 def cmd_compare_frameworks(cfg: RunConfig) -> int:
-    datasets = _load_runs(cfg["data"], cfg["stride"])
+    pool, runs = _load_runs(cfg["data"], cfg["stride"])
     config = _mdp_config(cfg)
-    results = _run_trials(cfg, datasets, lambda train_set, eval_sets, seed:
-                          framework_trial(train_set, eval_sets, config, seed)["reports"])
+    results = _run_trials(cfg, pool, runs, lambda pool, rows, eval_sets, seed:
+                          framework_trial(pool, eval_sets, config, seed, rows)["reports"])
     _write_table(cfg, _FRAMEWORKS, "framework", FRAMEWORKS, results,
                  ("rmse", "r2score"))
     return 0

@@ -56,6 +56,12 @@ def preset(name: str) -> TrainConfig:
     return PRESETS[name]
 
 
+def gather(a, rows):
+    """The rows of `a` that the index array `rows` names, in its order, as
+    a new array; `a` itself when `rows` is None."""
+    return a if rows is None else a[rows]
+
+
 def draw_hidden_sizes(config: TrainConfig, rng: np.random.Generator) -> tuple:
     """N_HIDDEN_LAYERS hidden layer widths drawn uniformly from the config's range."""
     lo, hi = config.hidden_range
@@ -131,9 +137,9 @@ def init_model(layer_sizes, head: str, rng: np.random.Generator,
     return model
 
 
-def rescale_hidden_layers(model: DbnModel, frames) -> None:
+def rescale_hidden_layers(model: DbnModel, frames, rows=None) -> None:
     """Scale each hidden layer to unit mean active preactivation over the
-    first RESCALE_ROWS frames, in place.
+    first RESCALE_ROWS frames (of `frames[rows]`, given `rows`), in place.
 
     Rectified-linear layers are positively homogeneous, so per-layer
     positive rescaling leaves the representable function family unchanged;
@@ -141,8 +147,8 @@ def rescale_hidden_layers(model: DbnModel, frames) -> None:
     sigmoid-unit pretraining otherwise leaves deep unrolled activations
     orders of magnitude too small.
     """
-    x = np.asarray(frames, dtype=np.float64)[:RESCALE_ROWS]
-    a = x
+    a = np.asarray(frames, dtype=np.float64)
+    a = a[:RESCALE_ROWS] if rows is None else a[rows[:RESCALE_ROWS]]
     for l in range(len(model.layer_sizes) - 2):
         W, b = model.layer(l)
         pre = a @ W + b
@@ -154,14 +160,19 @@ def rescale_hidden_layers(model: DbnModel, frames) -> None:
         a = np.maximum(a @ W + b, 0.0)
 
 
-def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator):
+def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator,
+             rows=None):
     """Greedy layer-wise pretraining of the hidden-layer RBM stack.
 
     Each RBM trains on the sigmoid hidden probabilities of its predecessor;
-    raw frames (already in [0, 1]) feed the first. Returns the RBM list.
+    raw frames (already in [0, 1]) feed the first. Given `rows`, the
+    frames are `frames[rows]`: the first RBM trains through the index
+    array, and its visible mean and hidden probabilities, which need every
+    row at once, are taken over a gather that lasts only as long as each.
+    Returns the RBM list.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] == 0:
+    if frames.ndim != 2 or (len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("pretraining needs a nonempty 2-D frame matrix")
     sizes = tuple(int(s) for s in layer_sizes)
     cd = rbm_mod.CdConfig(epochs=config.pretrain_epochs,
@@ -171,10 +182,10 @@ def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator)
     rep = frames
     for l in range(len(sizes) - 2):
         params = rbm_mod.init_params(sizes[l], sizes[l + 1], rng,
-                                     visible_mean=rep.mean(axis=0))
-        params, _ = rbm_mod.train_rbm(params, rep, cd, rng)
+                                     visible_mean=gather(rep, rows).mean(axis=0))
+        params, _ = rbm_mod.train_rbm(params, rep, cd, rng, rows=rows)
         stack.append(params)
-        rep = rbm_mod.prob_h_given_v(params, rep)
+        rep, rows = rbm_mod.prob_h_given_v(params, gather(rep, rows)), None
     return stack
 
 
@@ -246,9 +257,13 @@ def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
 
 
 def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
-              rng: np.random.Generator):
+              rng: np.random.Generator, rows=None):
+    """SGD on the rows of `frames` and `targets`, or, given the index array
+    `rows`, on those rows, with the bytes of training on `frames[rows]` and
+    `targets[rows]`: each epoch's batches gather their rows through
+    `rows[rng.permutation(len(rows))]`."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] == 0:
+    if frames.ndim != 2 or (n := len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("fine-tuning needs a nonempty 2-D frame matrix")
     if frames.shape[1] != model.n_inputs:
         raise ValueError("frame width does not match the model input size")
@@ -259,13 +274,15 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
         y = np.asarray(targets, dtype=np.int64)
         if len(y) != len(frames):
             raise ValueError("labels and frames must have equal length")
-        if y.min() < 0 or y.max() >= model.n_outputs:
+        seen = gather(y, rows)
+        if seen.min() < 0 or seen.max() >= model.n_outputs:
             raise ValueError("class label out of range")
     else:
         y = np.asarray(targets, dtype=np.float64)
         if len(y) != len(frames):
             raise ValueError("targets and frames must have equal length")
-        if not np.isfinite(y).all():
+        seen = gather(y, rows)
+        if not np.isfinite(seen).all():
             raise ValueError("regression targets must be finite")
 
     # SGD on wear-scale targets is ill-conditioned (optimal head weights grow
@@ -273,7 +290,7 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
     # scaled by a power of two; the scaling round-trips bit-exactly.
     scale = 1.0
     if model.head == LINEAR:
-        spread = float(np.std(y))
+        spread = float(np.std(seen))
         if spread > 2.0:
             scale = 2.0 ** int(np.ceil(np.log2(spread)))
     head_w, head_b = _kernels.layer_views(theta, sizes)[-1]
@@ -283,8 +300,10 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
         y = y / scale
 
     for epoch in range(config.finetune_epochs):
-        history[epoch] = _kernels.sgd_epoch(theta, sizes, frames, y,
-                                            rng.permutation(frames.shape[0]),
+        order = rng.permutation(n)
+        if rows is not None:
+            order = rows[order]
+        history[epoch] = _kernels.sgd_epoch(theta, sizes, frames, y, order,
                                             config.batch_size, config.learning_rate,
                                             model.head)
         if not np.isfinite(theta).all():
@@ -297,38 +316,47 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
 
 
 def finetune_classifier(model: DbnModel, frames, labels, config: TrainConfig,
-                        rng: np.random.Generator):
-    """Mini-batch SGD on mean NLL. Returns (model, per-epoch loss)."""
+                        rng: np.random.Generator, rows=None):
+    """Mini-batch SGD on mean NLL (on `rows`, see `_finetune`).
+    Returns (model, per-epoch loss)."""
     if model.head != SOFTMAX:
         raise ValueError("finetune_classifier requires a softmax head")
-    return _finetune(model, frames, labels, config, rng)
+    return _finetune(model, frames, labels, config, rng, rows)
 
 
 def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
-                       rng: np.random.Generator):
-    """Mini-batch SGD on mean squared error. Returns (model, per-epoch loss)."""
+                       rng: np.random.Generator, rows=None):
+    """Mini-batch SGD on mean squared error (on `rows`, see `_finetune`).
+    Returns (model, per-epoch loss)."""
     if model.head != LINEAR:
         raise ValueError("finetune_regressor requires a linear head")
-    return _finetune(model, frames, targets, config, rng)
+    return _finetune(model, frames, targets, config, rng, rows)
 
 
-def train_classifier(frames, labels, layer_sizes, config: TrainConfig, seed: int):
-    """Pretrain + fine-tune a classifier end to end from a run seed."""
-    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"))
+def train_classifier(frames, labels, layer_sizes, config: TrainConfig, seed: int,
+                     rows=None):
+    """Pretrain + fine-tune a classifier end to end from a run seed; given
+    the index array `rows`, on those rows of `frames` and `labels`, with
+    the bytes of training on `frames[rows]` and `labels[rows]`."""
+    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"), rows)
     model = init_model(layer_sizes, SOFTMAX, substream(seed, "init"), rbm_stack=stack)
-    rescale_hidden_layers(model, frames)
-    return finetune_classifier(model, frames, labels, config, substream(seed, "finetune"))
+    rescale_hidden_layers(model, frames, rows)
+    return finetune_classifier(model, frames, labels, config, substream(seed, "finetune"),
+                               rows)
 
 
-def train_regressor(frames, targets, layer_sizes, config: TrainConfig, seed: int):
-    """Pretrain + fine-tune a scalar regressor end to end from a run seed.
+def train_regressor(frames, targets, layer_sizes, config: TrainConfig, seed: int,
+                    rows=None):
+    """Pretrain + fine-tune a scalar regressor end to end from a run seed;
+    `rows` as in `train_classifier`.
 
     The head bias starts at the target mean so early residuals are centered;
     SGD at wear-scale targets diverges otherwise.
     """
-    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"))
+    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"), rows)
     model = init_model(layer_sizes, LINEAR, substream(seed, "init"), rbm_stack=stack)
-    rescale_hidden_layers(model, frames)
+    rescale_hidden_layers(model, frames, rows)
     _, head_bias = model.layer(len(model.layer_sizes) - 2)
-    head_bias[0] = float(np.mean(targets))
-    return finetune_regressor(model, frames, targets, config, substream(seed, "finetune"))
+    head_bias[0] = float(np.mean(gather(np.asarray(targets), rows)))
+    return finetune_regressor(model, frames, targets, config, substream(seed, "finetune"),
+                              rows)

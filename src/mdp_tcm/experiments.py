@@ -18,8 +18,8 @@ import numpy as np
 from . import dbn
 from .adaptive_de import DeConfig
 from .metrics import confusion, gmean, regression_report, rmse
-from .multistate import (MdpTrainConfig, diagnose, estimate_wear_detailed, train_diagnoser,
-                         train_mdp)
+from .multistate import (MdpTrainConfig, diagnose, estimate_wear_detailed, state_rows,
+                         train_diagnoser, train_mdp)
 from .signal_pipeline import FrameDataset, N_STATES, WindowSpec, build_dataset, split
 from .synth import SynthConfig, generate_fleet
 from .seeding import substream
@@ -88,18 +88,20 @@ def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
 
 
 def framework_trial(train: FrameDataset, test_runs, config: MdpTrainConfig,
-                    seed: int) -> dict:
+                    seed: int, rows=None) -> dict:
     """Multi-state vs single-state wear estimation on held-out runs.
 
     The single-state baseline is the pipeline's own fallback regressor
     (trained on all frames with the same budget), so the comparison
     isolates the multi-state routing. `reports` holds one regression report
-    per framework in FRAMEWORKS, over all test runs pooled.
+    per framework in FRAMEWORKS, over all test runs pooled. Given the
+    index array `rows`, the models train on those rows of `train` (see
+    `multistate.train_mdp`).
     """
-    model, _ = train_mdp(train, config, seed)
+    model, _ = train_mdp(train, config, seed, rows=rows)
 
     def train_rmse(reg, state):
-        idx = train.state_labels == state
+        idx = state_rows(train, state, rows)
         return rmse(train.wear_targets[idx], dbn.predict_regression(reg, train.frames[idx]))
 
     # does each state's own regressor fit its state at least as well as the fallback?
@@ -129,19 +131,25 @@ def framework_trial(train: FrameDataset, test_runs, config: MdpTrainConfig,
 
 
 def sensor_subset_trial(train: FrameDataset, test_runs, subsets: dict,
-                        config: dbn.TrainConfig, seed: int) -> dict:
+                        config: dbn.TrainConfig, seed: int, rows=None) -> dict:
     """One regressor per channel subset, same budget each.
 
     `subsets` maps a name to a channel list, or to None for all channels.
-    Returns the test regression report of each subset, by name.
+    Returns the test regression report of each subset, by name. Given the
+    index array `rows`, the regressors train on those rows of `train`.
     """
     results = {}
     for name, channels in subsets.items():
-        tr = train if channels is None else train.select_channels(channels)
+        tr, tr_rows = train, rows
+        if channels is not None:
+            # a copy of the subset's channels, on the training rows alone
+            tr = (train if rows is None else train.subset(rows)).select_channels(channels)
+            tr_rows = None
         tests = test_runs if channels is None else [t.select_channels(channels) for t in test_runs]
         hidden = dbn.draw_hidden_sizes(config, substream(seed, f"arch-{name}"))
         sizes = (tr.n_features,) + hidden + (1,)
-        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed)
+        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed,
+                                       tr_rows)
         preds = [dbn.predict_regression(model, t.frames) for t in tests]
         wear = np.concatenate([t.wear_targets for t in tests])
         results[name] = regression_report(wear, np.concatenate(preds))

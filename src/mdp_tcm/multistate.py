@@ -181,38 +181,51 @@ def layer_sizes(config: MdpTrainConfig, n_in: int, seed: int):
     return (n_in,) + hidden + (N_STATES,), (n_in,) + reg_hidden + (1,)
 
 
-def train_state_classifier(train_set: FrameDataset, config: MdpTrainConfig, seed: int):
+def state_rows(train_set: FrameDataset, state: int, rows=None) -> np.ndarray:
+    """The indices of the rows of `train_set`, or of its `rows`, whose
+    frames are labelled `state`, in order."""
+    idx = np.nonzero(dbn.gather(train_set.state_labels, rows) == state)[0]
+    return idx if rows is None else rows[idx]
+
+
+# Every trainer below trains on the frames of `train_set`, or, given the
+# index array `rows`, on those of its rows, with the bytes of training on
+# `train_set.subset(rows)` and without that copy (see `dbn.train_classifier`).
+
+def train_state_classifier(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
+                           rows=None):
     """The state classifier, before any cost search: (DbnModel, losses)."""
     sizes = layer_sizes(config, train_set.n_features, seed)[0]
     return dbn.train_classifier(train_set.frames, train_set.state_labels, sizes,
-                                config.classifier, seed)
+                                config.classifier, seed, rows)
 
 
-def train_diagnoser(train_set: FrameDataset, config: MdpTrainConfig, seed: int):
+def train_diagnoser(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
+                    rows=None):
     """The state classifier and its costs, evolved by DE seeded from `seed`:
     (EcsDbnModel, losses, DE history)."""
-    clf, losses = train_state_classifier(train_set, config, seed)
-    costs, de_history = evolve(clf, train_set.frames, train_set.state_labels, config.de,
+    clf, losses = train_state_classifier(train_set, config, seed, rows)
+    costs, de_history = evolve(clf, dbn.gather(train_set.frames, rows),
+                               dbn.gather(train_set.state_labels, rows), config.de,
                                substream(seed, "de"))
     return EcsDbnModel(clf, costs), losses, de_history
 
 
 def train_wear_regressor(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
-                         state: int | None = None):
+                         state: int | None = None, rows=None):
     """The fallback wear regressor on every frame, or, given a state, that
     state's regressor on its frames, seeded `seed + 1000 + state`:
     (DbnModel, losses)."""
     sizes = layer_sizes(config, train_set.n_features, seed)[1]
-    frames, targets = train_set.frames, train_set.wear_targets
     if state is not None:
-        idx = np.nonzero(train_set.state_labels == state)[0]
-        frames, targets, seed = frames[idx], targets[idx], seed + 1000 + state
-    return dbn.train_regressor(frames, targets, sizes, config.regressor, seed)
+        rows, seed = state_rows(train_set, state, rows), seed + 1000 + state
+    return dbn.train_regressor(train_set.frames, train_set.wear_targets, sizes,
+                               config.regressor, seed, rows)
 
 
 def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
-              log=None, workers: int = 1):
-    """Train the full pipeline on one dataset.
+              log=None, workers: int = 1, rows=None):
+    """Train the full pipeline on one dataset (or on its `rows`, see above).
 
     Trains the classifier, evolves its misclassification costs on the
     training posteriors, then fits one wear regressor per state with at
@@ -224,15 +237,16 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
     to `workers` forked processes train them (`fanout.map_forked`); the
     model, the history and the log lines are the same for any count.
     """
-    if len(train_set) == 0:
+    labels = dbn.gather(train_set.state_labels, rows)
+    if len(labels) == 0:
         raise DataError("empty training set")
     say = log if log is not None else (lambda msg: None)
 
     clf_sizes, reg_sizes = layer_sizes(config, train_set.n_features, seed)
-    counts = np.bincount(train_set.state_labels, minlength=N_STATES)
-    jobs = [partial(train_diagnoser, train_set, config, seed),
-            partial(train_wear_regressor, train_set, config, seed)]
-    jobs += [partial(train_wear_regressor, train_set, config, seed, state)
+    counts = np.bincount(labels, minlength=N_STATES)
+    jobs = [partial(train_diagnoser, train_set, config, seed, rows=rows),
+            partial(train_wear_regressor, train_set, config, seed, rows=rows)]
+    jobs += [partial(train_wear_regressor, train_set, config, seed, state, rows=rows)
              for state, count in enumerate(counts) if count >= config.min_state_samples]
 
     say(f"training diagnoser {clf_sizes}")

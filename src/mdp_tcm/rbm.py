@@ -112,18 +112,22 @@ def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     return _kernels._sigmoid(h @ params.weights.T + params.visible_bias)
 
 
-def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generator):
+def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generator,
+              rows=None):
     """Mini-batch CD-k training for `epochs` full passes.
 
     Hidden states are sampled binary along the Gibbs chain; visible
     reconstructions and the final hidden statistics use probabilities.
+    Given `rows`, an index array, training runs on those rows of `data`
+    and gives the bytes of training on `data[rows]`: each epoch's batches
+    gather their rows through `rows[rng.permutation(len(rows))]`.
 
     Returns (trained params, per-epoch mean squared reconstruction error).
     Runs the numpy CD kernel; raises NumericError if parameters
     leave the finite range.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
+    if data.ndim != 2 or (n := len(data) if rows is None else len(rows)) == 0:
         raise ValueError("training data must be a nonempty 2-D matrix")
     _check_units(params, v=data)
     W = params.weights.copy()
@@ -131,8 +135,10 @@ def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generato
     b = params.hidden_bias.copy()
     history = np.zeros(config.epochs)
     for epoch in range(config.epochs):
-        order = rng.permutation(data.shape[0])
-        uniforms = rng.random((data.shape[0], config.gibbs_steps, params.n_hidden))
+        order = rng.permutation(n)
+        if rows is not None:
+            order = rows[order]
+        uniforms = rng.random((n, config.gibbs_steps, params.n_hidden))
         err = _kernels.cd_epoch(W, a, b, data, order, config.batch_size,
                                 config.learning_rate, config.gibbs_steps, uniforms)
         if not (np.isfinite(W).all() and np.isfinite(a).all() and np.isfinite(b).all()):

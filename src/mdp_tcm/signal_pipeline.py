@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
 import stat
 import tempfile
@@ -38,6 +39,8 @@ class WindowSpec:
     stride: int | None = None  # None -> non-overlapping (stride = tw)
 
     def __post_init__(self):
+        if not (math.isfinite(self.spindle_rpm) and math.isfinite(self.sampling_rate_hz)):
+            raise ValueError("spindle_rpm and sampling_rate_hz must be finite")
         if self.spindle_rpm <= 0 or self.sampling_rate_hz <= 0:
             raise ValueError("spindle_rpm and sampling_rate_hz must be positive")
         if self.multiple < 1:
@@ -191,7 +194,7 @@ def frame_ends(n_samples: int, spec: WindowSpec) -> np.ndarray:
     return np.arange((n_samples - tw) // stride + 1) * stride + (tw - 1)
 
 
-def window(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
+def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> FrameDataset:
     """Cut sliding windows over all channels and attach labels and targets.
 
     `channels` maps each channel id to its samples, in frame order, all
@@ -199,6 +202,8 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     [t*stride, t*stride + tw) of every channel, flattened channel-major.
     Its wear target is the wear at the window's last sample, with NaN gaps
     filled (see fill_wear_gaps); its state label follows from that wear.
+    The frames are written into `out` when it is given: a float64 matrix
+    of their shape, which the dataset then holds.
     """
     if not channels:
         raise DataError("no channels given")
@@ -213,7 +218,7 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
     targets = fill_wear_gaps(wear)[ends]
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
-    frames = np.empty((len(ends), len(channels) * tw))
+    frames = np.empty((len(ends), len(channels) * tw)) if out is None else out
     for ci, x in enumerate(channels.values()):
         frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
             x, tw)[::stride]
@@ -251,40 +256,100 @@ def load_run_csv(path):
     Returns (channels, wear_trajectory): `channels` maps each channel id to
     its raw samples, in header order; normalize before windowing. Every
     channel sample must be finite; the wear column may hold NaN gaps (see
-    fill_wear_gaps). A column name may appear once.
+    fill_wear_gaps). A column name may appear once. Each CSV column comes
+    back as one contiguous array.
+
+    `path` may also be a `RunCsv` that `open_run_csv` returned: its samples
+    are read, and it is closed. See `open_run_csv` for how a run is read.
+    """
+    run = path if isinstance(path, RunCsv) else open_run_csv(path)
+    with run:
+        columns = run.read()
+    wi = run.names.index("wear_um")
+    # checked a column at a time: a mask of every sample would outgrow them
+    if not all(np.isfinite(x).all() for i, x in enumerate(columns) if i != wi):
+        bad = ~np.isfinite(columns)
+        bad[wi] = False
+        row = int(np.argmax(bad.any(axis=0)))
+        col = int(np.argmax(bad[:, row]))
+        raise DataError(f"{run.path}: channel {run.names[col]!r} has a non-finite sample "
+                        f"at data row {row + 1}")
+    channels = {name: columns[i] for i, name in enumerate(run.names) if i != wi}
+    return channels, columns[wi]
+
+
+class RunCsv:
+    """A run CSV that `open_run_csv` checked, whose samples are not read yet.
+
+    `names` are the CSV's column names and `shape` that of its column
+    matrix (one row per column). The samples wait in the parsed-run file,
+    which this holds open, or in memory when that file could not be
+    written. `read` returns them; `close` (or leaving a `with` block)
+    releases them.
+    """
+
+    def __init__(self, path, names: list, source, shape: tuple):
+        self.path, self.names, self.shape = path, names, shape
+        self._source = source
+
+    @property
+    def channel_ids(self) -> tuple:
+        return tuple(name for name in self.names if name != "wear_um")
+
+    @property
+    def n_samples(self) -> int:
+        return self.shape[1]
+
+    def read(self) -> np.ndarray:
+        """The column matrix."""
+        if isinstance(self._source, np.ndarray):
+            return self._source
+        self._source.seek(_DIGEST_SIZE)
+        return np.lib.format.read_array(self._source, allow_pickle=False)
+
+    def close(self) -> None:
+        source, self._source = self._source, None
+        if hasattr(source, "close"):
+            source.close()
+
+    def __enter__(self) -> "RunCsv":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_run_csv(path) -> RunCsv:
+    """Check one run CSV's header and learn its sample count, without
+    holding its samples (see `RunCsv`).
 
     The parsed samples are kept beside the run in `<run>.csv.parsed.npy`
-    (see `_read_parsed`), so a run is parsed once while its bytes stay the
-    same. Each CSV column comes back as one contiguous array.
-
-    The CSV is streamed, never held whole: when a parsed-run file exists,
-    a first pass hashes the CSV to check its key; on a miss, the parse
-    hashes each block it reads, and that digest keys the file it writes.
-    So the bytes hashed are the bytes parsed, even if the run is replaced
-    meanwhile or `path` is a pipe (which is read once, by the parse).
+    (see `_open_parsed`), so a run is parsed once while its bytes stay the
+    same. The CSV is streamed, never held whole: when a parsed-run file
+    exists, a first pass hashes the CSV to check its key; on a miss, the
+    parse hashes each block it reads, and that digest keys the file it
+    writes. So the CSV is hashed once, the bytes hashed are the bytes
+    parsed, even if the run is replaced meanwhile or `path` is a pipe
+    (which is read once, by the parse), and the samples read later are
+    those of the file that was checked or written, which stays open.
     """
     cache = Path(f"{path}.parsed.npy")
-    with open(path, "rb", buffering=0) as fh:
+    with open(path, "rb", buffering=0) as fh, contextlib.ExitStack() as on_error:
         csv_mode = os.fstat(fh.fileno()).st_mode
-        columns = None
+        parsed = None
         if stat.S_ISREG(csv_mode):
-            columns = _read_parsed(cache, fh)
+            parsed = _open_parsed(cache, fh)
             fh.seek(0)
         key = hashlib.sha256(_PARSED_TAG)
-        text = io.TextIOWrapper(io.BufferedReader(_HashingReader(fh, key), _READ_BLOCK),
-                                encoding="utf-8")
-        try:
-            header = text.readline().strip()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-        if not header:
-            raise DataError(f"{path}: empty file")
-        names = [h.strip() for h in header.split(",")]
-        if "wear_um" not in names:
-            raise DataError(f"{path}: missing wear_um column")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: a column name appears more than once")
-        if columns is None:
+        if parsed is None:
+            raw = _HashingReader(fh, key)
+        else:
+            source, shape = parsed
+            on_error.enter_context(source)
+            raw = fh  # the key is checked: the header alone is read
+        text = io.TextIOWrapper(io.BufferedReader(raw, _READ_BLOCK), encoding="utf-8")
+        names = _read_header(path, text)
+        if parsed is None:
             # the parse decodes a whole block per read: at the default 8 KiB,
             # each read passes through `_HashingReader.readinto` on its own
             text._CHUNK_SIZE = _READ_BLOCK
@@ -292,21 +357,34 @@ def load_run_csv(path):
                 columns = np.ascontiguousarray(np.loadtxt(text, delimiter=",", ndmin=2).T)
             except ValueError as exc:
                 raise DataError(f"{path}: malformed numeric data: {exc}") from None
-            _write_parsed(cache, key.digest(), columns, csv_mode)
-    if columns.shape[1] == 0:
-        raise DataError(f"{path}: no samples")
-    if columns.shape[0] != len(names):
-        raise DataError(f"{path}: row width does not match header")
-    wi = names.index("wear_um")
-    bad = ~np.isfinite(columns)
-    bad[wi] = False
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=0)))
-        col = int(np.argmax(bad[:, row]))
-        raise DataError(f"{path}: channel {names[col]!r} has a non-finite sample "
-                        f"at data row {row + 1}")
-    channels = {name: columns[i] for i, name in enumerate(names) if i != wi}
-    return channels, columns[wi]
+            shape = columns.shape
+            source = _write_parsed(cache, key.digest(), columns, csv_mode)
+            if source is None:
+                source = columns
+            else:
+                on_error.enter_context(source)
+        if shape[1] == 0:
+            raise DataError(f"{path}: no samples")
+        if shape[0] != len(names):
+            raise DataError(f"{path}: row width does not match header")
+        on_error.pop_all()
+    return RunCsv(path, names, source, shape)
+
+
+def _read_header(path, text) -> list:
+    """The column names on the first line of a run CSV, read from `text`."""
+    try:
+        header = text.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if not header:
+        raise DataError(f"{path}: empty file")
+    names = [h.strip() for h in header.split(",")]
+    if "wear_um" not in names:
+        raise DataError(f"{path}: missing wear_um column")
+    if len(set(names)) != len(names):
+        raise DataError(f"{path}: a column name appears more than once")
+    return names
 
 
 class _HashingReader(io.RawIOBase):
@@ -333,42 +411,62 @@ def _csv_digest(fh) -> bytes:
     return key.digest()
 
 
-def _read_parsed(cache: Path, csv):
-    """The column matrix a parsed-run file holds, if it is keyed to the CSV
-    that the binary file `csv` reads from its start: the file holds the
-    32-byte sha256 of `_PARSED_TAG` and the CSV's bytes, then the matrix in
-    .npy format.
+# the .npy header readers of the format versions `_open_parsed` reads
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _open_parsed(cache: Path, csv):
+    """(the parsed-run file, open; the shape of its matrix), if the file is
+    keyed to the CSV that the binary file `csv` reads from its start and
+    holds a whole float64 matrix: it holds the 32-byte sha256 of
+    `_PARSED_TAG` and the CSV's bytes, then the column matrix in .npy
+    format.
     None when the file is missing, keyed to other bytes or unreadable."""
     try:
-        with open(cache, "rb") as fh:
-            digest = fh.read(_DIGEST_SIZE)
-            if len(digest) < _DIGEST_SIZE or digest != _csv_digest(csv):
-                return None
-            columns = np.lib.format.read_array(fh, allow_pickle=False)
+        fh = open(cache, "rb")
+    except OSError:
+        return None
+    try:
+        digest = fh.read(_DIGEST_SIZE)
+        if len(digest) == _DIGEST_SIZE and digest == _csv_digest(csv):
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if read_header is not None:
+                shape, _, dtype = read_header(fh)
+                if (dtype == np.float64 and len(shape) == 2
+                        and os.fstat(fh.fileno()).st_size
+                        == fh.tell() + dtype.itemsize * math.prod(shape)):
+                    return fh, shape
     except (OSError, ValueError, EOFError):
-        return None
-    if columns.dtype != np.float64 or columns.ndim != 2:
-        return None
-    return columns
+        pass
+    fh.close()
+    return None
 
 
-def _write_parsed(cache: Path, digest: bytes, columns, csv_mode: int) -> None:
+def _write_parsed(cache: Path, digest: bytes, columns, csv_mode: int):
     """Replace the parsed-run file in one rename, readable by whoever may
-    read the CSV (whose `st_mode` is `csv_mode`). A directory that cannot
-    be written to only costs the next read a parse."""
+    read the CSV (whose `st_mode` is `csv_mode`), and return it open, so
+    that it reads what was written even if it is replaced again. None when
+    the directory cannot be written to, which only costs the next read a
+    parse."""
     try:
         fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.name, suffix=".tmp")
     except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
+        return None
+    with contextlib.ExitStack() as on_error:
+        fh = on_error.enter_context(os.fdopen(fd, "w+b"))
+        try:
             fh.write(digest)
             np.lib.format.write_array(fh, columns, allow_pickle=False)
-        os.chmod(tmp, stat.S_IMODE(csv_mode))
-        os.replace(tmp, cache)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+            fh.flush()
+            os.chmod(tmp, stat.S_IMODE(csv_mode))
+            os.replace(tmp, cache)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            return None
+        on_error.pop_all()
+    return fh
 
 
 _WRITE_BLOCK_ROWS = 1024
@@ -500,27 +598,31 @@ def fill_wear_gaps(wear) -> np.ndarray:
     Real runs measure wear only occasionally (e.g. once per hole); rows
     without a measurement may carry NaN. Values before the first or after
     the last measurement hold flat. At least one finite value is required.
+    The gaps are filled in a copy; a column without gaps is not copied.
     """
-    wear = np.asarray(wear, dtype=np.float64).copy()
+    wear = np.asarray(wear, dtype=np.float64)
     known = np.isfinite(wear)
     if not known.any():
         raise DataError("wear column has no finite measurements")
     if not known.all():
         idx = np.arange(len(wear))
+        wear = wear.copy()
         wear[~known] = np.interp(idx[~known], idx[known], wear[known])
     return wear
 
 
-def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory) -> FrameDataset:
+def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory,
+                  out=None) -> FrameDataset:
     """Normalize each channel to [0, 1] and window into frames.
 
     The frames are those of `window` over `normalize_channel` of each
     channel in `channels` (channel id -> samples), bit for bit, but the
     windows are cut from the raw samples and scaled in place, each column
     by its channel's bounds: no scaled copy of a channel is made.
-    Overlapping windows scale each sample once per frame that holds it."""
+    Overlapping windows scale each sample once per frame that holds it.
+    Given `out`, the frames are made in it (see `window`)."""
     bounds = [_min_max_bounds(name, x) for name, x in channels.items()]
-    ds = window(channels, spec, wear_trajectory)
+    ds = window(channels, spec, wear_trajectory, out)
     frames, tw = ds.frames, ds.window_len
     # one value per frame column; a constant channel's columns are zeroed
     frames -= np.repeat([lo for lo, _ in bounds], tw)

@@ -73,6 +73,8 @@ class SynthConfig:
             raise ValueError("imbalance_skew must be >= 1")
         if self.noise_scale < 0.0:
             raise ValueError("noise_scale must be nonnegative")
+        if self.noise_std is not None and self.noise_std < 0.0:
+            raise ValueError("noise_std must be nonnegative")
         if not 0.0 <= self.band_frac <= 1.0:
             raise ValueError("band_frac must lie in [0, 1]")
 

@@ -1,3 +1,4 @@
+import collections
 import os
 import re
 import shutil
@@ -6,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mdp_tcm import _kernels, cli, dbn, experiments, synth
+from mdp_tcm import _kernels, cli, dbn, experiments, signal_pipeline, synth
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.errors import NumericError
 from mdp_tcm.metrics import REPORT_KEYS
@@ -87,6 +88,13 @@ class TestGenerate:
                         "--run-seconds", "0.01"]) == 2
         assert ("data error: series of 200 samples is shorter than one window (727)"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_negative_noise_std_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["generate", "--out", str(out), "--runs", "1", "--desk-scale",
+                        "--run-seconds", "5", "--noise-std=-1"]) == 2
+        assert "data error: noise_std must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_runs_is_usage_error(self, tmp_path):
@@ -230,7 +238,7 @@ class TestEvaluate:
         # the session model trained with --seed 5 on every run, held-out ones included
         model = multistate_model
         seed = 1 if mismatch == "seed" else 5
-        pool = len(cli._split_runs(cli._load_runs(str(data_dir), None), 0.85, seed)[0])
+        pool = len(cli._split_runs(cli._load_runs(str(data_dir), None)[1], 0.85, seed)[0])
         trained_on = read_model_file(model)[2]["train.n_train_frames"]
         if mismatch == "no-echo":
             model = tmp_path / "bare.model"
@@ -509,9 +517,9 @@ class TestTrialConfig:
         # one config serves every trial; the trial seed reaches train_mdp alone
         seen = []
 
-        def recording(train_set, config, seed=0, log=None, workers=1):
+        def recording(train_set, config, seed=0, log=None, workers=1, rows=None):
             seen.append((seed, config, workers))
-            return train_mdp(train_set, config, seed)
+            return train_mdp(train_set, config, seed, rows=rows)
 
         # the recorder sees only calls made in this process: no trial workers
         monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
@@ -561,7 +569,7 @@ class TestTrialFanOut:
                                                capsys, two_cores):
         parent = os.getpid()
 
-        def diverging(train, test_runs, config, seed):
+        def diverging(train, test_runs, config, seed, rows=None):
             where = "a worker" if os.getpid() != parent else "the parent"
             raise NumericError(f"trial {seed} diverged in {where}")
 
@@ -597,7 +605,7 @@ class TestSubModelFanOut:
                                                          monkeypatch, capsys, two_cores):
         parent = os.getpid()
 
-        def diverging(frames, targets, layer_sizes, config, seed):
+        def diverging(frames, targets, layer_sizes, config, seed, rows=None):
             where = "a worker" if os.getpid() != parent else "the parent"
             raise NumericError(f"regressor {seed} diverged in {where}")
 
@@ -658,7 +666,7 @@ class TestDataDirectory:
         assert {name.partition(".")[2] for name in tables} == {
             "model.finetune_loss.csv", "model.de_history.csv", "frameworks.csv",
             "sensor_ablation.csv", "trials.csv", "report.csv"}
-        assert len(cli._load_runs(str(data), None)) == len(runs)
+        assert len(cli._load_runs(str(data), None)[1]) == len(runs)
 
     def test_prediction_table_is_not_a_run(self, tmp_path, data_dir, multistate_model):
         data = tmp_path / "data"
@@ -668,7 +676,7 @@ class TestDataDirectory:
                         "--out", str(data / "pred.csv")]) == 0
         assert run_cli(["evaluate", "--data", str(data), "--model", str(multistate_model),
                         "--out", str(tmp_path / "ev")]) == 0
-        assert len(cli._load_runs(str(data), None)) == len(runs)
+        assert len(cli._load_runs(str(data), None)[1]) == len(runs)
 
     def test_run_csv_without_sidecar_is_data_error(self, tmp_path, data_dir, capsys):
         data = tmp_path / "data"
@@ -677,6 +685,67 @@ class TestDataDirectory:
         assert run_cli(["evaluate", "--data", str(data), "--out", str(tmp_path / "e"),
                         "--trials", "1"]) == 2
         assert f"missing sidecar {data / 'extra.meta'}" in capsys.readouterr().err
+
+
+class TestLoadRuns:
+    def test_runs_are_row_views_of_one_matrix(self, data_dir):
+        pool, runs = cli._load_runs(str(data_dir), None)
+        files = cli._run_files(str(data_dir))
+        assert len(runs) == len(files) == 3
+        assert len(pool) == sum(len(ds) for ds in runs)
+        start = 0
+        for f, ds in zip(files, runs):
+            assert np.shares_memory(ds.frames, pool.frames)
+            meta = read_run_meta(f.with_suffix(".meta"))
+            want = cli._windowed_run(f, WindowSpec(
+                spindle_rpm=float(meta["spindle_rpm"]),
+                sampling_rate_hz=float(meta["sampling_rate_hz"])))
+            rows = slice(start, start + len(ds))
+            for got, expected in ((ds.frames, want.frames), (pool.frames[rows], want.frames),
+                                  (ds.wear_targets, want.wear_targets),
+                                  (pool.wear_targets[rows], want.wear_targets),
+                                  (pool.state_labels[rows], want.state_labels)):
+                assert got.tobytes() == expected.tobytes()
+            start += len(ds)
+
+    def test_kept_runs_alone_are_read_in_order(self, data_dir):
+        _, runs = cli._load_runs(str(data_dir), None)
+        pool, kept = cli._load_runs(str(data_dir), None, keep=[2, 0])
+        assert [ds.frames.tobytes() for ds in kept] == [runs[i].frames.tobytes()
+                                                         for i in (2, 0)]
+        assert pool.frames.tobytes() == np.vstack([runs[2].frames, runs[0].frames]).tobytes()
+
+    @pytest.mark.parametrize("first_read", [True, False], ids=["parse", "parsed-run-file"])
+    def test_each_run_is_hashed_once(self, tmp_path, data_dir, monkeypatch, first_read):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data, ignore=shutil.ignore_patterns("*.parsed.npy"))
+        if not first_read:
+            cli._load_runs(str(data), None)
+        passes = collections.Counter()
+
+        class Counting(signal_pipeline._HashingReader):
+            def __init__(self, fh, key):
+                passes[os.path.basename(fh.name)] += 1
+                super().__init__(fh, key)
+
+        monkeypatch.setattr(signal_pipeline, "_HashingReader", Counting)
+        cli._load_runs(str(data), None)
+        assert passes == {f.name: 1 for f in data.glob("*.csv")}
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--train-ratio", "0.6"] + TINY_DE_FLAGS,
+        ["compare-frameworks"] + TINY_DE_FLAGS,
+        ["evaluate", "--trials", "1"] + TINY_DE_FLAGS,
+        ["ablate-sensors", "--subsets", "force;all"]],
+        ids=["train", "compare-frameworks", "evaluate-trials", "ablate-sensors"])
+    def test_no_command_pools_its_training_runs(self, tmp_path, data_dir, monkeypatch,
+                                                command):
+        def refuse(datasets):
+            raise AssertionError("the training runs were pooled")
+
+        monkeypatch.setattr(FrameDataset, "concat", staticmethod(refuse))
+        assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "o"),
+                                  "--seed", "2"] + TINY_FLAGS) == 0
 
 
 class TestSplitRuns:
@@ -692,13 +761,16 @@ class TestSplitRuns:
                 in capsys.readouterr().err)
 
     def test_held_out_data_is_whole_runs(self, data_dir):
-        datasets = cli._load_runs(str(data_dir), None)
-        train, held = cli._split_runs(datasets, 0.85, 4)
+        # the training rows index the pool's frames of the two runs not held
+        # out, run after run in split order
+        pool, runs = cli._load_runs(str(data_dir), None)
+        rows, held = cli._split_runs(runs, 0.85, 4)
         assert len(held) == 1
-        rest = [ds for ds in datasets if ds is not held[0]]
-        assert len(rest) == 2
-        assert any(np.array_equal(train.frames, FrameDataset.concat(runs).frames)
-                   for runs in (rest, rest[::-1]))
+        train = [runs[i] for i in cli._split_indices(len(runs), 0.85, 4)[0]]
+        assert len(train) == 2 and all(ds is not held[0] for ds in train)
+        assert np.array_equal(pool.frames[rows], np.vstack([ds.frames for ds in train]))
+        assert np.array_equal(pool.wear_targets[rows],
+                              np.concatenate([ds.wear_targets for ds in train]))
 
     @pytest.mark.parametrize("mode", ["frame", "pooled"])
     @pytest.mark.parametrize("command", [

@@ -312,3 +312,45 @@ class TestTrainEndToEnd:
         sizes = dbn.draw_hidden_sizes(config, np.random.default_rng(0))
         assert len(sizes) == 3
         assert all(5 <= s <= 60 for s in sizes)
+
+
+class TestRowIndexTraining:
+    """Training on an unsorted index array into a larger matrix gives the
+    bytes of training on the rows it gathers."""
+
+    CONFIG = dbn.TrainConfig(pretrain_epochs=2, finetune_epochs=6, learning_rate=0.02,
+                             batch_size=9, hidden_range=(3, 8))
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(41)
+        frames = rng.random((70, 6))
+        wear = rng.random(70) * 380.0  # spread > 2: the head trains in scaled units
+        rows = rng.permutation(70)[:45]
+        return frames, wear, (wear > 190).astype(int), rows
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[0].theta.tobytes() == want[0].theta.tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_classifier(self, data):
+        frames, _, labels, rows = data
+        self.assert_same(
+            dbn.train_classifier(frames, labels, (6, 5, 4, 2), self.CONFIG, 3, rows),
+            dbn.train_classifier(frames[rows], labels[rows], (6, 5, 4, 2), self.CONFIG, 3))
+
+    def test_regressor(self, data):
+        frames, wear, _, rows = data
+        self.assert_same(
+            dbn.train_regressor(frames, wear, (6, 5, 4, 1), self.CONFIG, 4, rows),
+            dbn.train_regressor(frames[rows], wear[rows], (6, 5, 4, 1), self.CONFIG, 4))
+
+    def test_targets_outside_the_rows_are_not_checked(self, data):
+        # the rows alone are trained on: a label out of range elsewhere is unseen
+        frames, _, labels, rows = data
+        labels = labels.copy()
+        labels[np.setdiff1d(np.arange(70), rows)] = 9
+        self.assert_same(
+            dbn.train_classifier(frames, labels, (6, 5, 2), self.CONFIG, 5, rows),
+            dbn.train_classifier(frames[rows], labels[rows], (6, 5, 2), self.CONFIG, 5))

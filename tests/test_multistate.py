@@ -176,3 +176,33 @@ class TestStickyRouting:
         from mdp_tcm.multistate import _apply_sticky
         states = np.array([0, 1, 2, 1, 0])
         assert np.array_equal(_apply_sticky(states, 1), states)
+
+
+class TestRowIndexTraining:
+    def test_train_mdp_on_rows_is_train_mdp_on_their_gather(self):
+        # unsorted rows of a larger dataset: every sub-model, the DE trace
+        # and the log lines are those of training on the gathered subset
+        ds = make_dataset(400, seed=12)
+        rows = np.random.default_rng(13).permutation(400)[:300]
+        config = MdpTrainConfig(classifier=TINY, regressor=TINY, de=TINY_DE,
+                                min_state_samples=50, smoothing_window=5)
+        got_log, want_log = [], []
+        got, got_history = train_mdp(ds, config, seed=4, log=got_log.append, rows=rows)
+        want, want_history = train_mdp(ds.subset(rows), config, seed=4, log=want_log.append)
+        assert got_log == want_log
+        assert set(got.regressors) == set(want.regressors) == {0, 1, 2, 3}
+        pairs = [(got.diagnoser.base, want.diagnoser.base), (got.fallback, want.fallback)]
+        pairs += [(got.regressors[s], want.regressors[s]) for s in want.regressors]
+        for a, b in pairs:
+            assert a.theta.tobytes() == b.theta.tobytes()
+        assert got.diagnoser.costs.costs.tobytes() == want.diagnoser.costs.costs.tobytes()
+        for name, loss in want_history["loss"].items():
+            assert got_history["loss"][name].tobytes() == loss.tobytes()
+        for key, trace in want_history["de"].items():
+            assert np.asarray(got_history["de"][key]).tobytes() == np.asarray(trace).tobytes()
+
+    def test_no_rows_is_an_empty_training_set(self):
+        from mdp_tcm.errors import DataError
+        config = MdpTrainConfig(classifier=TINY, regressor=TINY, de=TINY_DE)
+        with pytest.raises(DataError, match="empty training set"):
+            train_mdp(make_dataset(40), config, seed=0, rows=np.array([], dtype=np.intp))

@@ -166,3 +166,25 @@ class TestInvariants:
         trained, _ = rbm.train_rbm(p0, data, cfg, substream(11, "cd"))
         after = rbm.reconstruction_cross_entropy(trained, data)
         assert after <= 0.5 * before
+
+
+class TestRowIndexTraining:
+    def test_rows_train_as_their_gather(self):
+        # an unsorted index array into a larger matrix: the bytes of
+        # training on the rows it gathers
+        rng = np.random.default_rng(31)
+        data = rng.random((60, 7))
+        rows = rng.permutation(60)[:37]
+        cfg = rbm.CdConfig(gibbs_steps=2, learning_rate=0.05, epochs=4, batch_size=8)
+        p0 = rbm.init_params(7, 5, substream(1, "init"), visible_mean=data[rows].mean(axis=0))
+        got, got_history = rbm.train_rbm(p0, data, cfg, substream(2, "cd"), rows=rows)
+        want, want_history = rbm.train_rbm(p0, data[rows], cfg, substream(2, "cd"))
+        for a, b in ((got.weights, want.weights), (got.visible_bias, want.visible_bias),
+                     (got.hidden_bias, want.hidden_bias), (got_history, want_history)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_no_rows_is_an_error(self):
+        p0 = rbm.init_params(3, 2, substream(0, "init"))
+        with pytest.raises(ValueError, match="nonempty"):
+            rbm.train_rbm(p0, np.zeros((4, 3)), rbm.CdConfig(epochs=1), substream(0, "cd"),
+                          rows=np.array([], dtype=np.intp))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import stat
 import threading
@@ -14,8 +15,8 @@ from mdp_tcm.errors import DataError
 from mdp_tcm.signal_pipeline import (FrameDataset,
                                      WindowSpec, build_dataset, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
-                                     load_run_csv, normalize_channel, split,
-                                     window, write_csv)
+                                     load_run_csv, normalize_channel, open_run_csv,
+                                     split, window, write_csv)
 
 
 def norm(samples):
@@ -56,6 +57,13 @@ class TestWindowSize:
     def test_window_below_one_sample_rejected(self):
         with pytest.raises(ValueError):
             compute_window_size(WindowSpec(spindle_rpm=100000, sampling_rate_hz=10))
+
+    @pytest.mark.parametrize("field", ["spindle_rpm", "sampling_rate_hz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, field, value):
+        values = {"spindle_rpm": 1650.0, "sampling_rate_hz": 20000.0, field: value}
+        with pytest.raises(ValueError, match="spindle_rpm and sampling_rate_hz must be finite"):
+            WindowSpec(**values)
 
 
 class TestLabelState:
@@ -453,6 +461,22 @@ class TestParsedRunCache:
         assert swapped
         got = self.read(path)
         assert got[0].tolist() == [7.0] * 50 and got[-1].tolist() == [100.0] * 50
+
+    @pytest.mark.parametrize("first_read", [True, False], ids=["parse", "parsed-run-file"])
+    def test_opened_run_reads_the_file_it_checked(self, tmp_path, first_read):
+        # a parsed-run file replaced between the check and the read is not read
+        path = self.make_run(tmp_path)
+        if not first_read:
+            self.read(path)
+        with open_run_csv(path) as run:
+            assert run.channel_ids == ("force", "torque", "vib_x")
+            assert run.n_samples == 50
+            junk = tmp_path / "junk"
+            junk.write_bytes(b"\x93NUMPY" + b"x" * 200)
+            os.replace(junk, tmp_path / "run.csv.parsed.npy")
+            got = run.read()
+        for a, b in zip(got, self.parse(path)):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_is_read_whole(self, tmp_path):
