@@ -39,8 +39,8 @@ from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
 from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
-                              compute_window_size, frame_ends, label_states, load_run_csv,
-                              open_run_csv, write_csv)
+                              frame_ends, label_states, load_run_csv, open_run_csv,
+                              window_runs, write_csv)
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -296,51 +296,32 @@ def _run_files(data_dir: str) -> list:
 
 
 def _load_runs(data_dir: str, stride: int | None, keep=None):
-    """(pool, runs): the windowed runs of a directory of run CSVs + sidecars,
-    all in the rows of one frame matrix, which `pool` holds. `runs` holds
-    each run's dataset, a row-slice view of `pool`, in the order of
-    `_run_files`; given `keep`, run indices into that order, only those
-    runs are read, in that order.
-
-    A first pass opens every run (`open_run_csv`: one hash of its CSV, or
-    its parse on a first read), which checks it and gives its frame count;
-    the matrix is then made, and each kept run read into its rows in turn.
-    So no run's samples or frames are held twice, and one run's samples
-    at a time."""
-    files = _run_files(data_dir)
+    """`window_runs` of the run CSVs + sidecars of a directory, in the order
+    of `_run_files`: (pool, bounds). Given `keep`, run indices into that
+    order, only those runs are read, in that order. Every run is opened
+    first (`open_run_csv`: one hash of its CSV, or its parse on a first
+    read), which checks it and gives its frame count."""
     with contextlib.ExitStack() as stack:
-        opened = []
-        for f in files:
-            meta_path = f.with_suffix(".meta")
-            if not meta_path.exists():
-                raise DataError(f"missing sidecar {meta_path}")
-            meta = read_run_meta(meta_path)
-            rate = _sidecar_number(meta, "sampling_rate_hz", meta_path)
-            spec = WindowSpec(spindle_rpm=_sidecar_number(meta, "spindle_rpm", meta_path),
-                              sampling_rate_hz=rate, stride=stride)
-            run = stack.enter_context(open_run_csv(f))
-            layout = (run.channel_ids, compute_window_size(spec))
-            if opened and layout != opened[0][1]:
-                raise DataError(f"run {f} differs from run {files[0]} in its channels "
-                                "or its window length")
-            opened.append((run, layout, spec, len(frame_ends(run.n_samples, spec))))
-        kept = opened if keep is None else [opened[i] for i in keep]
-        channel_ids, tw = opened[0][1]
-        ends = np.cumsum([n for *_, n in kept])
-        frames = np.empty((ends[-1], len(channel_ids) * tw))
-        runs = [_windowed_run(run, spec, frames[end - n:end])
-                for (run, _, spec, n), end in zip(kept, ends)]
-    pool = FrameDataset(frames, np.concatenate([ds.state_labels for ds in runs]),
-                        np.concatenate([ds.wear_targets for ds in runs]), channel_ids, tw)
-    return pool, runs
+        def opened():
+            for f in _run_files(data_dir):
+                meta_path = f.with_suffix(".meta")
+                if not meta_path.exists():
+                    raise DataError(f"missing sidecar {meta_path}")
+                meta = read_run_meta(meta_path)
+                spec = WindowSpec(
+                    spindle_rpm=_sidecar_number(meta, "spindle_rpm", meta_path),
+                    sampling_rate_hz=_sidecar_number(meta, "sampling_rate_hz", meta_path),
+                    stride=stride)
+                yield stack.enter_context(open_run_csv(f)), spec
+
+        return window_runs(opened(), keep)
 
 
-def _windowed_run(path, spec: WindowSpec, out=None) -> FrameDataset:
-    """The frames of one run CSV, or of a `RunCsv`, made in `out` when it is
-    given. Its samples go when this returns, before the caller reads
-    another run or runs inference."""
+def _windowed_run(path, spec: WindowSpec) -> FrameDataset:
+    """The frames of one run CSV. Its samples go when this returns, before
+    the caller runs inference."""
     channels, wear = load_run_csv(path)
-    return build_dataset(channels, spec, wear, out)
+    return build_dataset(channels, spec, wear)
 
 
 def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
@@ -381,32 +362,23 @@ def _split_indices(n_runs: int, ratio: float, seed: int):
     return order[:n_train], order[n_train:]
 
 
-def _split_runs(runs, ratio: float, seed: int):
-    """(training rows, held-out runs): a seeded split of whole runs, which
-    lie in turn in the rows of one pool (`_load_runs`). The training rows
-    index the pool's frames of the training runs, run after run in split
-    order."""
-    train, held = _split_indices(len(runs), ratio, seed)
-    bounds = _run_bounds(runs)
-    return (np.concatenate([np.arange(*bounds[i]) for i in train]),
-            [runs[i] for i in held])
+def _split_runs(bounds, ratio: float, seed: int):
+    """(training rows, held-out bounds): a seeded split of whole runs, given
+    by their (start, stop) rows in one pool (`_load_runs`). The training
+    rows index the pool's frames of the training runs, run after run in
+    split order."""
+    train, held = _split_indices(len(bounds), ratio, seed)
+    return _rows([bounds[i] for i in train]), [bounds[i] for i in held]
 
 
-def _run_bounds(runs) -> list:
-    """(start, stop) of each run's rows in the pool that holds them in turn."""
-    ends = np.cumsum([len(ds) for ds in runs])
-    return [(int(end) - len(ds), int(end)) for ds, end in zip(runs, ends)]
+def _rows(bounds) -> np.ndarray:
+    """The pool rows of the runs whose (start, stop) rows `bounds` gives, in turn."""
+    return np.concatenate([np.arange(start, stop) for start, stop in bounds])
 
 
-def _fmt(v) -> str:
-    return f"{v:.10g}" if isinstance(v, float) else str(v)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _runs(pool: FrameDataset, bounds) -> list:
+    """The dataset of each run whose rows `bounds` gives: a row-slice view of `pool`."""
+    return [pool.subset(slice(start, stop)) for start, stop in bounds]
 
 
 def _worker_count(n_items: int) -> int:
@@ -417,16 +389,16 @@ def _worker_count(n_items: int) -> int:
     return min(int(text), n_items, usable_cores())
 
 
-def _run_trials(cfg: RunConfig, pool: FrameDataset, runs, trial) -> list:
-    """`trial(pool, train_rows, eval_sets, seed)` for the --trials seeds from
-    --seed on, each on its own split of the runs (`_split_runs`); the
+def _run_trials(cfg: RunConfig, pool: FrameDataset, bounds, trial) -> list:
+    """`trial(pool, train_rows, held_bounds, seed)` for the --trials seeds
+    from --seed on, each on its own split of the runs (`_split_runs`); the
     results in seed order."""
     if cfg["trials"] < 1:
         raise UsageError(f"--trials must be at least 1, not {cfg['trials']}")
     seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
 
     def one(seed: int):
-        rows, held = _split_runs(runs, cfg["train-ratio"], seed)
+        rows, held = _split_runs(bounds, cfg["train-ratio"], seed)
         return trial(pool, rows, held, seed)
 
     return list(map_forked(one, seeds, _worker_count(len(seeds))))
@@ -512,18 +484,17 @@ def _train_one(kind: str, config: MdpTrainConfig, train_set: FrameDataset, seed:
 def _write_histories(out_stem: Path, history: dict) -> None:
     losses = history.get("loss", {})
     if losses:
-        rows = [(name, epoch, float(val))
-                for name, arr in losses.items()
-                for epoch, val in enumerate(arr)]
-        _write_csv(out_stem.parent / (out_stem.name + _FINETUNE_LOSS),
-                   ["model", "epoch", "loss"], rows)
+        write_csv(out_stem.parent / (out_stem.name + _FINETUNE_LOSS),
+                  ["model", "epoch", "loss"],
+                  [[name for name, arr in losses.items() for _ in arr],
+                   np.concatenate([np.arange(len(arr)) for arr in losses.values()]),
+                   np.concatenate(list(losses.values()))])
     de = history.get("de")
     if de is not None:
-        rows = [(g, float(de["best_fitness"][g]), float(de["mu_f"][g]),
-                 float(de["mu_cr"][g]))
-                for g in range(len(de["best_fitness"]))]
-        _write_csv(out_stem.parent / (out_stem.name + _DE_HISTORY),
-                   ["generation", "best_fitness", "mu_f", "mu_cr"], rows)
+        write_csv(out_stem.parent / (out_stem.name + _DE_HISTORY),
+                  ["generation", "best_fitness", "mu_f", "mu_cr"],
+                  [np.arange(len(de["best_fitness"])), de["best_fitness"],
+                   de["mu_f"], de["mu_cr"]])
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -548,14 +519,19 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _evaluate_model(model, datasets):
-    """Eight-key report for any model kind over per-run datasets."""
-    labels = np.concatenate([ds.state_labels for ds in datasets])
-    wear = np.concatenate([ds.wear_targets for ds in datasets])
+def _evaluate_model(model, pool: FrameDataset, bounds):
+    """Eight-key report for any model kind over the runs of `pool` whose
+    rows `bounds` gives, in turn. A multistate model smooths run by run;
+    any other scores all their frames at once, in `pool`'s own matrix when
+    they are every run in pool order."""
+    rows = _rows(bounds)
+    if np.array_equal(rows, np.arange(len(pool))):
+        rows = None
+    labels, wear = dbn.gather(pool.state_labels, rows), dbn.gather(pool.wear_targets, rows)
     if isinstance(model, MultiStateModel):
         states, estimates = [], []
-        for ds in datasets:
-            s, _, _, smoothed = estimate_wear_detailed(model, ds.frames)
+        for start, stop in bounds:
+            s, _, _, smoothed = estimate_wear_detailed(model, pool.frames[start:stop])
             states.append(s)
             estimates.append(smoothed)
         cls = classification_report(labels, np.concatenate(states), N_STATES)
@@ -563,7 +539,7 @@ def _evaluate_model(model, datasets):
         return MetricsReport(accuracy=cls.accuracy, gmean=cls.gmean,
                              precision=cls.precision, recall=cls.recall, f1=cls.f1,
                              rmse=reg.rmse, r2score=reg.r2score, mape=reg.mape)
-    frames = np.vstack([ds.frames for ds in datasets])
+    frames = dbn.gather(pool.frames, rows)
     if isinstance(model, EcsDbnModel):
         return classification_report(labels, diagnose(model, frames)[0], N_STATES)
     if model.head == dbn.SOFTMAX:
@@ -589,33 +565,30 @@ def _channel_list(channels: str, channel_ids) -> list | None:
 
 
 def _write_report(out_prefix: Path, report: MetricsReport) -> None:
-    _write_csv(out_prefix.parent / (out_prefix.name + _REPORT),
-               REPORT_KEYS, [tuple(report.as_dict().values())])
+    write_csv(out_prefix.parent / (out_prefix.name + _REPORT),
+              REPORT_KEYS, [[v] for v in report.as_dict().values()])
     (out_prefix.parent / f"{out_prefix.name}.report.txt").write_text(
         report.to_kv_text(), encoding="utf-8")
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    pool, datasets = _load_runs(cfg["data"], cfg["stride"])
+    pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     channels = _channel_list(cfg["channels"], pool.channel_ids)
     if channels is not None:
         pool = pool.select_channels(channels)
-        datasets = [pool.subset(slice(*bounds)) for bounds in _run_bounds(datasets)]
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if cfg["model"]:
         model = load_model(cfg["model"])
-        for run_path, ds in zip(_run_files(cfg["data"]), datasets):
-            _check_frame_width(model, cfg["model"], ds, run_path)
+        # every run has the frame width of the first
+        _check_frame_width(model, cfg["model"], pool, _run_files(cfg["data"])[0])
         if cfg["holdout"]:
-            train, held = _split_indices(len(datasets), cfg["train-ratio"], cfg["seed"])
+            train, held = _split_indices(len(bounds), cfg["train-ratio"], cfg["seed"])
             _check_trained_on(cfg["model"], cfg["seed"],
-                              sum(len(datasets[i]) for i in train))
-            eval_sets = [datasets[i] for i in held]
-        else:
-            eval_sets = datasets
-        report = _evaluate_model(model, eval_sets)
+                              sum(stop - start for start, stop in (bounds[i] for i in train)))
+            bounds = [bounds[i] for i in held]
+        report = _evaluate_model(model, pool, bounds)
         _write_report(out, report)
         print(report.to_kv_text(), end="")
         return 0
@@ -624,22 +597,23 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     # come back with its report, so that they print in seed order
     config = _mdp_config(cfg)
 
-    def trial(pool, train_rows, eval_sets, seed: int):
+    def trial(pool, train_rows, held, seed: int):
         lines = []
         model = _train_one(cfg["kind"], config, pool, seed, log=lines.append,
                            rows=train_rows)[0]
-        return _evaluate_model(model, eval_sets), lines
+        return _evaluate_model(model, pool, held), lines
 
     rows = []
-    for report, lines in _run_trials(cfg, pool, datasets, trial):
+    for report, lines in _run_trials(cfg, pool, bounds, trial):
         for line in lines:
             print(line)
         rows.append(tuple(report.as_dict().values()))
-    _write_csv(out.parent / (out.name + _TRIALS), ("trial",) + REPORT_KEYS,
-               [(seed,) + row for seed, row in enumerate(rows, cfg["seed"])])
     arr = np.array(rows, dtype=np.float64)
+    # as strings: a seed of 10**10 or more is written in full too
+    seeds = [str(seed) for seed in range(cfg["seed"], cfg["seed"] + len(rows))]
+    write_csv(out.parent / (out.name + _TRIALS), ("trial",) + REPORT_KEYS, [seeds, *arr.T])
     mean, std = arr.mean(axis=0), arr.std(axis=0)
-    _write_csv(out.parent / (out.name + _REPORT), REPORT_KEYS, [tuple(mean), tuple(std)])
+    write_csv(out.parent / (out.name + _REPORT), REPORT_KEYS, np.array([mean, std]).T)
     lines = [f"{k} = {m:.10g} +- {s:.10g}" for k, m, s in zip(REPORT_KEYS, mean, std)]
     (out.parent / f"{out.name}.report.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8")
@@ -678,37 +652,39 @@ def _write_table(cfg: RunConfig, suffix: str, first_column: str, names, results,
     """One row per name: mean and std over the trials of each report metric."""
     rows = []
     for name in names:
-        row = [name]
+        row = []
         for metric in metrics:
             vals = np.array([getattr(r[name], metric) for r in results])
             row += [vals.mean(), vals.std()]
         rows.append(row)
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out.parent / (out.name + suffix),
-               [first_column] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "std")],
-               rows)
-    for row in rows:
-        print(f"{row[0]}: rmse {row[1]:.4g} +- {row[2]:.4g}")
+    write_csv(out.parent / (out.name + suffix),
+              [first_column] + [f"{m}_{stat}" for m in metrics for stat in ("mean", "std")],
+              [list(names), *np.array(rows).T])
+    for name, row in zip(names, rows):
+        print(f"{name}: rmse {row[0]:.4g} +- {row[1]:.4g}")
 
 
 def cmd_ablate_sensors(cfg: RunConfig) -> int:
-    pool, runs = _load_runs(cfg["data"], cfg["stride"])
+    pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
     subsets = {name: _channel_list(name, pool.channel_ids) for name in names}
     config = _train_config(cfg, "prognosis-default", "regressor")
-    results = _run_trials(cfg, pool, runs, lambda pool, rows, eval_sets, seed:
-                          sensor_subset_trial(pool, eval_sets, subsets, config, seed, rows))
+    results = _run_trials(cfg, pool, bounds, lambda pool, rows, held, seed:
+                          sensor_subset_trial(pool, _runs(pool, held), subsets, config,
+                                              seed, rows))
     _write_table(cfg, _SENSOR_ABLATION, "subset", names, results,
                  ("rmse", "r2score", "mape"))
     return 0
 
 
 def cmd_compare_frameworks(cfg: RunConfig) -> int:
-    pool, runs = _load_runs(cfg["data"], cfg["stride"])
+    pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     config = _mdp_config(cfg)
-    results = _run_trials(cfg, pool, runs, lambda pool, rows, eval_sets, seed:
-                          framework_trial(pool, eval_sets, config, seed, rows)["reports"])
+    results = _run_trials(cfg, pool, bounds, lambda pool, rows, held, seed:
+                          framework_trial(pool, _runs(pool, held), config, seed,
+                                          rows)["reports"])
     _write_table(cfg, _FRAMEWORKS, "framework", FRAMEWORKS, results,
                  ("rmse", "r2score"))
     return 0

@@ -20,7 +20,7 @@ from .adaptive_de import DeConfig
 from .metrics import confusion, gmean, regression_report, rmse
 from .multistate import (MdpTrainConfig, diagnose, estimate_wear_detailed, state_rows,
                          train_diagnoser, train_mdp)
-from .signal_pipeline import FrameDataset, N_STATES, WindowSpec, build_dataset, split
+from .signal_pipeline import FrameDataset, N_STATES, WindowSpec, split, window_runs
 from .synth import SynthConfig, generate_fleet
 from .seeding import substream
 
@@ -48,10 +48,6 @@ def window_spec_for(config: SynthConfig) -> WindowSpec:
                       sampling_rate_hz=config.sampling_rate_hz)
 
 
-def windowed_run(run, spec: WindowSpec) -> FrameDataset:
-    return build_dataset(run.channels, spec, run.wear_trajectory)
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Shared knobs for one seeded trial at desk scale."""
@@ -61,28 +57,29 @@ class TrialConfig:
 
 
 def _fleet_datasets(trial: TrialConfig, seed: int):
-    """Train pool plus per-run test datasets (run-level split, leakage free)."""
-    spec = window_spec_for(trial.synth)
-    runs = generate_fleet(trial.synth, N_TRAIN_RUNS + N_TEST_RUNS, seed * 1000 + 17)
-    datasets = [windowed_run(r, spec) for r in runs]
-    train = FrameDataset.concat(datasets[:N_TRAIN_RUNS])
-    return train, datasets[N_TRAIN_RUNS:]
+    """(pool, train rows, per-run test datasets): a generated fleet in one
+    frame matrix, split by run, leakage free; the test datasets are
+    row-slice views of the pool."""
+    pool, bounds = window_runs((run, window_spec_for(trial.synth)) for run in generate_fleet(
+        trial.synth, N_TRAIN_RUNS + N_TEST_RUNS, seed * 1000 + 17))
+    tests = [pool.subset(slice(start, stop)) for start, stop in bounds[N_TRAIN_RUNS:]]
+    return pool, np.arange(bounds[N_TRAIN_RUNS - 1][1]), tests
 
 
 def imbalance_trial(seed: int, trial: TrialConfig | None = None) -> dict:
-    """Plain-argmax vs cost-evolved G-mean on an imbalanced state dataset."""
+    """Plain-argmax vs cost-evolved G-mean on an imbalanced state dataset:
+    a seeded frame split of the rows of two runs."""
     trial = trial or TrialConfig()
-    spec = window_spec_for(trial.synth)
-    pooled = FrameDataset.concat([windowed_run(r, spec) for r in
-                                  generate_fleet(trial.synth, N_TRAIN_RUNS,
-                                                 seed * 1000 + 29)])
-    train, test = split(pooled, 0.85, seed)
-    diagnoser, _, _ = train_diagnoser(train, trial.mdp, seed)
-    tuned, posteriors = diagnose(diagnoser, test.frames)
+    pool, _ = window_runs((run, window_spec_for(trial.synth))
+                          for run in generate_fleet(trial.synth, N_TRAIN_RUNS, seed * 1000 + 29))
+    train, test = split(len(pool), 0.85, seed)
+    diagnoser, _, _ = train_diagnoser(pool, trial.mdp, seed, rows=train)
+    tuned, posteriors = diagnose(diagnoser, pool.frames[test])
     plain = np.argmax(posteriors, axis=1)
+    labels = pool.state_labels[test]
     return {
-        "gmean_dbn": gmean(confusion(test.state_labels, plain, N_STATES)),
-        "gmean_ecs": gmean(confusion(test.state_labels, tuned, N_STATES)),
+        "gmean_dbn": gmean(confusion(labels, plain, N_STATES)),
+        "gmean_ecs": gmean(confusion(labels, tuned, N_STATES)),
         "costs": diagnoser.costs,
     }
 
@@ -140,16 +137,11 @@ def sensor_subset_trial(train: FrameDataset, test_runs, subsets: dict,
     """
     results = {}
     for name, channels in subsets.items():
-        tr, tr_rows = train, rows
-        if channels is not None:
-            # a copy of the subset's channels, on the training rows alone
-            tr = (train if rows is None else train.subset(rows)).select_channels(channels)
-            tr_rows = None
+        tr = train if channels is None else train.select_channels(channels)
         tests = test_runs if channels is None else [t.select_channels(channels) for t in test_runs]
         hidden = dbn.draw_hidden_sizes(config, substream(seed, f"arch-{name}"))
         sizes = (tr.n_features,) + hidden + (1,)
-        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed,
-                                       tr_rows)
+        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed, rows)
         preds = [dbn.predict_regression(model, t.frames) for t in tests]
         wear = np.concatenate([t.wear_targets for t in tests])
         results[name] = regression_report(wear, np.concatenate(preds))
@@ -159,14 +151,14 @@ def sensor_subset_trial(train: FrameDataset, test_runs, subsets: dict,
 def fleet_framework_trial(seed: int, trial: TrialConfig | None = None) -> dict:
     """framework_trial on a fleet generated from the seed."""
     trial = trial or TrialConfig()
-    train, test_runs = _fleet_datasets(trial, seed)
-    return framework_trial(train, test_runs, trial.mdp, seed)
+    pool, rows, test_runs = _fleet_datasets(trial, seed)
+    return framework_trial(pool, test_runs, trial.mdp, seed, rows)
 
 
 def fleet_sensor_subset_trial(seed: int, subsets: dict,
                               trial: TrialConfig | None = None) -> dict:
     """Test RMSE per channel subset on a fleet generated from the seed."""
     trial = trial or TrialConfig()
-    train, test_runs = _fleet_datasets(trial, seed)
-    reports = sensor_subset_trial(train, test_runs, subsets, trial.mdp.regressor, seed)
+    pool, rows, test_runs = _fleet_datasets(trial, seed)
+    reports = sensor_subset_trial(pool, test_runs, subsets, trial.mdp.regressor, seed, rows)
     return {name: report.rmse for name, report in reports.items()}

@@ -234,8 +234,10 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
     history carries the DE trace and per-submodel fine-tune losses.
 
     The diagnoser and the regressors depend on none of each other, so up
-    to `workers` forked processes train them (`fanout.map_forked`); the
-    model, the history and the log lines are the same for any count.
+    to `workers` forked processes train them (`fanout.map_forked`). The
+    log lines and routes are the same for any count, the weights for any
+    count above one (each worker runs BLAS on one thread); at 20 kHz, a
+    serial train on more BLAS threads may differ in their last bits.
     """
     labels = dbn.gather(train_set.state_labels, rows)
     if len(labels) == 0:

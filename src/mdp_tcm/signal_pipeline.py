@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DataError
 from .seeding import substream
 
-STATE_NAMES = ("fresh", "progressive", "accelerated", "worn")
 N_STATES = 4
 WEAR_EDGES_UM = (100.0, 200.0, 300.0)
 
@@ -101,28 +100,6 @@ class FrameDataset:
         frames = cube[:, pos, :].reshape(len(self), len(pos) * self.window_len)
         return FrameDataset(np.ascontiguousarray(frames), self.state_labels,
                             self.wear_targets, tuple(channel_ids), self.window_len)
-
-    @staticmethod
-    def concat(datasets) -> "FrameDataset":
-        datasets = _same_layout(datasets)
-        return FrameDataset(
-            np.vstack([d.frames for d in datasets]),
-            np.concatenate([d.state_labels for d in datasets]),
-            np.concatenate([d.wear_targets for d in datasets]),
-            datasets[0].channel_ids, datasets[0].window_len)
-
-
-def _same_layout(datasets) -> list:
-    """The datasets as a list, checked to be nonempty and of one channel layout."""
-    datasets = list(datasets)
-    if not datasets:
-        raise DataError("nothing to concatenate")
-    first = datasets[0]
-    for d in datasets[1:]:
-        if d.channel_ids != first.channel_ids or d.window_len != first.window_len:
-            raise DataError("datasets have incompatible channel layout")
-    return datasets
-
 
 def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
     """The samples of one channel, min-max normalized to [0, 1].
@@ -225,15 +202,16 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> Frame
     return FrameDataset(frames, label_states(targets), targets, tuple(channels), tw)
 
 
-def split(dataset: FrameDataset, train_ratio: float, seed: int):
-    """Seeded uniform shuffle into train/test at the given ratio."""
+def split(n: int, train_ratio: float, seed: int):
+    """(train rows, test rows): a seeded uniform shuffle of the indices of
+    `n` frames, split at the given ratio."""
     if not 0.0 < train_ratio < 1.0:
         raise ValueError("train_ratio must lie in (0, 1)")
-    if len(dataset) == 0:
+    if n == 0:
         raise DataError("cannot split an empty dataset")
-    perm = substream(seed, "split").permutation(len(dataset))
-    n_train = int(np.ceil(train_ratio * len(dataset)))
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+    perm = substream(seed, "split").permutation(n)
+    n_train = int(np.ceil(train_ratio * n))
+    return perm[:n_train], perm[n_train:]
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +474,27 @@ def write_csv(path, header, columns) -> None:
 
     Every value is written as the bytes of `'%.10g' % v`; an integer column
     prints as under `%d`, and one holding a value of 10**10 or more in
-    magnitude is a ValueError. Each block of `_WRITE_BLOCK_ROWS` rows is
-    stacked from the columns and formatted by `_format_block`, then written
-    before the next block is stacked: no whole-table copy is made.
+    magnitude is a ValueError; a column of strings is written as it is.
+    Each block of `_WRITE_BLOCK_ROWS` rows is stacked from the columns and
+    formatted by `_format_block` (a column at a time, then joined row by
+    row, if a column holds strings), then written before the next block
+    is stacked: no whole-table copy is made.
     """
+    columns = [np.asarray(c) for c in columns]
     for c in columns:
-        c = np.asarray(c)
         if c.dtype.kind in "iu" and (np.any(c >= _INT_LIMIT) or np.any(c <= -_INT_LIMIT)):
             raise ValueError("integer column holds a value of 10**10 or more in "
                              "magnitude, which '%.10g' does not print as an integer")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _WRITE_BLOCK_ROWS] for c in columns])
-            fh.write(_format_block(block.astype(np.float64, copy=False)))
+            parts = [c[start:start + _WRITE_BLOCK_ROWS] for c in columns]
+            if all(part.dtype.kind != "U" for part in parts):
+                fh.write(_format_block(np.column_stack(parts).astype(np.float64, copy=False)))
+            else:
+                cells = [part.tolist() if part.dtype.kind == "U" else _format_block(
+                    part.astype(np.float64)[:, None]).decode().split("\n")[:-1] for part in parts]
+                fh.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
 
 
 def _format_block(block: np.ndarray) -> bytes:
@@ -631,3 +616,45 @@ def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory,
         if span is None:
             frames[:, ci * tw:(ci + 1) * tw] = 0.0
     return ds
+
+
+def window_runs(runs, keep=None):
+    """(pool, bounds): runs windowed by `build_dataset` into the rows of one
+    frame matrix, which the dataset `pool` holds; `bounds` gives each run's
+    (start, stop) rows. `runs` yields (run, WindowSpec) pairs, a run being
+    a `SynthRun` or a `RunCsv` from `open_run_csv`, which is read and
+    closed as its rows are made. A run whose channels or window length
+    differ from the first's is a DataError. Given `keep`, indices into
+    `runs`, only those runs are windowed, in that order.
+
+    A first pass checks every run and counts its frames; the matrix is then
+    made and each kept run windowed into its rows, so no frame is held
+    twice, nor the samples of two `RunCsv`s."""
+    checked = []
+    for i, (run, spec) in enumerate(runs):
+        if isinstance(run, RunCsv):
+            name, channel_ids, n_samples = run.path, run.channel_ids, run.n_samples
+        else:
+            name, channel_ids, n_samples = f"#{i}", tuple(run.channels), len(run.wear_trajectory)
+        layout = (channel_ids, compute_window_size(spec))
+        if checked and layout != checked[0][2]:
+            raise DataError(f"run {name} differs from run {checked[0][1]} in its channels "
+                            "or its window length")
+        checked.append((run, name, layout, spec, len(frame_ends(n_samples, spec))))
+    if not checked:
+        raise DataError("no runs to window")
+    kept = checked if keep is None else [checked[i] for i in keep]
+    channel_ids, tw = checked[0][2]
+    ends = np.cumsum([n for *_, n in kept])
+    frames = np.empty((ends[-1], len(channel_ids) * tw))
+    bounds, labels, wear = [], [], []
+    for (run, _, _, spec, n), end in zip(kept, ends):
+        bounds.append((int(end) - n, int(end)))
+        channels, trajectory = (load_run_csv(run) if isinstance(run, RunCsv)
+                                else (run.channels, run.wear_trajectory))
+        ds = build_dataset(channels, spec, trajectory, frames[end - n:end])
+        del channels, trajectory  # a RunCsv's samples go before the next is read
+        labels.append(ds.state_labels)
+        wear.append(ds.wear_targets)
+    pool = FrameDataset(frames, np.concatenate(labels), np.concatenate(wear), channel_ids, tw)
+    return pool, bounds

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import os
 import re
 import shutil
@@ -14,7 +15,7 @@ from mdp_tcm.metrics import REPORT_KEYS
 from mdp_tcm.model_io import load_model, read_model_file, save_model, write_model_file
 from mdp_tcm.multistate import (EcsDbnModel, MultiStateModel, estimate_wear_detailed,
                                 train_mdp)
-from mdp_tcm.signal_pipeline import (FrameDataset, WindowSpec, build_dataset,
+from mdp_tcm.signal_pipeline import (WindowSpec, build_dataset,
                                      compute_window_size, load_run_csv)
 from mdp_tcm.synth import read_run_meta
 
@@ -34,6 +35,21 @@ def _windowed(run_file):
     return build_dataset(channels, WindowSpec(
         spindle_rpm=float(meta["spindle_rpm"]),
         sampling_rate_hz=float(meta["sampling_rate_hz"])), wear)
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """(arguments by parameter name, result) of each call of `module.name`
+    from now on."""
+    calls, original = [], getattr(module, name)
+    signature = inspect.signature(original)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((signature.bind(*args, **kwargs).arguments, result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def tree_bytes(root, suffixes=(".csv", ".model", ".txt")):
@@ -74,8 +90,8 @@ class TestGenerate:
                         "--desk-scale", "--rpm", "1300", "--run-seconds", "20.3"]) == 0
         assert len(alive_at_call) == 3 and max(alive_at_call) <= 1
         monkeypatch.undo()
-        want = sum(np.bincount(experiments.windowed_run(run, spec).state_labels,
-                               minlength=4)
+        want = sum(np.bincount(build_dataset(run.channels, spec,
+                                             run.wear_trajectory).state_labels, minlength=4)
                    for run in synth.generate_fleet(config, 3, 4))
         got = [int(n) for n in re.findall(r"state \d: (\d+) frames",
                                           capsys.readouterr().out)]
@@ -213,6 +229,19 @@ class TestEvaluate:
         assert (tmp_path / "ho.report.csv").read_text() \
             != (tmp_path / "full.report.csv").read_text()
 
+    def test_a_model_that_is_not_multistate_scores_the_loaders_matrix(self, tmp_path,
+                                                                      data_dir, monkeypatch):
+        model = tmp_path / "reg.model"
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(model), "--kind",
+                        "dbn-regressor", "--train-ratio", "1.0"] + TINY_FLAGS) == 0
+        loads = _spy(monkeypatch, cli, "_load_runs")
+        scored = _spy(monkeypatch, dbn, "predict_regression")
+        assert run_cli(["evaluate", "--data", str(data_dir), "--model", str(model),
+                        "--out", str(tmp_path / "ev")]) == 0
+        (_, (pool, _)), = loads
+        (arguments, _), = scored
+        assert arguments["frames"] is pool.frames
+
     def test_holdout_counts_the_training_runs_without_pooling_them(self, tmp_path, data_dir,
                                                                   monkeypatch):
         model = tmp_path / "split.model"
@@ -222,11 +251,13 @@ class TestEvaluate:
                 "--holdout", "--seed", "1", "--out"]
         assert run_cli(argv + [str(tmp_path / "first")]) == 0
 
-        def refuse(datasets):
-            raise AssertionError("evaluate --holdout pooled the frames of its runs")
-
-        monkeypatch.setattr(FrameDataset, "concat", staticmethod(refuse))
+        # the held-out run is scored in the loader's own matrix, not in a copy
+        loads = _spy(monkeypatch, cli, "_load_runs")
+        scored = _spy(monkeypatch, cli, "estimate_wear_detailed")
         assert run_cli(argv + [str(tmp_path / "second")]) == 0
+        (_, (pool, _)), = loads
+        (arguments, _), = scored
+        assert np.shares_memory(arguments["frames"], pool.frames)
         for suffix in (".report.csv", ".report.txt"):
             assert ((tmp_path / f"second{suffix}").read_bytes()
                     == (tmp_path / f"first{suffix}").read_bytes())
@@ -311,7 +342,7 @@ class TestPredict:
 
     def test_prediction_bytes_equal_per_value_rows(self, tmp_path, data_dir,
                                                    multistate_model):
-        # the reference: one `_fmt` call per value, rows joined by commas
+        # the reference: '%.10g' per float and %d per int, rows joined by commas
         run_file = sorted(data_dir.glob("*.csv"))[0]
         out = tmp_path / "pred.csv"
         assert run_cli(["predict", "--model", str(multistate_model),
@@ -321,7 +352,8 @@ class TestPredict:
         rows = [(i, int(states[i])) + tuple(float(p) for p in posteriors[i])
                 + (float(raw[i]), float(smoothed[i])) for i in range(len(states))]
         assert out.read_text().splitlines()[1:] == [
-            ",".join(cli._fmt(v) for v in row) for row in rows]
+            ",".join("%.10g" % v if isinstance(v, float) else "%d" % v for v in row)
+            for row in rows]
 
     def test_predict_deterministic(self, tmp_path, data_dir, multistate_model):
         run_file = sorted(data_dir.glob("*.csv"))[0]
@@ -686,34 +718,50 @@ class TestDataDirectory:
                         "--trials", "1"]) == 2
         assert f"missing sidecar {data / 'extra.meta'}" in capsys.readouterr().err
 
+    def test_runs_of_other_window_lengths_are_data_error(self, tmp_path, capsys):
+        # at 200 Hz, one rotation is 7 samples at 1650 rpm and 10 at 1200 rpm
+        data, other = tmp_path / "data", tmp_path / "other"
+        for out, rpm in ((data, "1650"), (other, "1200")):
+            assert run_cli(["generate", "--out", str(out), "--runs", "1", "--seed", "3",
+                            "--desk-scale", "--run-seconds", "20", "--rpm", rpm]) == 0
+        for suffix in (".csv", ".meta"):
+            shutil.copy(other / f"run000{suffix}", data / f"run001{suffix}")
+        model = tmp_path / "m.model"
+        assert run_cli(["train", "--data", str(data), "--out", str(model),
+                        "--train-ratio", "1.0"] + TINY_FLAGS + TINY_DE_FLAGS) == 2
+        assert (f"data error: run {data / 'run001.csv'} differs from run "
+                f"{data / 'run000.csv'} in its channels or its window length"
+                in capsys.readouterr().err)
+        assert not model.exists()
+
 
 class TestLoadRuns:
     def test_runs_are_row_views_of_one_matrix(self, data_dir):
-        pool, runs = cli._load_runs(str(data_dir), None)
+        pool, bounds = cli._load_runs(str(data_dir), None)
         files = cli._run_files(str(data_dir))
-        assert len(runs) == len(files) == 3
-        assert len(pool) == sum(len(ds) for ds in runs)
-        start = 0
-        for f, ds in zip(files, runs):
+        assert len(bounds) == len(files) == 3
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == len(pool)
+        for f, (start, stop), ds in zip(files, bounds, cli._runs(pool, bounds)):
             assert np.shares_memory(ds.frames, pool.frames)
             meta = read_run_meta(f.with_suffix(".meta"))
             want = cli._windowed_run(f, WindowSpec(
                 spindle_rpm=float(meta["spindle_rpm"]),
                 sampling_rate_hz=float(meta["sampling_rate_hz"])))
-            rows = slice(start, start + len(ds))
+            rows = slice(start, stop)
             for got, expected in ((ds.frames, want.frames), (pool.frames[rows], want.frames),
                                   (ds.wear_targets, want.wear_targets),
                                   (pool.wear_targets[rows], want.wear_targets),
                                   (pool.state_labels[rows], want.state_labels)):
                 assert got.tobytes() == expected.tobytes()
-            start += len(ds)
 
     def test_kept_runs_alone_are_read_in_order(self, data_dir):
-        _, runs = cli._load_runs(str(data_dir), None)
+        full, bounds = cli._load_runs(str(data_dir), None)
+        runs = [full.frames[start:stop] for start, stop in bounds]
         pool, kept = cli._load_runs(str(data_dir), None, keep=[2, 0])
-        assert [ds.frames.tobytes() for ds in kept] == [runs[i].frames.tobytes()
-                                                         for i in (2, 0)]
-        assert pool.frames.tobytes() == np.vstack([runs[2].frames, runs[0].frames]).tobytes()
+        assert [pool.frames[start:stop].tobytes() for start, stop in kept] == [
+            runs[i].tobytes() for i in (2, 0)]
+        assert pool.frames.tobytes() == np.vstack([runs[2], runs[0]]).tobytes()
 
     @pytest.mark.parametrize("first_read", [True, False], ids=["parse", "parsed-run-file"])
     def test_each_run_is_hashed_once(self, tmp_path, data_dir, monkeypatch, first_read):
@@ -740,12 +788,23 @@ class TestLoadRuns:
         ids=["train", "compare-frameworks", "evaluate-trials", "ablate-sensors"])
     def test_no_command_pools_its_training_runs(self, tmp_path, data_dir, monkeypatch,
                                                 command):
-        def refuse(datasets):
-            raise AssertionError("the training runs were pooled")
-
-        monkeypatch.setattr(FrameDataset, "concat", staticmethod(refuse))
+        # each trainer gets the loader's own matrix: `train` the training
+        # runs alone, every other command all the runs plus training rows
+        monkeypatch.setenv("MDP_TCM_THREADS", "1")
+        loads = _spy(monkeypatch, cli, "_load_runs")
+        trainers = [_spy(monkeypatch, cli, name)
+                    for name in ("_train_one", "framework_trial", "sensor_subset_trial")]
         assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "o"),
                                   "--seed", "2"] + TINY_FLAGS) == 0
+        (_, (pool, bounds)), = loads
+        (arguments, _), = [call for calls in trainers for call in calls]
+        train = arguments.get("train_set", arguments.get("train"))
+        assert np.shares_memory(train.frames, pool.frames)
+        rows = arguments.get("rows")
+        if command[0] == "train":
+            assert rows is None and len(bounds) == 2
+        else:
+            assert len(bounds) == 3 and 0 < len(rows) < len(pool)
 
 
 class TestSplitRuns:
@@ -763,14 +822,15 @@ class TestSplitRuns:
     def test_held_out_data_is_whole_runs(self, data_dir):
         # the training rows index the pool's frames of the two runs not held
         # out, run after run in split order
-        pool, runs = cli._load_runs(str(data_dir), None)
-        rows, held = cli._split_runs(runs, 0.85, 4)
+        pool, bounds = cli._load_runs(str(data_dir), None)
+        rows, held = cli._split_runs(bounds, 0.85, 4)
         assert len(held) == 1
-        train = [runs[i] for i in cli._split_indices(len(runs), 0.85, 4)[0]]
-        assert len(train) == 2 and all(ds is not held[0] for ds in train)
-        assert np.array_equal(pool.frames[rows], np.vstack([ds.frames for ds in train]))
-        assert np.array_equal(pool.wear_targets[rows],
-                              np.concatenate([ds.wear_targets for ds in train]))
+        train = [bounds[i] for i in cli._split_indices(len(bounds), 0.85, 4)[0]]
+        assert len(train) == 2 and held[0] not in train
+        assert np.array_equal(pool.frames[rows],
+                              np.vstack([pool.frames[start:stop] for start, stop in train]))
+        assert np.array_equal(pool.wear_targets[rows], np.concatenate(
+            [pool.wear_targets[start:stop] for start, stop in train]))
 
     @pytest.mark.parametrize("mode", ["frame", "pooled"])
     @pytest.mark.parametrize("command", [

@@ -3,7 +3,8 @@ the acceptance module."""
 
 from mdp_tcm.experiments import (FRAMEWORKS, N_TEST_RUNS, TrialConfig,
                                  fleet_framework_trial, fleet_sensor_subset_trial,
-                                 imbalance_trial, window_spec_for, windowed_run)
+                                 imbalance_trial, window_spec_for)
+from mdp_tcm.signal_pipeline import window_runs
 from mdp_tcm.synth import SynthConfig, generate_run
 
 FAST = TrialConfig(synth=SynthConfig.desk(run_seconds=60.0, noise_scale=1.5))
@@ -11,7 +12,7 @@ FAST = TrialConfig(synth=SynthConfig.desk(run_seconds=60.0, noise_scale=1.5))
 
 def test_windowing_helper_roundtrip():
     cfg = SynthConfig.desk(run_seconds=20.0)
-    ds = windowed_run(generate_run(cfg, 1), window_spec_for(cfg))
+    ds, _ = window_runs([(generate_run(cfg, 1), window_spec_for(cfg))])
     assert len(ds) > 100
     assert ds.frames.min() >= 0.0 and ds.frames.max() <= 1.0
 

@@ -12,11 +12,13 @@ import pytest
 import format_corpus
 from mdp_tcm import signal_pipeline
 from mdp_tcm.errors import DataError
+from mdp_tcm.experiments import window_spec_for
 from mdp_tcm.signal_pipeline import (FrameDataset,
                                      WindowSpec, build_dataset, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, normalize_channel, open_run_csv,
-                                     split, window, write_csv)
+                                     split, window, window_runs, write_csv)
+from mdp_tcm.synth import SynthConfig, SynthRun, generate_fleet, generate_run
 
 
 def norm(samples):
@@ -144,28 +146,24 @@ class TestWindowing:
 
 
 class TestSplit:
-    def make(self, n):
-        rng = np.random.default_rng(0)
-        return FrameDataset(rng.random((n, 4)), label_states(np.zeros(n)),
-                            np.zeros(n), ("a",), 4)
-
     def test_85_15(self):
-        train, test = split(self.make(100), 0.85, 1)
+        train, test = split(100, 0.85, 1)
         assert len(train) == 85 and len(test) == 15
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(100))
 
     def test_singleton(self):
-        train, test = split(self.make(1), 0.85, 1)
+        train, test = split(1, 0.85, 1)
         assert len(train) == 1 and len(test) == 0
 
     def test_deterministic(self):
-        a1, b1 = split(self.make(50), 0.85, 9)
-        a2, b2 = split(self.make(50), 0.85, 9)
-        assert np.array_equal(a1.frames, a2.frames)
-        assert np.array_equal(b1.frames, b2.frames)
+        a1, b1 = split(50, 0.85, 9)
+        a2, b2 = split(50, 0.85, 9)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            split(self.make(10).subset(np.array([], dtype=int)), 0.85, 0)
+            split(0, 0.85, 0)
 
 
 class TestDatasetPlumbing:
@@ -227,6 +225,18 @@ class TestDatasetPlumbing:
         matrix = np.column_stack(columns).reshape(n_rows, len(columns))
         want = ",".join(f"c{i}" for i in range(len(columns))) + "\n" + (
             (",".join(formats) + "\n") * n_rows) % tuple(matrix.ravel().tolist())
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("n_rows", [0, 3, 2500])
+    def test_write_csv_writes_a_column_of_strings_as_it_is(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        names = [f"s{i}, a,b" if i % 3 else "" for i in range(n_rows)]
+        values = format_corpus.random_bits(n_rows, 3)
+        steps = rng.integers(-10 ** 9, 10 ** 9, n_rows)
+        path = tmp_path / "table.csv"
+        write_csv(path, ["x", "name", "step"], [values, names, steps])
+        want = "x,name,step\n" + "".join(
+            "%.10g,%s,%d\n" % row for row in zip(values.tolist(), names, steps.tolist()))
         assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("value", [10 ** 10, -10 ** 10, 2 ** 62])
@@ -297,6 +307,46 @@ class TestBuildDataset:
         constant = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert constant == (["channel 'dead' is constant; normalized to zeros"] * 2
                             if case == "constant-channel" else [])
+
+
+class TestWindowRuns:
+    """`window_runs` windows runs into the rows of one frame matrix."""
+
+    CONFIG = SynthConfig.desk(run_seconds=20.0)
+
+    def test_each_runs_rows_equal_its_own_dataset(self):
+        runs = generate_fleet(self.CONFIG, 3, 5)
+        spec = window_spec_for(self.CONFIG)
+        pool, bounds = window_runs((run, spec) for run in runs)
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == len(pool)
+        for run, (start, stop) in zip(runs, bounds):
+            want = build_dataset(run.channels, spec, run.wear_trajectory)
+            assert pool.frames[start:stop].tobytes() == want.frames.tobytes()
+            assert pool.wear_targets[start:stop].tobytes() == want.wear_targets.tobytes()
+            assert pool.state_labels[start:stop].tobytes() == want.state_labels.tobytes()
+        kept, kept_bounds = window_runs(((run, spec) for run in runs), keep=[2, 0])
+        assert kept.frames.tobytes() == np.vstack(
+            [pool.frames[slice(*bounds[i])] for i in (2, 0)]).tobytes()
+        assert [stop - start for start, stop in kept_bounds] == [
+            bounds[i][1] - bounds[i][0] for i in (2, 0)]
+
+    @pytest.mark.parametrize("mismatch", ["window", "channels"])
+    def test_mixed_layouts_are_data_error(self, mismatch):
+        run = generate_run(self.CONFIG, 1)
+        spec = window_spec_for(self.CONFIG)
+        if mismatch == "window":
+            other = (run, WindowSpec(spindle_rpm=1200.0, sampling_rate_hz=200.0))
+        else:
+            other = (SynthRun(dict(list(run.channels.items())[:-1]), run.wear_trajectory),
+                     spec)
+        with pytest.raises(DataError, match="run #1 differs from run #0 in its channels "
+                                            "or its window length"):
+            window_runs([(run, spec), other])
+
+    def test_no_runs_is_data_error(self):
+        with pytest.raises(DataError, match="no runs to window"):
+            window_runs([])
 
 
 class TestReadMemory:

@@ -3,8 +3,8 @@ import pytest
 
 import format_corpus
 from mdp_tcm import signal_pipeline
-from mdp_tcm.experiments import window_spec_for, windowed_run
-from mdp_tcm.signal_pipeline import N_STATES, label_states
+from mdp_tcm.experiments import window_spec_for
+from mdp_tcm.signal_pipeline import N_STATES, build_dataset, label_states, window_runs
 from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, SynthRun, generate_fleet,
                            generate_run, read_run_meta, wear_curve,
                            write_run_csv, write_run_meta)
@@ -60,7 +60,7 @@ class TestGenerateRun:
 
     def test_state_counts_track_skew(self):
         run = generate_run(DESK, seed=3)
-        ds = windowed_run(run, window_spec_for(DESK))
+        ds = build_dataset(run.channels, window_spec_for(DESK), run.wear_trajectory)
         counts = np.bincount(ds.state_labels, minlength=N_STATES)
         assert np.all(counts >= 100)  # label coverage at desk scale
         ratio = counts[0] / counts[3]
@@ -68,7 +68,7 @@ class TestGenerateRun:
 
     def test_window_mean_tracks_wear(self):
         run = generate_run(DESK, seed=4)
-        ds = windowed_run(run, window_spec_for(DESK))
+        ds = build_dataset(run.channels, window_spec_for(DESK), run.wear_trajectory)
         cube = ds.frames.reshape(len(ds), 14, ds.window_len)
         for ci in range(14):
             r = np.corrcoef(cube[:, ci, :].mean(axis=1), ds.wear_targets)[0, 1]
@@ -87,7 +87,7 @@ class TestFleet:
         cfg = SynthConfig.desk(run_seconds=20.0)
         runs = generate_fleet(cfg, 20, 0)
         spec = window_spec_for(cfg)
-        labels = np.concatenate([windowed_run(r, spec).state_labels for r in runs])
+        labels = window_runs((run, spec) for run in runs)[0].state_labels
         assert set(np.unique(labels)) == {0, 1, 2, 3}
 
     def test_bad_run_count(self):
