@@ -33,7 +33,7 @@ from .fanout import map_forked, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
-                       KIND_REGRESSOR, load_model, model_kind, read_model_file,
+                       KIND_REGRESSOR, load_model, model_kind, read_model_header,
                        save_model)
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
@@ -101,7 +101,6 @@ _COMMON_TRAIN_OPTS = [
     ("pretrain-epochs", int, None, "CD pretraining epochs"),
     ("finetune-epochs", int, None, "SGD fine-tuning epochs"),
     ("learning-rate", _opt_float, None, "learning rate for pretraining and fine-tuning"),
-    ("classifier-learning-rate", _opt_float, None, "override for the state classifier"),
     ("regressor-learning-rate", _opt_float, None, "override for the wear regressors"),
     ("batch-size", int, None, "mini-batch size"),
     ("hidden-range", _opt_range, None, "hidden width interval, e.g. 5,60"),
@@ -112,6 +111,7 @@ _COMMON_TRAIN_OPTS = [
 
 # options of the commands that train the multistate pipeline
 _MDP_OPTS = [
+    ("classifier-learning-rate", _opt_float, None, "override for the state classifier"),
     ("smoothing-window", int, 50, "trailing smoothing window (multistate)"),
     ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
     ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
@@ -334,10 +334,11 @@ def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
 
 
 def _check_trained_on(model_path, seed: int, n_pool_frames: int) -> None:
-    """A data error unless the model's training echo shows that it was
+    """A data error unless the training echo in the model's header shows that it was
     trained with `seed` on a pool of `n_pool_frames` frames: the training
     pool of the split whose held-out runs `evaluate --holdout` scores."""
-    config = read_model_file(model_path)[2]
+    with open(model_path, "rb") as fh:
+        config = read_model_header(fh, model_path)[0]
     echo = (config.get("train.seed"), config.get("train.n_train_frames"))
     if None in echo:
         raise DataError(f"model {model_path} does not record the seed and frame count "
@@ -576,6 +577,10 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     channels = _channel_list(cfg["channels"], pool.channel_ids)
     if channels is not None:
         pool = pool.select_channels(channels)
+        if cfg["model"]:
+            # `train` selects no channels: a model takes every one, in file order
+            raise UsageError(f"--channels {cfg['channels']!r}: a model file is scored on "
+                             "all channels; --channels applies to --trials")
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 

@@ -270,20 +270,14 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
     theta = model.theta.copy()
     sizes = model.sizes_array
     history = np.zeros(config.finetune_epochs)
-    if model.head == SOFTMAX:
-        y = np.asarray(targets, dtype=np.int64)
-        if len(y) != len(frames):
-            raise ValueError("labels and frames must have equal length")
-        seen = gather(y, rows)
-        if seen.min() < 0 or seen.max() >= model.n_outputs:
-            raise ValueError("class label out of range")
-    else:
-        y = np.asarray(targets, dtype=np.float64)
-        if len(y) != len(frames):
-            raise ValueError("targets and frames must have equal length")
-        seen = gather(y, rows)
-        if not np.isfinite(seen).all():
-            raise ValueError("regression targets must be finite")
+    y = np.asarray(targets, dtype=np.int64 if model.head == SOFTMAX else np.float64)
+    if len(y) != len(frames):
+        raise ValueError("targets and frames must have equal length")
+    seen = gather(y, rows)
+    if model.head == SOFTMAX and (seen.min() < 0 or seen.max() >= model.n_outputs):
+        raise ValueError("class label out of range")
+    if model.head == LINEAR and not np.isfinite(seen).all():
+        raise ValueError("regression targets must be finite")
 
     # SGD on wear-scale targets is ill-conditioned (optimal head weights grow
     # with the target range), so the linear head trains in target units
@@ -333,30 +327,23 @@ def finetune_regressor(model: DbnModel, frames, targets, config: TrainConfig,
     return _finetune(model, frames, targets, config, rng, rows)
 
 
-def train_classifier(frames, labels, layer_sizes, config: TrainConfig, seed: int,
-                     rows=None):
-    """Pretrain + fine-tune a classifier end to end from a run seed; given
-    the index array `rows`, on those rows of `frames` and `labels`, with
-    the bytes of training on `frames[rows]` and `labels[rows]`."""
-    stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"), rows)
-    model = init_model(layer_sizes, SOFTMAX, substream(seed, "init"), rbm_stack=stack)
-    rescale_hidden_layers(model, frames, rows)
-    return finetune_classifier(model, frames, labels, config, substream(seed, "finetune"),
-                               rows)
+def train_network(frames, targets, layer_sizes, head: str, config: TrainConfig, seed: int,
+                  rows=None):
+    """Pretrain + fine-tune a classifier (softmax head, class labels as
+    targets) or a scalar regressor (linear head) end to end from a run
+    seed; given the index array `rows`, on those rows of `frames` and
+    `targets`, with the bytes of training on `frames[rows]` and
+    `targets[rows]`. Returns (model, per-epoch loss).
 
-
-def train_regressor(frames, targets, layer_sizes, config: TrainConfig, seed: int,
-                    rows=None):
-    """Pretrain + fine-tune a scalar regressor end to end from a run seed;
-    `rows` as in `train_classifier`.
-
-    The head bias starts at the target mean so early residuals are centered;
-    SGD at wear-scale targets diverges otherwise.
+    A linear head's bias starts at the target mean so early residuals are
+    centered; SGD at wear-scale targets diverges otherwise.
     """
     stack = pretrain(layer_sizes, frames, config, substream(seed, "pretrain"), rows)
-    model = init_model(layer_sizes, LINEAR, substream(seed, "init"), rbm_stack=stack)
+    model = init_model(layer_sizes, head, substream(seed, "init"), rbm_stack=stack)
     rescale_hidden_layers(model, frames, rows)
-    _, head_bias = model.layer(len(model.layer_sizes) - 2)
-    head_bias[0] = float(np.mean(gather(np.asarray(targets), rows)))
-    return finetune_regressor(model, frames, targets, config, substream(seed, "finetune"),
-                              rows)
+    if head == LINEAR:
+        _, head_bias = model.layer(len(model.layer_sizes) - 2)
+        head_bias[0] = float(np.mean(gather(np.asarray(targets), rows)))
+    # looked up by name at each call, so a wrapper installed on the module runs
+    finetune = finetune_classifier if head == SOFTMAX else finetune_regressor
+    return finetune(model, frames, targets, config, substream(seed, "finetune"), rows)

@@ -141,7 +141,8 @@ def sensor_subset_trial(train: FrameDataset, test_runs, subsets: dict,
         tests = test_runs if channels is None else [t.select_channels(channels) for t in test_runs]
         hidden = dbn.draw_hidden_sizes(config, substream(seed, f"arch-{name}"))
         sizes = (tr.n_features,) + hidden + (1,)
-        model, _ = dbn.train_regressor(tr.frames, tr.wear_targets, sizes, config, seed, rows)
+        model, _ = dbn.train_network(tr.frames, tr.wear_targets, sizes, dbn.LINEAR, config,
+                                     seed, rows)
         preds = [dbn.predict_regression(model, t.frames) for t in tests]
         wear = np.concatenate([t.wear_targets for t in tests])
         results[name] = regression_report(wear, np.concatenate(preds))

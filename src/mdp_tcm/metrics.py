@@ -31,10 +31,6 @@ class ConfusionCounts:
     support: np.ndarray
 
     @property
-    def n_classes(self) -> int:
-        return len(self.tp)
-
-    @property
     def n_samples(self) -> int:
         return int(self.support.sum())
 
@@ -82,21 +78,14 @@ def confusion(y, yhat, n_classes: int) -> ConfusionCounts:
     yhat = yhat.astype(np.int64)
     if y.min() < 0 or yhat.min() < 0 or y.max() >= n_classes or yhat.max() >= n_classes:
         raise ValueError(f"labels outside [0, {n_classes})")
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    tn = np.zeros(n_classes, dtype=np.int64)
-    support = np.zeros(n_classes, dtype=np.int64)
-    n = len(y)
-    for k in range(n_classes):
-        pos = y == k
-        pred = yhat == k
-        tp[k] = int(np.sum(pos & pred))
-        fp[k] = int(np.sum(~pos & pred))
-        fn[k] = int(np.sum(pos & ~pred))
-        tn[k] = n - tp[k] - fp[k] - fn[k]
-        support[k] = int(np.sum(pos))
-    return ConfusionCounts(tp, fp, fn, tn, support)
+    # matrix[true, predicted]: the count of each pair
+    matrix = np.bincount(y * n_classes + yhat,
+                         minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    tp = matrix.diagonal().copy()
+    support = matrix.sum(axis=1)
+    fp = matrix.sum(axis=0) - tp
+    fn = support - tp
+    return ConfusionCounts(tp, fp, fn, len(y) - tp - fp - fn, support)
 
 
 def _safe_div(num, den):

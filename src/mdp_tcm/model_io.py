@@ -44,22 +44,23 @@ def write_model_file(path, kind: str, arrays: dict, config: dict) -> None:
         fh.write(payload)
 
 
-def read_model_file(path):
-    """Low-level reader; validates version and checksum.
-
-    Returns (kind, arrays, config) with arrays as float64 in native order.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def read_model_header(fh, path):
+    """(config, array specs, checksum) from the header of a model file open
+    for binary reading, which is left at the first byte of the payload.
+    `config` holds every `key = value` line but the checksum; each spec is
+    (name, dims). Validates the format version."""
+    lines = []
+    for line in fh:
+        lines.append(line)
+        if line.endswith(b"end-header\n"):
+            break
+    else:
+        raise DataError(f"{path}: not a model file (missing header terminator)")
+    lines[-1] = lines[-1].removesuffix(b"end-header\n")
     try:
-        head_end = blob.index(b"end-header\n")
-    except ValueError:
-        raise DataError(f"{path}: not a model file (missing header terminator)") from None
-    try:
-        header = blob[:head_end].decode("utf-8").splitlines()
+        header = b"".join(lines).decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: model header is not UTF-8 text: {exc}") from None
-    payload = blob[head_end + len(b"end-header\n"):]
     if not header or not header[0].startswith(MAGIC):
         raise DataError(f"{path}: not a model file")
     version = header[0].removeprefix(MAGIC).strip()
@@ -85,7 +86,17 @@ def read_model_file(path):
                 checksum = v
             else:
                 config[k] = v
+    return config, specs, checksum
 
+
+def read_model_file(path):
+    """Low-level reader; validates version and checksum.
+
+    Returns (kind, arrays, config) with arrays as float64 in native order.
+    """
+    with open(path, "rb") as fh:
+        config, specs, checksum = read_model_header(fh, path)
+        payload = fh.read()
     if checksum != hashlib.sha256(payload).hexdigest():
         raise DataError(f"{path}: checksum mismatch; file is corrupt")
     kind = config.pop("kind", None)

@@ -111,9 +111,6 @@ def _apply_sticky(states: np.ndarray, m: int) -> np.ndarray:
         else:
             candidate = states[i]
             streak = 1
-            if streak >= m:
-                current = candidate
-                streak = 0
         out[i] = current
     return out
 
@@ -190,14 +187,14 @@ def state_rows(train_set: FrameDataset, state: int, rows=None) -> np.ndarray:
 
 # Every trainer below trains on the frames of `train_set`, or, given the
 # index array `rows`, on those of its rows, with the bytes of training on
-# `train_set.subset(rows)` and without that copy (see `dbn.train_classifier`).
+# `train_set.subset(rows)` and without that copy (see `dbn.train_network`).
 
 def train_state_classifier(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
                            rows=None):
     """The state classifier, before any cost search: (DbnModel, losses)."""
     sizes = layer_sizes(config, train_set.n_features, seed)[0]
-    return dbn.train_classifier(train_set.frames, train_set.state_labels, sizes,
-                                config.classifier, seed, rows)
+    return dbn.train_network(train_set.frames, train_set.state_labels, sizes, dbn.SOFTMAX,
+                             config.classifier, seed, rows)
 
 
 def train_diagnoser(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
@@ -219,8 +216,8 @@ def train_wear_regressor(train_set: FrameDataset, config: MdpTrainConfig, seed: 
     sizes = layer_sizes(config, train_set.n_features, seed)[1]
     if state is not None:
         rows, seed = state_rows(train_set, state, rows), seed + 1000 + state
-    return dbn.train_regressor(train_set.frames, train_set.wear_targets, sizes,
-                               config.regressor, seed, rows)
+    return dbn.train_network(train_set.frames, train_set.wear_targets, sizes, dbn.LINEAR,
+                             config.regressor, seed, rows)
 
 
 def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,

@@ -50,32 +50,26 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class FrameDataset:
-    """Windowed multichannel frames with per-frame state label and wear target.
+    """Windowed multichannel frames with per-frame wear target; each
+    frame's state label follows from its wear (`label_states`).
 
     Each row of `frames` is one window flattened channel-major:
     [ch0 samples..., ch1 samples..., ...], window_len samples per channel.
     """
 
     frames: np.ndarray
-    state_labels: np.ndarray
     wear_targets: np.ndarray
     channel_ids: tuple
     window_len: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
-        labels = np.asarray(self.state_labels, dtype=np.int64)
         wear = np.asarray(self.wear_targets, dtype=np.float64)
         if frames.ndim != 2:
             raise ValueError("frames must be a 2-D matrix")
-        if not (len(frames) == len(labels) == len(wear)):
-            raise ValueError("frames, state_labels and wear_targets must have equal length")
         if frames.shape[1] != self.window_len * len(self.channel_ids):
             raise ValueError("frame width must equal window_len * channel count")
-        if len(wear) and np.any(labels != label_states(wear)):
-            raise ValueError("state labels inconsistent with wear targets")
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "wear_targets", wear)
         object.__setattr__(self, "channel_ids", tuple(self.channel_ids))
 
@@ -86,9 +80,13 @@ class FrameDataset:
     def n_features(self) -> int:
         return self.frames.shape[1]
 
+    @property
+    def state_labels(self) -> np.ndarray:
+        return label_states(self.wear_targets)
+
     def subset(self, idx) -> "FrameDataset":
-        return FrameDataset(self.frames[idx], self.state_labels[idx],
-                            self.wear_targets[idx], self.channel_ids, self.window_len)
+        return FrameDataset(self.frames[idx], self.wear_targets[idx], self.channel_ids,
+                            self.window_len)
 
     def select_channels(self, channel_ids) -> "FrameDataset":
         """Restrict frames to the named channels (order as given)."""
@@ -98,8 +96,8 @@ class FrameDataset:
         pos = [self.channel_ids.index(c) for c in channel_ids]
         cube = self.frames.reshape(len(self), len(self.channel_ids), self.window_len)
         frames = cube[:, pos, :].reshape(len(self), len(pos) * self.window_len)
-        return FrameDataset(np.ascontiguousarray(frames), self.state_labels,
-                            self.wear_targets, tuple(channel_ids), self.window_len)
+        return FrameDataset(np.ascontiguousarray(frames), self.wear_targets,
+                            tuple(channel_ids), self.window_len)
 
 def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
     """The samples of one channel, min-max normalized to [0, 1].
@@ -172,7 +170,7 @@ def frame_ends(n_samples: int, spec: WindowSpec) -> np.ndarray:
 
 
 def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> FrameDataset:
-    """Cut sliding windows over all channels and attach labels and targets.
+    """Cut sliding windows over all channels and attach wear targets.
 
     `channels` maps each channel id to its samples, in frame order, all
     sampled at `spec.sampling_rate_hz`. Frame t covers samples
@@ -193,13 +191,15 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> Frame
     ends = frame_ends(tau, spec)
     # the gap-filled copy of the wear goes before the frame matrix is made
     targets = fill_wear_gaps(wear)[ends]
+    if np.any(targets < 0):
+        raise ValueError("flank wear cannot be negative")
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
     frames = np.empty((len(ends), len(channels) * tw)) if out is None else out
     for ci, x in enumerate(channels.values()):
         frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
             x, tw)[::stride]
-    return FrameDataset(frames, label_states(targets), targets, tuple(channels), tw)
+    return FrameDataset(frames, targets, tuple(channels), tw)
 
 
 def split(n: int, train_ratio: float, seed: int):
@@ -647,14 +647,13 @@ def window_runs(runs, keep=None):
     channel_ids, tw = checked[0][2]
     ends = np.cumsum([n for *_, n in kept])
     frames = np.empty((ends[-1], len(channel_ids) * tw))
-    bounds, labels, wear = [], [], []
+    bounds, wear = [], []
     for (run, _, _, spec, n), end in zip(kept, ends):
         bounds.append((int(end) - n, int(end)))
         channels, trajectory = (load_run_csv(run) if isinstance(run, RunCsv)
                                 else (run.channels, run.wear_trajectory))
         ds = build_dataset(channels, spec, trajectory, frames[end - n:end])
         del channels, trajectory  # a RunCsv's samples go before the next is read
-        labels.append(ds.state_labels)
         wear.append(ds.wear_targets)
-    pool = FrameDataset(frames, np.concatenate(labels), np.concatenate(wear), channel_ids, tw)
+    pool = FrameDataset(frames, np.concatenate(wear), channel_ids, tw)
     return pool, bounds

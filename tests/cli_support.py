@@ -7,7 +7,7 @@ def run_cli(args):
     return cli.main(list(args))
 
 
-# training-size flags accepted by every train-ish command
+# training-size flags accepted by every command that trains a state classifier
 TRAIN_FLAGS = [
     "--pretrain-epochs", "5", "--finetune-epochs", "150",
     "--classifier-learning-rate", "0.01", "--regressor-learning-rate", "0.003",

@@ -124,7 +124,7 @@ class TestEvolve:
         labels = (frames[:, 0] > 0.75).astype(int)  # imbalanced
         config = dbn.TrainConfig(pretrain_epochs=0, finetune_epochs=40,
                                  learning_rate=0.05, batch_size=16)
-        model, _ = dbn.train_classifier(frames, labels, (4, 5, 2), config, seed=12)
+        model, _ = dbn.train_network(frames, labels, (4, 5, 2), dbn.SOFTMAX, config, seed=12)
         costs, history = evolve(model, frames, labels, DeConfig(), substream(12, "de"))
         objective = make_gmean_objective(dbn.predict_proba(model, frames), labels, 2)
         assert objective(costs.costs) >= objective(np.ones(2)) - 1e-12

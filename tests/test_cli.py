@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mdp_tcm import _kernels, cli, dbn, experiments, signal_pipeline, synth
+from mdp_tcm import _kernels, cli, dbn, experiments, model_io, signal_pipeline, synth
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.errors import NumericError
 from mdp_tcm.metrics import REPORT_KEYS
@@ -213,6 +213,19 @@ class TestEvaluate:
                         "--out", str(tmp_path / "r")])
         assert code == 2
 
+    @pytest.mark.parametrize("channels", ["swapped", "force"])
+    def test_model_takes_every_channel_in_file_order(self, tmp_path, data_dir,
+                                                     multistate_model, capsys, channels):
+        if channels == "swapped":
+            ids = list(cli._load_runs(str(data_dir), None)[0].channel_ids)
+            ids[0], ids[1] = ids[1], ids[0]
+            channels = ",".join(ids)
+        assert run_cli(["evaluate", "--data", str(data_dir), "--model",
+                        str(multistate_model), "--channels", channels,
+                        "--out", str(tmp_path / "r")]) == 1
+        assert f"usage error: --channels {channels!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_holdout_split_evaluation(self, tmp_path, data_dir):
         # a model trained on the training runs of the split that --holdout scores
         model = tmp_path / "split.model"
@@ -251,13 +264,17 @@ class TestEvaluate:
                 "--holdout", "--seed", "1", "--out"]
         assert run_cli(argv + [str(tmp_path / "first")]) == 0
 
-        # the held-out run is scored in the loader's own matrix, not in a copy
+        # the held-out run is scored in the loader's own matrix, not in a copy,
+        # and the model's payload is read once, by `load_model`
         loads = _spy(monkeypatch, cli, "_load_runs")
         scored = _spy(monkeypatch, cli, "estimate_wear_detailed")
+        payload_reads = [_spy(monkeypatch, module, "read_model_file")
+                         for module in (model_io, cli) if hasattr(module, "read_model_file")]
         assert run_cli(argv + [str(tmp_path / "second")]) == 0
         (_, (pool, _)), = loads
         (arguments, _), = scored
         assert np.shares_memory(arguments["frames"], pool.frames)
+        assert sum(map(len, payload_reads)) == 1
         for suffix in (".report.csv", ".report.txt"):
             assert ((tmp_path / f"second{suffix}").read_bytes()
                     == (tmp_path / f"first{suffix}").read_bytes())
@@ -521,14 +538,24 @@ class TestPipelineFlags:
 class TestAblateAndCompare:
     def test_ablate_sensors_table(self, tmp_path, data_dir):
         out = tmp_path / "abl"
+        # ablate-sensors trains regressors alone: it has no classifier learning rate
+        at = TRAIN_FLAGS.index("--classifier-learning-rate")
         code = run_cli(["ablate-sensors", "--data", str(data_dir),
                         "--out", str(out), "--subsets", "force;all",
                         "--trials", "1", "--seed", "2", "--split-mode", "run"]
-                       + TRAIN_FLAGS)
+                       + TRAIN_FLAGS[:at] + TRAIN_FLAGS[at + 2:])
         assert code == 0
         rows = (tmp_path / "abl.sensor_ablation.csv").read_text().splitlines()
         assert rows[0].startswith("subset,rmse_mean")
         assert len(rows) == 1 + 2
+
+    def test_ablate_sensors_has_no_classifier_learning_rate(self, tmp_path, data_dir,
+                                                            capsys):
+        assert run_cli(["ablate-sensors", "--data", str(data_dir), "--out",
+                        str(tmp_path / "abl"), "--classifier-learning-rate", "0.1"]
+                       + TINY_FLAGS) == 1
+        assert "--classifier-learning-rate" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_compare_frameworks_table(self, tmp_path, data_dir):
         out = tmp_path / "cmp"
@@ -637,11 +664,15 @@ class TestSubModelFanOut:
                                                          monkeypatch, capsys, two_cores):
         parent = os.getpid()
 
-        def diverging(frames, targets, layer_sizes, config, seed, rows=None):
+        train_network = dbn.train_network
+
+        def diverging(frames, targets, layer_sizes, head, config, seed, rows=None):
+            if head == dbn.SOFTMAX:
+                return train_network(frames, targets, layer_sizes, head, config, seed, rows)
             where = "a worker" if os.getpid() != parent else "the parent"
             raise NumericError(f"regressor {seed} diverged in {where}")
 
-        monkeypatch.setattr(dbn, "train_regressor", diverging)
+        monkeypatch.setattr(dbn, "train_network", diverging)
         monkeypatch.setenv("MDP_TCM_THREADS", "2")
         assert run_cli(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.model"),
                         "--seed", "5", "--train-ratio", "1.0"]

@@ -285,9 +285,9 @@ class TestTrainEndToEnd:
         config = dbn.TrainConfig(pretrain_epochs=3, finetune_epochs=30,
                                  learning_rate=0.01, batch_size=16,
                                  hidden_range=(3, 8))
-        clf, _ = dbn.train_classifier(frames, labels, (6, 5, 2), config, seed=1)
+        clf, _ = dbn.train_network(frames, labels, (6, 5, 2), dbn.SOFTMAX, config, seed=1)
         assert np.isfinite(clf.theta).all()
-        reg, _ = dbn.train_regressor(frames, wear, (6, 5, 1), config, seed=1)
+        reg, _ = dbn.train_network(frames, wear, (6, 5, 1), dbn.LINEAR, config, seed=1)
         assert np.isfinite(reg.theta).all()
 
     def test_numeric_error_raised_on_blowup(self):
@@ -337,14 +337,17 @@ class TestRowIndexTraining:
     def test_classifier(self, data):
         frames, _, labels, rows = data
         self.assert_same(
-            dbn.train_classifier(frames, labels, (6, 5, 4, 2), self.CONFIG, 3, rows),
-            dbn.train_classifier(frames[rows], labels[rows], (6, 5, 4, 2), self.CONFIG, 3))
+            dbn.train_network(frames, labels, (6, 5, 4, 2), dbn.SOFTMAX, self.CONFIG, 3,
+                              rows),
+            dbn.train_network(frames[rows], labels[rows], (6, 5, 4, 2), dbn.SOFTMAX,
+                              self.CONFIG, 3))
 
     def test_regressor(self, data):
         frames, wear, _, rows = data
         self.assert_same(
-            dbn.train_regressor(frames, wear, (6, 5, 4, 1), self.CONFIG, 4, rows),
-            dbn.train_regressor(frames[rows], wear[rows], (6, 5, 4, 1), self.CONFIG, 4))
+            dbn.train_network(frames, wear, (6, 5, 4, 1), dbn.LINEAR, self.CONFIG, 4, rows),
+            dbn.train_network(frames[rows], wear[rows], (6, 5, 4, 1), dbn.LINEAR,
+                              self.CONFIG, 4))
 
     def test_targets_outside_the_rows_are_not_checked(self, data):
         # the rows alone are trained on: a label out of range elsewhere is unseen
@@ -352,5 +355,6 @@ class TestRowIndexTraining:
         labels = labels.copy()
         labels[np.setdiff1d(np.arange(70), rows)] = 9
         self.assert_same(
-            dbn.train_classifier(frames, labels, (6, 5, 2), self.CONFIG, 5, rows),
-            dbn.train_classifier(frames[rows], labels[rows], (6, 5, 2), self.CONFIG, 5))
+            dbn.train_network(frames, labels, (6, 5, 2), dbn.SOFTMAX, self.CONFIG, 5, rows),
+            dbn.train_network(frames[rows], labels[rows], (6, 5, 2), dbn.SOFTMAX,
+                              self.CONFIG, 5))

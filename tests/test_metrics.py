@@ -40,6 +40,20 @@ class TestConfusion:
         with pytest.raises(ValueError):
             metrics.confusion([0, 5], [0, 1], 4)
 
+    def test_counts_equal_per_class_tally(self):
+        # the reference: one-vs-rest tallies class by class; class 4 never occurs
+        rng = np.random.default_rng(2)
+        for n in (1, 7, 500):
+            y, yhat = rng.integers(0, 4, n), rng.integers(0, 4, n)
+            c = metrics.confusion(y, yhat, 5)
+            for k in range(5):
+                pos, pred = y == k, yhat == k
+                want = (np.sum(pos & pred), np.sum(~pos & pred), np.sum(pos & ~pred),
+                        np.sum(~pos & ~pred), np.sum(pos))
+                assert (c.tp[k], c.fp[k], c.fn[k], c.tn[k], c.support[k]) == want
+            for counts in (c.tp, c.fp, c.fn, c.tn, c.support):
+                assert counts.dtype == np.int64
+
 
 class TestClassificationMetrics:
     def test_gmean_hand_value(self):

@@ -8,7 +8,7 @@ from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel,
                                 diagnose, estimate_wear, estimate_wear_detailed,
                                 smooth, train_mdp)
-from mdp_tcm.signal_pipeline import FrameDataset, label_states
+from mdp_tcm.signal_pipeline import FrameDataset
 
 TINY = dbn.TrainConfig(pretrain_epochs=2, finetune_epochs=25, learning_rate=0.01,
                        batch_size=16, hidden_range=(3, 6))
@@ -24,7 +24,7 @@ def make_dataset(n=400, seed=0, states=(0, 1, 2, 3)):
     frames = np.column_stack([wear / 400.0, 1.0 - wear / 400.0])
     frames += rng.normal(0, 0.01, frames.shape)
     frames = np.clip(frames, 0.0, 1.0)
-    return FrameDataset(frames, label_states(wear), wear, ("a", "b"), 1)
+    return FrameDataset(frames, wear, ("a", "b"), 1)
 
 
 def linear_regressor(w, b):

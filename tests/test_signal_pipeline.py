@@ -136,6 +136,13 @@ class TestWindowing:
         ds = window({"force": np.zeros(10) + 0.5}, self.spec(4), wear)
         assert np.array_equal(ds.wear_targets, [3, 4, 5, 6, 7, 8, 9])
 
+    def test_negative_wear_target_rejected(self):
+        # a negative wear at a frame's last sample has no state
+        with pytest.raises(ValueError, match="flank wear cannot be negative"):
+            window({"force": np.zeros(10)}, self.spec(4), np.arange(10.0) - 6.0)
+        # one before the first frame's end is no target
+        assert len(window({"force": np.zeros(10)}, self.spec(4), np.arange(10.0) - 2.0)) == 7
+
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
             window({"force": np.zeros(3)}, self.spec(4), np.zeros(3))
@@ -167,19 +174,24 @@ class TestSplit:
 
 
 class TestDatasetPlumbing:
-    def test_label_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            FrameDataset(np.zeros((1, 2)), np.array([2]), np.array([50.0]), ("a",), 2)
+    def test_state_labels_follow_wear(self):
+        config = SynthConfig.desk(run_seconds=20.0)
+        pool, _ = window_runs((run, window_spec_for(config))
+                              for run in generate_fleet(config, 2, 7))
+        for ds in (pool, pool.subset(np.arange(5, len(pool), 3)),
+                   pool.select_channels(["torque", "force"])):
+            assert len(set(label_states(ds.wear_targets))) > 1
+            assert ds.state_labels.tobytes() == label_states(ds.wear_targets).tobytes()
 
     def test_select_channels(self):
         frames = np.arange(12, dtype=float).reshape(2, 6)
-        ds = FrameDataset(frames, label_states([0, 0]), np.zeros(2), ("a", "b", "c"), 2)
+        ds = FrameDataset(frames, np.zeros(2), ("a", "b", "c"), 2)
         sub = ds.select_channels(["c", "a"])
         assert sub.channel_ids == ("c", "a")
         assert np.array_equal(sub.frames[0], [4, 5, 0, 1])
 
     def test_select_missing_channel(self):
-        ds = FrameDataset(np.zeros((1, 2)), label_states([0.0]), np.zeros(1), ("a",), 2)
+        ds = FrameDataset(np.zeros((1, 2)), np.zeros(1), ("a",), 2)
         with pytest.raises(DataError):
             ds.select_channels(["nope"])
 
