@@ -1,8 +1,10 @@
 """Hot training kernels in vectorized numpy.
 
 The contrastive-divergence epoch and the SGD fine-tuning epoch dominate
-runtime. Both are deterministic for a fixed input. ``ACTIVE_BACKEND`` names
-the array library they run on, for provenance records.
+runtime. Both are deterministic for a fixed input, and both run in the
+dtype of the frames, float32 or float64, which the parameters must share.
+``ACTIVE_BACKEND`` names the array library they run on, for provenance
+records.
 
 Network parameters are packed into a single flat ``theta`` vector
 (``W0, b0, W1, b1, ...``) so the kernels take plain arrays and gradient
@@ -18,6 +20,7 @@ __all__ = [
     "ACTIVE_BACKEND",
     "LINEAR",
     "SOFTMAX",
+    "as_float_array",
     "cd_epoch",
     "layer_views",
     "sgd_epoch",
@@ -28,6 +31,13 @@ ACTIVE_BACKEND = "numpy"
 
 SOFTMAX = "softmax"
 LINEAR = "linear"
+
+
+def as_float_array(x) -> np.ndarray:
+    """`x` as an array: frames and parameters keep a float32 or float64
+    dtype, and any other input becomes float64."""
+    a = np.asarray(x)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +67,22 @@ def layer_views(theta, sizes) -> list:
 # kernels
 # ---------------------------------------------------------------------------
 
+def _check_dtype(X, *params) -> None:
+    """A ValueError unless every array in `params` has the dtype of X:
+    numpy would otherwise run each product in the wider of the two."""
+    wrong = {str(p.dtype) for p in params if p.dtype != X.dtype}
+    if wrong:
+        raise ValueError(f"frames of dtype {X.dtype} do not match parameters of "
+                         f"dtype {', '.join(sorted(wrong))}")
+
+
 def _sigmoid(z):
+    """1 / (1 + exp(-z)) in the dtype of z. Where exp(-z) overflows, the
+    sum is inf and the result its exact limit 0, with no warning."""
     out = np.empty_like(z)
     np.negative(z, out=out)
-    np.exp(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
     return out
@@ -73,8 +95,10 @@ def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
     states are sampled binary against the uniforms U (shape
     ``(n, k, n_hidden)``, one row per position in `order`); visible
     reconstructions stay mean-field. Updates W, a, b in place and returns
-    the mean per-row squared reconstruction error.
+    the mean per-row squared reconstruction error. The arithmetic runs in
+    the dtype of X, which W, a and b must share (a ValueError otherwise).
     """
+    _check_dtype(X, W, a, b)
     n = order.shape[0]
     err = 0.0
     for s in range(0, n, batch_size):
@@ -82,11 +106,11 @@ def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
         V0 = X[order[s:e]]
         bs = e - s
         Ph0 = _sigmoid(V0 @ W + b)
-        H = (U[s:e, 0, :] < Ph0).astype(np.float64)
+        H = (U[s:e, 0, :] < Ph0).astype(X.dtype)
         V = _sigmoid(H @ W.T + a)
         for step in range(1, k):
             Ph = _sigmoid(V @ W + b)
-            H = (U[s:e, step, :] < Ph).astype(np.float64)
+            H = (U[s:e, step, :] < Ph).astype(X.dtype)
             V = _sigmoid(H @ W.T + a)
         Phk = _sigmoid(V @ W + b)
         scale = lr / bs
@@ -104,10 +128,13 @@ def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head):
     `order`. Hidden layers are rectified-linear. The head is SOFTMAX
     (integer class targets, mean negative log-likelihood) or LINEAR (scalar
     float targets, mean squared error). Returns the mean loss over the
-    epoch, each batch evaluated before its update.
+    epoch, each batch evaluated before its update. The arithmetic runs in
+    the dtype of X, which theta, and a linear head's targets, must share
+    (a ValueError otherwise).
     """
     if head not in (SOFTMAX, LINEAR):
         raise ValueError(f"unknown head {head!r}")
+    _check_dtype(X, theta, *([targets] if head == LINEAR else []))
     layers = layer_views(theta, sizes)
     lh = len(layers) - 1
     n = order.shape[0]

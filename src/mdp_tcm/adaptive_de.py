@@ -161,11 +161,12 @@ def evolve(model: DbnModel, frames, labels, config: DeConfig, rng: np.random.Gen
     """Evolve misclassification costs for a trained classifier, one per
     model output.
 
-    Posteriors are computed once and cached; candidates only reweight the
-    decision rule. Returns (best CostVector, history).
+    Posteriors are computed once, in the frames' dtype, and cached;
+    candidates only reweight the decision rule, in float64. Returns (best
+    CostVector, history).
     """
     k = model.n_outputs
-    posteriors = predict_proba(model, np.asarray(frames, dtype=np.float64))
+    posteriors = predict_proba(model, frames)
     objective = make_gmean_objective(posteriors, np.asarray(labels), k)
     best, history = optimize(objective, k, config, rng)
     return CostVector(best), history

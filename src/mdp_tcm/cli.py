@@ -418,19 +418,23 @@ def _write_run(run, stem: Path, ends: np.ndarray, created: str) -> np.ndarray:
     return np.bincount(label_states(run.wear_trajectory[ends]), minlength=N_STATES)
 
 
+# the `generate` flag that sets each SynthConfig field
+_SYNTH_FLAGS = {"spindle_rpm": "rpm", "run_seconds": "run-seconds", "wear_end_um": "wear-end",
+                "imbalance_skew": "skew", "noise_std": "noise-std",
+                "noise_scale": "noise-scale", "band_frac": "band-frac"}
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg["runs"] < 1:
         raise UsageError("--runs must be at least 1")
-    synth = SynthConfig(
-        spindle_rpm=cfg["rpm"],
-        sampling_rate_hz=200.0 if cfg["desk-scale"] else 20000.0,
-        run_seconds=cfg["run-seconds"],
-        wear_end_um=cfg["wear-end"],
-        imbalance_skew=cfg["skew"],
-        noise_std=cfg["noise-std"],
-        noise_scale=cfg["noise-scale"],
-        band_frac=cfg["band-frac"],
-    )
+    try:
+        synth = SynthConfig(sampling_rate_hz=200.0 if cfg["desk-scale"] else 20000.0,
+                            **{name: cfg[flag] for name, flag in _SYNTH_FLAGS.items()})
+    except ValueError as exc:
+        # SynthConfig's message starts with the field's name: name the flag instead
+        name, _, rule = str(exc).partition(" ")
+        flag = _SYNTH_FLAGS[name]
+        raise UsageError(f"--{flag} {cfg[flag]:g}: {rule}") from None
     # every run has this length: one shorter than a window fails before any is written
     ends = frame_ends(synth.n_samples, window_spec_for(synth))
     out = Path(cfg["out"])

@@ -73,8 +73,9 @@ class DbnModel:
     """Feed-forward network with packed parameters.
 
     layer_sizes runs input, hidden..., output; `theta` stores each affine
-    layer as W then b, concatenated. Hidden layers are rectified-linear;
-    the head is softmax (classifier) or identity (scalar regressor).
+    layer as W then b, concatenated, in float32 or float64 (see
+    `_kernels.as_float_array`). Hidden layers are rectified-linear; the
+    head is softmax (classifier) or identity (scalar regressor).
     """
 
     layer_sizes: tuple
@@ -89,7 +90,7 @@ class DbnModel:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == LINEAR and sizes[-1] != 1:
             raise ValueError("linear head is scalar; last layer size must be 1")
-        theta = np.asarray(self.theta, dtype=np.float64)
+        theta = _kernels.as_float_array(self.theta)
         if theta.shape != (_kernels.theta_size(sizes),):
             raise ValueError("theta length does not match layer sizes")
         object.__setattr__(self, "layer_sizes", sizes)
@@ -118,9 +119,11 @@ def init_model(layer_sizes, head: str, rng: np.random.Generator,
 
     RBM weights and hidden biases become the feed-forward parameters;
     visible biases are dropped. The head is always freshly initialized.
+    The model takes the stack's dtype; float64 without a stack.
     """
     sizes = tuple(int(s) for s in layer_sizes)
-    theta = np.zeros(_kernels.theta_size(sizes))
+    dtype = rbm_stack[0].weights.dtype if rbm_stack else np.float64
+    theta = np.zeros(_kernels.theta_size(sizes), dtype=dtype)
     model = DbnModel(sizes, head, theta)
     n_layers = len(sizes) - 1
     for l in range(n_layers):
@@ -147,7 +150,7 @@ def rescale_hidden_layers(model: DbnModel, frames, rows=None) -> None:
     sigmoid-unit pretraining otherwise leaves deep unrolled activations
     orders of magnitude too small.
     """
-    a = np.asarray(frames, dtype=np.float64)
+    a = _kernels.as_float_array(frames)
     a = a[:RESCALE_ROWS] if rows is None else a[rows[:RESCALE_ROWS]]
     for l in range(len(model.layer_sizes) - 2):
         W, b = model.layer(l)
@@ -169,9 +172,9 @@ def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator,
     frames are `frames[rows]`: the first RBM trains through the index
     array, and its visible mean and hidden probabilities, which need every
     row at once, are taken over a gather that lasts only as long as each.
-    Returns the RBM list.
+    Returns the RBM list, in the frames' dtype.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = _kernels.as_float_array(frames)
     if frames.ndim != 2 or (len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("pretraining needs a nonempty 2-D frame matrix")
     sizes = tuple(int(s) for s in layer_sizes)
@@ -193,8 +196,9 @@ def forward(model: DbnModel, frames):
     """Deterministic pass: (list of hidden activations, head input).
 
     Accepts a single frame or a batch; hidden layers are affine + ReLU.
+    The arithmetic runs in the wider of the frames' and the model's dtype.
     """
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    x = np.atleast_2d(_kernels.as_float_array(frames))
     if x.shape[1] != model.n_inputs:
         raise ValueError(f"frame length {x.shape[1]} != input size {model.n_inputs}")
     acts = []
@@ -249,8 +253,8 @@ def regressor_loss(model: DbnModel, frames, targets) -> float:
 def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
     """Exact loss gradient for one full batch, via a unit-rate SGD step."""
     theta = model.theta.copy()
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    t = np.asarray(targets, dtype=np.int64 if model.head == SOFTMAX else np.float64)
+    x = np.atleast_2d(_kernels.as_float_array(frames))
+    t = np.asarray(targets, dtype=np.int64 if model.head == SOFTMAX else x.dtype)
     _kernels.sgd_epoch(theta, model.sizes_array, x, t, np.arange(x.shape[0]),
                        x.shape[0], 1.0, model.head)
     return model.theta - theta
@@ -261,13 +265,15 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
     """SGD on the rows of `frames` and `targets`, or, given the index array
     `rows`, on those rows, with the bytes of training on `frames[rows]` and
     `targets[rows]`: each epoch's batches gather their rows through
-    `rows[rng.permutation(len(rows))]`."""
-    frames = np.asarray(frames, dtype=np.float64)
+    `rows[rng.permutation(len(rows))]`. Training runs in the frames' dtype,
+    float32 or float64; the model's parameters and a linear head's targets
+    are cast to it."""
+    frames = _kernels.as_float_array(frames)
     if frames.ndim != 2 or (n := len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("fine-tuning needs a nonempty 2-D frame matrix")
     if frames.shape[1] != model.n_inputs:
         raise ValueError("frame width does not match the model input size")
-    theta = model.theta.copy()
+    theta = model.theta.astype(frames.dtype)
     sizes = model.sizes_array
     history = np.zeros(config.finetune_epochs)
     y = np.asarray(targets, dtype=np.int64 if model.head == SOFTMAX else np.float64)
@@ -292,6 +298,8 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
         head_w /= scale
         head_b /= scale
         y = y / scale
+    if model.head == LINEAR:
+        y = y.astype(frames.dtype, copy=False)
 
     for epoch in range(config.finetune_epochs):
         order = rng.permutation(n)

@@ -5,7 +5,9 @@ a training-config echo as `key = value` lines, then one `array` line per
 parameter block and a sha256 checksum of the payload. The payload is the
 concatenation of all arrays in header order as little-endian 64-bit
 floats, so files are portable and diff-able without any serialization
-framework.
+framework. Networks train in float32, whose values widen to float64
+exactly; `load_model` narrows each network's weights back to float32, so a
+loaded model runs the arithmetic that training ran.
 """
 
 from __future__ import annotations
@@ -179,10 +181,11 @@ def save_model(path, model, train_config: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Load any model file back into its typed object. A header key or
+    """Load any model file back into its typed object, each network's
+    weights narrowed to float32 (the costs stay float64). A header key or
     array that the kind needs and the file lacks, a header value the model
-    types reject, or an array holding a non-finite value, raises DataError
-    naming the file."""
+    types reject, an array holding a non-finite value, or weights outside
+    float32's finite range, raises DataError naming the file."""
     kind, arrays, config = read_model_file(path)
 
     def need(table, key):
@@ -196,8 +199,14 @@ def load_model(path):
     def network(prefix, head):
         key = f"{prefix}layer_sizes"
         sizes = need(config, key)
+        name = f"{prefix}theta"
+        with np.errstate(over="ignore"):
+            theta = need(arrays, name).astype(np.float32)
+        if not np.isfinite(theta).all():
+            raise DataError(f"{path}: array {name!r} holds a value outside "
+                            "float32's finite range")
         try:
-            return dbn.DbnModel(_sizes_parse(sizes), head, need(arrays, f"{prefix}theta"))
+            return dbn.DbnModel(_sizes_parse(sizes), head, theta)
         except ValueError as exc:
             raise DataError(f"{path}: {key} = {sizes}: {exc}") from None
 

@@ -127,9 +127,11 @@ def estimate_wear_detailed(model: MultiStateModel, frames):
     Returns (states, posteriors, raw_wear, smoothed_wear); smoothing is the
     trailing mean (identity when the window is 1 or unset), so estimates at
     time t never look past t. Raises NumericError, naming the first bad
-    frame, when a posterior or a raw wear estimate is not finite.
+    frame, when a posterior or a raw wear estimate is not finite. The
+    networks run in the frames' dtype (see `dbn.forward`); the raw and
+    smoothed wear are float64.
     """
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    frames = np.atleast_2d(np.asarray(frames))
     states, posteriors = diagnose(model, frames)
     _check_finite("state posteriors", posteriors)
     states = np.atleast_1d(states)

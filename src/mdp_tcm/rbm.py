@@ -22,16 +22,17 @@ EXACT_ENUMERATION_LIMIT = 20
 
 @dataclass(frozen=True)
 class RbmParams:
-    """Weights (visible x hidden) plus visible and hidden biases."""
+    """Weights (visible x hidden) plus visible and hidden biases, all in
+    the weights' dtype: float32 or float64 (see `_kernels.as_float_array`)."""
 
     weights: np.ndarray
     visible_bias: np.ndarray
     hidden_bias: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        a = np.asarray(self.visible_bias, dtype=np.float64)
-        b = np.asarray(self.hidden_bias, dtype=np.float64)
+        w = _kernels.as_float_array(self.weights)
+        a = np.asarray(self.visible_bias, dtype=w.dtype)
+        b = np.asarray(self.hidden_bias, dtype=w.dtype)
         if w.ndim != 2 or a.shape != (w.shape[0],) or b.shape != (w.shape[1],):
             raise ValueError("inconsistent RBM parameter shapes")
         if not (np.isfinite(w).all() and np.isfinite(a).all() and np.isfinite(b).all()):
@@ -100,14 +101,14 @@ def energy(params: RbmParams, v, h) -> float:
 
 def prob_h_given_v(params: RbmParams, v) -> np.ndarray:
     """P(h_j = 1 | v) = sigmoid(b_j + sum_i v_i w_ij). Accepts batches."""
-    v = np.asarray(v, dtype=np.float64)
+    v = np.asarray(v)
     _check_units(params, v=v)
     return _kernels._sigmoid(v @ params.weights + params.hidden_bias)
 
 
 def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     """P(v_i = 1 | h) = sigmoid(a_i + sum_j h_j w_ij). Accepts batches."""
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     _check_units(params, h=h)
     return _kernels._sigmoid(h @ params.weights.T + params.visible_bias)
 
@@ -123,16 +124,17 @@ def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generato
     gather their rows through `rows[rng.permutation(len(rows))]`.
 
     Returns (trained params, per-epoch mean squared reconstruction error).
-    Runs the numpy CD kernel; raises NumericError if parameters
-    leave the finite range.
+    Training runs in the dtype of `data`, float32 or float64, and so do
+    the returned params. Runs the numpy CD kernel; raises NumericError if
+    parameters leave the finite range.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _kernels.as_float_array(data)
     if data.ndim != 2 or (n := len(data) if rows is None else len(rows)) == 0:
         raise ValueError("training data must be a nonempty 2-D matrix")
     _check_units(params, v=data)
-    W = params.weights.copy()
-    a = params.visible_bias.copy()
-    b = params.hidden_bias.copy()
+    W = params.weights.astype(data.dtype)
+    a = params.visible_bias.astype(data.dtype)
+    b = params.hidden_bias.astype(data.dtype)
     history = np.zeros(config.epochs)
     for epoch in range(config.epochs):
         order = rng.permutation(n)

@@ -21,11 +21,19 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import as_float_array
 from .errors import DataError
 from .seeding import substream
 
 N_STATES = 4
 WEAR_EDGES_UM = (100.0, 200.0, 300.0)
+
+# the dtype of the frame matrices that `window`, `build_dataset` and
+# `window_runs` make: each value is computed in float64 and rounded once
+FRAME_DTYPE = np.float32
+# bytes of the float64 scratch block in which `window` and `build_dataset`
+# compute a channel's columns of the frames, a block of rows at a time
+_SCALE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,8 @@ class FrameDataset:
 
     Each row of `frames` is one window flattened channel-major:
     [ch0 samples..., ch1 samples..., ...], window_len samples per channel.
+    The frames keep a float32 or float64 dtype (see
+    `_kernels.as_float_array`); the wear targets are float64.
     """
 
     frames: np.ndarray
@@ -63,7 +73,7 @@ class FrameDataset:
     window_len: int
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
+        frames = as_float_array(self.frames)
         wear = np.asarray(self.wear_targets, dtype=np.float64)
         if frames.ndim != 2:
             raise ValueError("frames must be a 2-D matrix")
@@ -177,9 +187,19 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> Frame
     [t*stride, t*stride + tw) of every channel, flattened channel-major.
     Its wear target is the wear at the window's last sample, with NaN gaps
     filled (see fill_wear_gaps); its state label follows from that wear.
-    The frames are written into `out` when it is given: a float64 matrix
-    of their shape, which the dataset then holds.
+    Each sample is stored rounded once to FRAME_DTYPE, or to the dtype of
+    `out`: when it is given, the frames are written into this matrix of
+    their shape, which the dataset then holds.
     """
+    # x - 0.0 and x / 1.0 are x, bit for bit
+    return _window(channels, spec, wear_trajectory, out, [(0.0, 1.0)] * len(channels))
+
+
+def _window(channels: dict, spec: WindowSpec, wear_trajectory, out, bounds) -> FrameDataset:
+    """`window`, but each sample x of a channel whose `bounds` entry, from
+    `_min_max_bounds`, is (lo, span) is stored as (x - lo) / span: computed
+    in float64, a scratch block of `_SCALE_BLOCK_BYTES` at a time, then
+    rounded once. A constant channel, whose span is None, stores zeros."""
     if not channels:
         raise DataError("no channels given")
     tau = len(next(iter(channels.values())))
@@ -195,10 +215,21 @@ def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> Frame
         raise ValueError("flank wear cannot be negative")
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
-    frames = np.empty((len(ends), len(channels) * tw)) if out is None else out
-    for ci, x in enumerate(channels.values()):
-        frames[:, ci * tw:(ci + 1) * tw] = np.lib.stride_tricks.sliding_window_view(
-            x, tw)[::stride]
+    n = len(ends)
+    frames = np.empty((n, len(channels) * tw), dtype=FRAME_DTYPE) if out is None else out
+    step = max(1, _SCALE_BLOCK_BYTES // (8 * tw))
+    scratch = np.empty((min(step, n), tw))
+    for ci, (x, (lo, span)) in enumerate(zip(channels.values(), bounds)):
+        cols = slice(ci * tw, (ci + 1) * tw)
+        if span is None:
+            frames[:, cols] = 0.0
+            continue
+        windows = np.lib.stride_tricks.sliding_window_view(x, tw)[::stride]
+        for start in range(0, n, step):
+            block = scratch[:min(step, n - start)]
+            np.subtract(windows[start:start + len(block)], lo, out=block)
+            block /= span
+            frames[start:start + len(block), cols] = block
     return FrameDataset(frames, targets, tuple(channels), tw)
 
 
@@ -602,20 +633,12 @@ def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory,
 
     The frames are those of `window` over `normalize_channel` of each
     channel in `channels` (channel id -> samples), bit for bit, but the
-    windows are cut from the raw samples and scaled in place, each column
-    by its channel's bounds: no scaled copy of a channel is made.
-    Overlapping windows scale each sample once per frame that holds it.
-    Given `out`, the frames are made in it (see `window`)."""
+    windows are cut from the raw samples and scaled a block of rows at a
+    time, each column by its channel's bounds: no scaled copy of a channel
+    is made. Overlapping windows scale each sample once per frame that
+    holds it. Given `out`, the frames are made in it (see `window`)."""
     bounds = [_min_max_bounds(name, x) for name, x in channels.items()]
-    ds = window(channels, spec, wear_trajectory, out)
-    frames, tw = ds.frames, ds.window_len
-    # one value per frame column; a constant channel's columns are zeroed
-    frames -= np.repeat([lo for lo, _ in bounds], tw)
-    frames /= np.repeat([1.0 if span is None else span for _, span in bounds], tw)
-    for ci, (_, span) in enumerate(bounds):
-        if span is None:
-            frames[:, ci * tw:(ci + 1) * tw] = 0.0
-    return ds
+    return _window(channels, spec, wear_trajectory, out, bounds)
 
 
 def window_runs(runs, keep=None):
@@ -646,7 +669,7 @@ def window_runs(runs, keep=None):
     kept = checked if keep is None else [checked[i] for i in keep]
     channel_ids, tw = checked[0][2]
     ends = np.cumsum([n for *_, n in kept])
-    frames = np.empty((ends[-1], len(channel_ids) * tw))
+    frames = np.empty((ends[-1], len(channel_ids) * tw), dtype=FRAME_DTYPE)
     bounds, wear = [], []
     for (run, _, _, spec, n), end in zip(kept, ends):
         bounds.append((int(end) - n, int(end)))

@@ -65,8 +65,10 @@ class SynthConfig:
     imbalance_skew: float = 10.0
 
     def __post_init__(self):
-        if self.spindle_rpm <= 0 or self.sampling_rate_hz <= 0 or self.run_seconds <= 0:
-            raise ValueError("rates and run length must be positive")
+        # each message starts with the field's name, which the CLI maps to its flag
+        for name in ("spindle_rpm", "sampling_rate_hz", "run_seconds"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.wear_end_um < 300.0:
             raise ValueError("wear_end_um must be >= 300 so all four states occur")
         if self.imbalance_skew < 1.0:

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,11 +107,21 @@ class TestGenerate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_negative_noise_std_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("band-frac", "2", "--band-frac 2: must lie in [0, 1]"),
+        ("rpm", "-5", "--rpm -5: must be positive"),
+        ("skew", "0.5", "--skew 0.5: must be >= 1"),
+        ("noise-std", "-1", "--noise-std -1: must be nonnegative"),
+        ("wear-end", "100", "--wear-end 100: must be >= 300 so all four states occur"),
+        ("noise-scale", "-0.5", "--noise-scale -0.5: must be nonnegative"),
+        ("run-seconds", "0", "--run-seconds 0: must be positive"),
+    ])
+    def test_range_error_is_usage_error_naming_the_flag(self, tmp_path, capsys, flag,
+                                                        value, message):
         out = tmp_path / "out"
         assert run_cli(["generate", "--out", str(out), "--runs", "1", "--desk-scale",
-                        "--run-seconds", "5", "--noise-std=-1"]) == 2
-        assert "data error: noise_std must be nonnegative" in capsys.readouterr().err
+                        "--run-seconds", "5", f"--{flag}={value}"]) == 1
+        assert f"usage error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_runs_is_usage_error(self, tmp_path):
@@ -410,6 +421,30 @@ class TestPredict:
                         "--run", str(reference / "run.csv"), "--out", str(outs[2])]) == 0
         assert sorted(p.name for p in reference.iterdir()) == ["run.csv", "run.meta"]
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_float64_model_loads_and_predicts_finite_rows(self, tmp_path, data_dir):
+        # a model trained on float64 frames holds weights that float32 does not
+        # represent, as every model file written before float32 training does
+        pool, _ = cli._load_runs(str(data_dir), None)
+        frames64 = pool.frames.astype(np.float64)
+        config = experiments.DESK_MDP
+        config = replace(config, classifier=replace(config.classifier, pretrain_epochs=1,
+                                                    finetune_epochs=5),
+                         regressor=replace(config.regressor, pretrain_epochs=1,
+                                           finetune_epochs=5),
+                         de=replace(config.de, population_size=4, max_generations=1))
+        model, _ = train_mdp(replace(pool, frames=frames64), config, seed=3)
+        theta = model.diagnoser.base.theta
+        assert theta.dtype == np.float64
+        assert not np.array_equal(theta.astype(np.float32), theta)
+        path, out = tmp_path / "m64.model", tmp_path / "p.csv"
+        save_model(path, model)
+        assert load_model(path).diagnoser.base.theta.dtype == np.float32
+        run_file = sorted(data_dir.glob("*.csv"))[0]
+        assert run_cli(["predict", "--model", str(path), "--run", str(run_file),
+                        "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert len(table) == len(_windowed(run_file)) and np.isfinite(table).all()
 
     def test_wrong_model_kind_rejected(self, tmp_path, data_dir, capsys):
         reg = tmp_path / "reg.model"
@@ -940,9 +975,14 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("array, value", [("fallback.theta", np.nan),
-                                              ("reg1.theta", np.inf)])
+                                              ("reg1.theta", np.inf),
+                                              ("diagnoser.theta", 1e39),
+                                              ("reg1.theta", -1e300)])
     def test_non_finite_model_array_is_data_error(self, tmp_path, data_dir, capsys,
                                                   command, array, value):
+        # a finite weight outside float32's range is infinite once narrowed
+        message = ("holds a non-finite value" if not np.isfinite(value)
+                   else "holds a value outside float32's finite range")
         path = tmp_path / "m.model"
         _tiny_model_file(path)
         kind, arrays, config = read_model_file(path)
@@ -952,8 +992,7 @@ class TestMalformedInput:
         argv = (["predict", "--run", str(sorted(data_dir.glob("*.csv"))[0])]
                 if command == "predict" else ["evaluate", "--data", str(data_dir)])
         assert run_cli(argv + ["--model", str(path), "--out", str(out)]) == 2
-        assert f"{path}: array {array!r} holds a non-finite value" \
-            in capsys.readouterr().err
+        assert f"data error: {path}: array {array!r} {message}" in capsys.readouterr().err
         assert not list(tmp_path.glob("p.csv*"))  # no prediction, no report
 
     @pytest.mark.parametrize("kind, old, new, message", [
@@ -1011,12 +1050,12 @@ class TestMalformedInput:
     def test_non_finite_inference_is_numeric_error(self, tmp_path, data_dir,
                                                    multistate_model, capsys, command,
                                                    scaled, what):
-        # finite arrays, so the file loads; the forward pass overflows
+        # arrays within float32's range, so the file loads; the forward pass overflows
         path = tmp_path / "m.model"
         kind, arrays, config = read_model_file(multistate_model)
         for name in arrays:
             if name.startswith(scaled) and name.endswith(".theta"):
-                arrays[name] = arrays[name] * 1e120
+                arrays[name] = arrays[name] * 1e30
         write_model_file(path, kind, arrays, config)
         out = tmp_path / "p.csv"
         argv = (["predict", "--run", str(sorted(data_dir.glob("*.csv"))[0])]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -358,3 +360,50 @@ class TestRowIndexTraining:
             dbn.train_network(frames, labels, (6, 5, 2), dbn.SOFTMAX, self.CONFIG, 5, rows),
             dbn.train_network(frames[rows], labels[rows], (6, 5, 2), dbn.SOFTMAX,
                               self.CONFIG, 5))
+
+
+class TestFloat32:
+    """Networks train and infer in the dtype of the frames they are given."""
+
+    CONFIG = dbn.TrainConfig(pretrain_epochs=1, finetune_epochs=2, learning_rate=0.02,
+                             batch_size=128, hidden_range=(4, 8))
+
+    @pytest.mark.parametrize("head", [dbn.SOFTMAX, dbn.LINEAR])
+    def test_float32_pool_trains_through_rows_without_a_float64_copy(self, head):
+        rng = np.random.default_rng(43)
+        pool = rng.random((4000, 150), dtype=np.float32)
+        wear = rng.random(4000) * 380.0
+        targets = (wear > 190).astype(int) if head == dbn.SOFTMAX else wear
+        rows = rng.permutation(4000)[:2700]
+        sizes = (150, 7, 6, 5, 2 if head == dbn.SOFTMAX else 1)
+        tracemalloc.start()
+        try:
+            model, losses = dbn.train_network(pool, targets, sizes, head, self.CONFIG, 6,
+                                              rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.theta.dtype == np.float32
+        assert np.isfinite(losses).all()
+        assert peak < pool.astype(np.float64).nbytes
+        out = (dbn.predict_proba(model, pool[:5]) if head == dbn.SOFTMAX
+               else dbn.predict_regression(model, pool[:5]))
+        assert out.dtype == np.float32
+
+    def test_float64_frames_train_in_float64(self):
+        rng = np.random.default_rng(44)
+        frames = rng.random((60, 5))
+        model, _ = dbn.train_network(frames, rng.random(60) * 4.0, (5, 4, 3, 1), dbn.LINEAR,
+                                     self.CONFIG, 7)
+        assert model.theta.dtype == np.float64
+        assert dbn.predict_regression(model, frames).dtype == np.float64
+
+    def test_rbm_params_keep_their_dtype(self):
+        params = rbm.init_params(5, 3, np.random.default_rng(45))
+        assert params.weights.dtype == np.float64
+        data = np.random.default_rng(46).random((20, 5), dtype=np.float32)
+        trained, _ = rbm.train_rbm(params, data, rbm.CdConfig(epochs=2, batch_size=7),
+                                   np.random.default_rng(47))
+        assert {trained.weights.dtype, trained.visible_bias.dtype,
+                trained.hidden_bias.dtype} == {np.dtype(np.float32)}
+        assert rbm.prob_h_given_v(trained, data).dtype == np.float32

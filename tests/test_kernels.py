@@ -1,5 +1,7 @@
 """The numpy training kernels: parameter packing and the SGD epoch on both heads."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,58 @@ def test_unknown_head_is_rejected():
     with pytest.raises(ValueError, match="unknown head"):
         _kernels.sgd_epoch(np.zeros(4), sizes, np.zeros((2, 3)), np.zeros(2),
                            np.arange(2), 2, 0.1, "sigmoid")
+
+
+@pytest.mark.parametrize("dtype, overflow", [(np.float64, -800.0), (np.float32, -100.0)])
+def test_sigmoid_gives_exact_limits_without_warning(dtype, overflow):
+    # exp(-z) overflows below about -709 in float64 and -88.7 in float32
+    z = np.array([overflow, -1e30, -np.inf, 0.0, 1e30, np.inf, -overflow], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels._sigmoid(z)
+    assert out.dtype == dtype
+    assert out.tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("dtype, limit", [(np.float64, 709.0), (np.float32, 88.0)])
+def test_sigmoid_keeps_the_bits_of_the_plain_formula(dtype, limit):
+    # wherever exp(-z) is finite
+    rng = np.random.default_rng(9)
+    z = np.concatenate([np.linspace(-limit, limit, 4001),
+                        rng.normal(0, 5, 4000)]).astype(dtype)
+    want = dtype(1.0) / (dtype(1.0) + np.exp(-z))
+    assert _kernels._sigmoid(z).tobytes() == want.tobytes()
+
+
+def test_sgd_epoch_refuses_mixed_dtypes():
+    sizes = np.array([3, 2, 1], dtype=np.int64)
+    n = _kernels.theta_size(sizes)
+    X32, y32, order = np.zeros((4, 3), np.float32), np.zeros(4, np.float32), np.arange(4)
+    with pytest.raises(ValueError, match="frames of dtype float32 do not match "
+                                         "parameters of dtype float64"):
+        _kernels.sgd_epoch(np.zeros(n), sizes, X32, y32, order, 2, 0.1, _kernels.LINEAR)
+    with pytest.raises(ValueError, match="parameters of dtype float32"):
+        _kernels.sgd_epoch(np.zeros(n, np.float32), sizes, X32.astype(np.float64),
+                           y32.astype(np.float64), order, 2, 0.1, _kernels.LINEAR)
+    with pytest.raises(ValueError, match="parameters of dtype float64"):  # the targets
+        _kernels.sgd_epoch(np.zeros(n, np.float32), sizes, X32, y32.astype(np.float64),
+                           order, 2, 0.1, _kernels.LINEAR)
+    # class labels are integers in either dtype
+    theta = np.zeros(_kernels.theta_size([3, 2]), np.float32)
+    _kernels.sgd_epoch(theta, np.array([3, 2]), X32, np.zeros(4, np.int64), order, 2, 0.1,
+                       _kernels.SOFTMAX)
+    assert theta.dtype == np.float32
+
+
+def test_cd_epoch_refuses_mixed_dtypes():
+    X = np.zeros((4, 3), np.float32)
+    W, a, b = np.zeros((3, 2), np.float32), np.zeros(3, np.float32), np.zeros(2, np.float32)
+    U = np.zeros((4, 1, 2))
+    for i in range(3):
+        params = [W, a, b]
+        params[i] = params[i].astype(np.float64)
+        with pytest.raises(ValueError, match="frames of dtype float32 do not match "
+                                             "parameters of dtype float64"):
+            _kernels.cd_epoch(*params, X, np.arange(4), 2, 0.1, 1, U)
+    _kernels.cd_epoch(W, a, b, X, np.arange(4), 2, 0.1, 1, U)
+    assert W.dtype == a.dtype == b.dtype == np.float32

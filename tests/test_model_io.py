@@ -11,8 +11,10 @@ from mdp_tcm.multistate import EcsDbnModel, MultiStateModel
 
 
 def random_model(sizes, head, seed=0):
+    """A model with float32 weights, as training makes them."""
     rng = np.random.default_rng(seed)
-    return dbn.DbnModel(sizes, head, rng.normal(0, 0.5, _kernels.theta_size(sizes)))
+    theta = rng.normal(0, 0.5, _kernels.theta_size(sizes)).astype(np.float32)
+    return dbn.DbnModel(sizes, head, theta)
 
 
 class TestLowLevel:
@@ -107,6 +109,37 @@ class TestTypedRoundTrips:
         path = tmp_path / "ms0.model"
         save_model(path, model)
         assert load_model(path).smoothing_window is None
+
+    def test_weights_narrow_to_float32_and_costs_stay_float64(self, tmp_path):
+        base = random_model((6, 5, 4), dbn.SOFTMAX, seed=13)
+        model = MultiStateModel(EcsDbnModel(base, CostVector(np.array([0.9, 0.2, 0.5, 0.7]))),
+                                {2: random_model((6, 4, 1), dbn.LINEAR, seed=14)},
+                                random_model((6, 5, 1), dbn.LINEAR, seed=15))
+        path = tmp_path / "ms.model"
+        save_model(path, model)
+        # the file stays format v1 with a float64 payload, which float32 widens into
+        assert path.read_bytes().startswith(b"mdptcm-model v1\n")
+        _, arrays, _ = read_model_file(path)
+        assert arrays["diagnoser.theta"].dtype == np.float64
+        assert arrays["diagnoser.theta"].tobytes() == base.theta.astype(np.float64).tobytes()
+        loaded = load_model(path)
+        for got, want in ((loaded.diagnoser.base, base), (loaded.regressors[2],
+                                                          model.regressors[2]),
+                          (loaded.fallback, model.fallback)):
+            assert got.theta.dtype == np.float32
+            assert got.theta.tobytes() == want.theta.tobytes()
+        assert loaded.diagnoser.costs.costs.dtype == np.float64
+        assert loaded.diagnoser.costs.costs.tobytes() == model.diagnoser.costs.costs.tobytes()
+
+    def test_weights_not_float32_exact_round_once(self, tmp_path):
+        # float64 weights, as a model trained on float64 frames holds them
+        rng = np.random.default_rng(16)
+        theta = rng.normal(0, 0.5, _kernels.theta_size((6, 5, 1)))
+        path = tmp_path / "reg.model"
+        save_model(path, dbn.DbnModel((6, 5, 1), dbn.LINEAR, theta))
+        loaded = load_model(path)
+        assert not np.array_equal(theta.astype(np.float32), theta)
+        assert loaded.theta.tobytes() == theta.astype(np.float32).tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         model = random_model((5, 4, 2), dbn.SOFTMAX, seed=12)

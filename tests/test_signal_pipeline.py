@@ -128,7 +128,7 @@ class TestWindowing:
             for t in range(n_frames):
                 for c in range(m):
                     for i in range(tw):
-                        assert ds.frames[t, c * tw + i] == chans[c][t * stride + i]
+                        assert ds.frames[t, c * tw + i] == np.float32(chans[c][t * stride + i])
                 assert ds.wear_targets[t] == wear[t * stride + tw - 1]
 
     def test_wear_target_is_window_end(self):
@@ -319,6 +319,40 @@ class TestBuildDataset:
         constant = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert constant == (["channel 'dead' is constant; normalized to zeros"] * 2
                             if case == "constant-channel" else [])
+
+
+class TestFloat32Frames:
+    """The frames are float64 `window`s of `normalize_channel`, rounded once."""
+
+    @staticmethod
+    def reference(channels, spec):
+        tw = compute_window_size(spec)
+        stride = spec.stride or tw
+        return np.hstack([np.lib.stride_tricks.sliding_window_view(
+            normalize_channel(name, x), tw)[::stride] for name, x in channels.items()
+        ]).astype(np.float32)
+
+    # stride 1 at this width spans several scratch blocks of rows
+    @pytest.mark.parametrize("stride", [None, 1], ids=["stride-tw", "stride-1"])
+    def test_build_dataset_and_window_runs_round_once(self, stride):
+        config = SynthConfig.desk(run_seconds=20.0)
+        spec = WindowSpec(spindle_rpm=config.spindle_rpm,
+                          sampling_rate_hz=config.sampling_rate_hz, stride=stride)
+        runs = generate_fleet(config, 2, 13)
+        pool, bounds = window_runs((run, spec) for run in runs)
+        assert pool.frames.dtype == np.float32
+        tw = compute_window_size(spec)
+        for run, (start, stop) in zip(runs, bounds):
+            if stride == 1:
+                assert stop - start > signal_pipeline._SCALE_BLOCK_BYTES // (8 * tw)
+            want = self.reference(run.channels, spec)
+            got = build_dataset(run.channels, spec, run.wear_trajectory).frames
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+            assert pool.frames[start:stop].tobytes() == want.tobytes()
+            normalized = {name: normalize_channel(name, x) for name, x in run.channels.items()}
+            assert (window(normalized, spec, run.wear_trajectory).frames.tobytes()
+                    == want.tobytes())
 
 
 class TestWindowRuns:
