@@ -6,10 +6,12 @@ config file (--config); flags override file values, which override
 preset defaults. Unknown config keys are rejected.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
-MDP_TCM_THREADS caps the forked workers, each running BLAS on one thread,
-that run the trials of --trials or the sub-models of a multistate train.
-There is one level of workers: the trials' own trains run in turn. So a
-fanned-out 20 kHz train gets the bytes of one BLAS thread, as trials do.
+Every process that runs a command runs BLAS on one thread. Forked workers
+run the trials of --trials, the sub-models of a multistate train and the
+runs of a large enough `generate`; MDP_TCM_THREADS caps their count
+(unset: the usable cores; 1: everything in turn). There is one level of
+workers: the trials' own trains run in turn. So the bytes a command
+writes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import dbn
 from .adaptive_de import DeConfig
 from .errors import DataError, NumericError
 from .experiments import FRAMEWORKS, framework_trial, sensor_subset_trial, window_spec_for
-from .fanout import map_forked, usable_cores
+from .fanout import map_forked, pin_blas_to_one_thread, usable_cores
 from .metrics import (REPORT_KEYS, MetricsReport, classification_report,
                       regression_report)
 from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
@@ -383,8 +385,9 @@ def _runs(pool: FrameDataset, bounds) -> list:
 
 
 def _worker_count(n_items: int) -> int:
-    """MDP_TCM_THREADS, capped at the item count and the usable cores."""
-    text = os.environ.get("MDP_TCM_THREADS", "").strip() or "1"
+    """MDP_TCM_THREADS (unset or empty: the usable cores), capped at the
+    item count and the usable cores."""
+    text = os.environ.get("MDP_TCM_THREADS", "").strip() or str(usable_cores())
     if not text.isdecimal() or int(text) < 1:
         raise UsageError(f"MDP_TCM_THREADS must be a positive integer, not {text!r}")
     return min(int(text), n_items, usable_cores())
@@ -418,6 +421,11 @@ def _write_run(run, stem: Path, ends: np.ndarray, created: str) -> np.ndarray:
     return np.bincount(label_states(run.wear_trajectory[ends]), minlength=N_STATES)
 
 
+# `generate` writes its runs in forked workers when they hold at least this
+# many samples in all (runs x samples per run); below it, starting the
+# workers costs more than they save
+_GENERATE_FANOUT_SAMPLES = 100_000
+
 # the `generate` flag that sets each SynthConfig field
 _SYNTH_FLAGS = {"spindle_rpm": "rpm", "run_seconds": "run-seconds", "wear_end_um": "wear-end",
                 "imbalance_skew": "skew", "noise_std": "noise-std",
@@ -437,15 +445,20 @@ def cmd_generate(cfg: RunConfig) -> int:
         raise UsageError(f"--{flag} {cfg[flag]:g}: {rule}") from None
     # every run has this length: one shorter than a window fails before any is written
     ends = frame_ends(synth.n_samples, window_spec_for(synth))
+    runs = range(cfg["runs"])
+    workers = (_worker_count(len(runs))
+               if len(runs) * synth.n_samples >= _GENERATE_FANOUT_SAMPLES else 1)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     created = datetime.now(timezone.utc).isoformat()
-    counts = np.zeros(N_STATES, dtype=np.int64)
-    # one run at a time: each is generated from its own seed (as in a
-    # fleet), written, counted and dropped before the next is generated
-    for i in range(cfg["runs"]):
-        counts += _write_run(generate_fleet(synth, 1, cfg["seed"] + i)[0],
-                             out / f"run{i:03d}", ends, created)
+
+    def write(i: int) -> np.ndarray:
+        # one run at a time in each process: a run is generated from its own
+        # seed (as in a fleet), written, counted and dropped before the next
+        return _write_run(generate_fleet(synth, 1, cfg["seed"] + i)[0],
+                          out / f"run{i:03d}", ends, created)
+
+    counts = sum(map_forked(write, runs, workers), np.zeros(N_STATES, dtype=np.int64))
     print(f"wrote {cfg['runs']} runs to {out}")
     for state, count in enumerate(counts):
         print(f"state {state}: {count} frames")
@@ -710,6 +723,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # one BLAS thread here as in the workers, which inherit it: the bits a
+    # command computes do not depend on how many workers it starts
+    pin_blas_to_one_thread()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:

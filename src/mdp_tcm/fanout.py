@@ -4,7 +4,9 @@ Processes, as the numpy calls hold the GIL. Closures and the data they
 hold need not pickle: each worker inherits the function and the items at
 fork and is sent only item indices; results and exceptions come back by
 pickle. Each worker runs BLAS on one thread, so that n workers on n cores
-do not each start BLAS's own threads.
+do not each start BLAS's own threads. The CLI runs BLAS on one thread in
+its own process too (`pin_blas_to_one_thread`), so a result computed in a
+worker has the bits of one computed in turn.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from pathlib import Path
 _BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                  "scipy_openblas_set_num_threads", "openblas_set_num_threads")
 
+# whether this process, or the one it was forked from, has called
+# `pin_blas_to_one_thread`: OpenBLAS's thread count survives a fork
+_BLAS_PINNED = False
+
 # (fn, items) in a worker process, inherited from the pool that forked it;
 # None in any other process
 _INHERITED = None
@@ -30,8 +36,16 @@ def usable_cores() -> int:
     return cores or 1
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Set the loaded OpenBLAS, if one is found, to run one thread."""
+def pin_blas_to_one_thread() -> None:
+    """Set the loaded OpenBLAS, if one is found, to run one thread.
+
+    Only the first call in a process looks for the library; later calls,
+    and calls in workers forked after it, return at once.
+    """
+    global _BLAS_PINNED
+    if _BLAS_PINNED:
+        return
+    _BLAS_PINNED = True
     try:
         mapped = Path("/proc/self/maps").read_text().split()
     except OSError:
@@ -52,7 +66,7 @@ def _start_worker(fn, items) -> None:
     # the fork start method hands these arguments over in memory, unpickled
     global _INHERITED
     _INHERITED = fn, items
-    _pin_blas_to_one_thread()
+    pin_blas_to_one_thread()
 
 
 def _call(index: int):

@@ -233,10 +233,11 @@ def train_mdp(train_set: FrameDataset, config: MdpTrainConfig, seed: int,
     history carries the DE trace and per-submodel fine-tune losses.
 
     The diagnoser and the regressors depend on none of each other, so up
-    to `workers` forked processes train them (`fanout.map_forked`). The
-    log lines and routes are the same for any count, the weights for any
-    count above one (each worker runs BLAS on one thread); at 20 kHz, a
-    serial train on more BLAS threads may differ in their last bits.
+    to `workers` forked processes train them (`fanout.map_forked`). Each
+    worker runs BLAS on one thread, and so does the CLI's own process, so
+    the log lines, routes and weights are the same for any count. A
+    library caller that trains in turn on more BLAS threads (at 20 kHz)
+    may get other last bits; `fanout.pin_blas_to_one_thread` avoids that.
     """
     labels = dbn.gather(train_set.state_labels, rows)
     if len(labels) == 0:

@@ -1,6 +1,16 @@
 import pytest
 
+from mdp_tcm.fanout import pin_blas_to_one_thread
+
 from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """BLAS on one thread from the first test on, as in every CLI process:
+    `cli.main` pins it in this process, and a library test's bits would
+    otherwise depend on whether a CLI test ran before it."""
+    pin_blas_to_one_thread()
 
 
 @pytest.fixture(scope="session")

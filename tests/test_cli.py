@@ -1,10 +1,14 @@
 import collections
+import hashlib
 import inspect
 import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from mdp_tcm.signal_pipeline import (WindowSpec, build_dataset,
 from mdp_tcm.synth import read_run_meta
 
 from cli_support import DE_FLAGS, TRAIN_FLAGS, run_cli
+from test_fanout import pool_sizes
 
 
 # the smallest budgets that still train every model a command trains
@@ -616,7 +621,7 @@ class TestTrialConfig:
             return train_mdp(train_set, config, seed, rows=rows)
 
         # the recorder sees only calls made in this process: no trial workers
-        monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
+        monkeypatch.setenv("MDP_TCM_THREADS", "1")
         monkeypatch.setattr(cli, "train_mdp", recording)
         monkeypatch.setattr(experiments, "train_mdp", recording)
         assert run_cli(command + [
@@ -645,19 +650,16 @@ class TestTrialFanOut:
                                                         monkeypatch, capsys, two_cores,
                                                         command):
         stdout = {}
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("MDP_TCM_THREADS", threads)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MDP_TCM_THREADS", threads)
             assert run_cli(command + [
                 "--data", str(data_dir), "--out", str(tmp_path / f"t{threads}" / "t"),
                 "--trials", "2", "--seed", "5", "--split-mode", "run"] + TINY_FLAGS) == 0
             stdout[threads] = capsys.readouterr().out
-        in_turn, fanned_out = tree_bytes(tmp_path / "tNone"), tree_bytes(tmp_path / "t2")
+        in_turn, fanned_out = tree_bytes(tmp_path / "t1"), tree_bytes(tmp_path / "t2")
         assert in_turn and in_turn == fanned_out
         # each trial's log lines (evaluate's train lines) print in seed order
-        assert stdout["2"] == stdout[None]
+        assert stdout["2"] == stdout["1"]
 
     def test_numeric_error_in_a_worker_exits_3(self, tmp_path, data_dir, monkeypatch,
                                                capsys, two_cores):
@@ -680,20 +682,17 @@ class TestSubModelFanOut:
                                                       monkeypatch, capsys, two_cores):
         out = tmp_path / "m.model"
         written = {}
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("MDP_TCM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("MDP_TCM_THREADS", threads)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MDP_TCM_THREADS", threads)
             assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
                             "--kind", "multistate", "--seed", "5", "--train-ratio", "1.0"]
                            + TINY_FLAGS + TINY_DE_FLAGS) == 0
             written[threads] = capsys.readouterr().out, tree_bytes(tmp_path)
-        stdout, files = written[None]
+        stdout, files = written["1"]
         assert "training state-" in stdout  # state regressors were among the jobs
         assert set(files) == {"m.model", "m.model.finetune_loss.csv",
                               "m.model.de_history.csv"}
-        assert written["2"] == written[None]
+        assert written["2"] == written["1"]
 
     def test_numeric_error_in_a_sub_model_worker_exits_3(self, tmp_path, data_dir,
                                                          monkeypatch, capsys, two_cores):
@@ -716,9 +715,86 @@ class TestSubModelFanOut:
         assert not list(tmp_path.iterdir())
 
 
+def _sidecars(out) -> dict:
+    """Each sidecar's lines but its timestamp, keyed by name."""
+    return {p.name: [line for line in p.read_text().splitlines()
+                     if not line.startswith("created")] for p in sorted(out.glob("*.meta"))}
+
+
+class TestGenerateFanOut:
+    GENERATE = ["generate", "--out", "runs", "--runs", "3", "--seed", "4", "--desk-scale",
+                "--run-seconds", "20"]
+
+    def test_workers_write_the_bytes_of_runs_in_turn(self, tmp_path, monkeypatch, capsys,
+                                                     two_cores):
+        monkeypatch.setattr(cli, "_GENERATE_FANOUT_SAMPLES", 1)
+        pools = pool_sizes(monkeypatch)
+        written = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MDP_TCM_THREADS", threads)
+            # the same relative --out, so that stdout may be compared whole
+            here = tmp_path / threads
+            here.mkdir()
+            monkeypatch.chdir(here)
+            assert run_cli(self.GENERATE) == 0
+            out = here / "runs"
+            written[threads] = capsys.readouterr().out, tree_bytes(out), _sidecars(out)
+        assert pools == [2]
+        stdout, files, sidecars = written["1"]
+        assert "state 3:" in stdout and len(files) == len(sidecars) == 3
+        assert written["2"] == written["1"]
+
+    def test_fleet_below_the_gate_starts_no_pool(self, tmp_path, monkeypatch, two_cores):
+        # 3 runs of 40 s at 200 Hz: the fleet `data_dir` and perfbench's desk set-up use
+        assert 3 * 40 * 200 < cli._GENERATE_FANOUT_SAMPLES
+        pools = pool_sizes(monkeypatch)
+        monkeypatch.setenv("MDP_TCM_THREADS", "2")
+        assert run_cli(["generate", "--out", str(tmp_path), "--runs", "3", "--seed", "7",
+                        "--desk-scale", "--run-seconds", "40"]) == 0
+        assert pools == [] and len(list(tmp_path.glob("*.csv"))) == 3
+
+    def test_write_error_in_a_worker_exits_2_naming_the_file(self, tmp_path, monkeypatch,
+                                                             capsys, two_cores):
+        monkeypatch.setattr(cli, "_GENERATE_FANOUT_SAMPLES", 1)
+        pools = pool_sizes(monkeypatch)
+        monkeypatch.setenv("MDP_TCM_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs" / "run001.csv").mkdir(parents=True)
+        assert run_cli(self.GENERATE) == 2
+        assert pools == [2]
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and os.path.join("runs", "run001.csv") in err
+
+
+class TestBlasThreads:
+    def test_model_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+        # 20 kHz frames of 10178 values: products wide enough for OpenBLAS to
+        # split over threads, which would change the bits of a serial train
+        data = tmp_path / "data"
+        assert run_cli(["generate", "--out", str(data), "--runs", "2", "--seed", "3",
+                        "--run-seconds", "1"]) == 0
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        digests = {}
+        for workers in ("1", "2"):
+            for blas in ("1", "2"):
+                out = tmp_path / f"m{workers}{blas}.model"
+                # a fresh process each: the CLI sets BLAS's threads once per process
+                subprocess.run(
+                    [sys.executable, "-m", "mdp_tcm.cli", "train", "--data", str(data),
+                     "--out", str(out), "--kind", "multistate", "--seed", "5",
+                     "--train-ratio", "1.0", "--batch-size", "32", "--hidden-range", "4,6",
+                     "--pretrain-epochs", "1", "--finetune-epochs", "3"] + TINY_DE_FLAGS,
+                    env={**os.environ, "PYTHONPATH": path, "MDP_TCM_THREADS": workers,
+                         "OPENBLAS_NUM_THREADS": blas},
+                    check=True, capture_output=True, timeout=300)
+                digests[workers, blas] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("value, trials, cores, want", [
-        (None, 4, 8, 1), ("", 4, 8, 1), (" 3 ", 4, 8, 3), ("8", 2, 8, 2), ("8", 4, 2, 2),
+        (None, 4, 8, 4), ("", 4, 2, 2), (" 3 ", 4, 8, 3), ("8", 2, 8, 2), ("8", 4, 2, 2),
         ("1", 4, 8, 1)])
     def test_capped_at_trials_and_cores(self, monkeypatch, value, trials, cores, want):
         if value is None:

@@ -11,6 +11,19 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def pool_sizes(monkeypatch) -> list:
+    """The worker count of each process pool started from now on."""
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
 def _square_and_pid(x):
     return x * x, os.getpid()
 
@@ -25,15 +38,8 @@ def test_results_come_back_in_item_order(monkeypatch):
 @pytest.mark.parametrize("workers, items, cores, want", [
     (8, 3, 8, 3), (8, 5, 2, 2), (2, 5, 8, 2)])
 def test_workers_capped_at_items_and_cores(monkeypatch, workers, items, cores, want):
-    started = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
     _cores(monkeypatch, cores)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    started = pool_sizes(monkeypatch)
     assert [r for r, _ in map_forked(_square_and_pid, range(items), workers)] \
         == [x * x for x in range(items)]
     assert started == [want]
@@ -83,3 +89,19 @@ def test_exception_is_raised_at_its_item(monkeypatch):
     with pytest.raises(ValueError, match="item 1 failed in pid") as info:
         next(results)
     assert f"pid {os.getpid()}" not in str(info.value)
+
+
+def test_blas_is_looked_for_once_per_process(monkeypatch):
+    _cores(monkeypatch, 2)
+    scans, opened = [], []
+    read_text, cdll = fanout.Path.read_text, fanout.ctypes.CDLL
+    monkeypatch.setattr(fanout.Path, "read_text",
+                        lambda self: scans.append(str(self)) or read_text(self))
+    monkeypatch.setattr(fanout.ctypes, "CDLL", lambda lib: opened.append(lib) or cdll(lib))
+    monkeypatch.setattr(fanout, "_BLAS_PINNED", False)
+    fanout.pin_blas_to_one_thread()
+    fanout.pin_blas_to_one_thread()
+    assert scans == ["/proc/self/maps"] and len(opened) <= 1
+    # a worker forked after the pin inherits it and looks for nothing
+    assert list(map_forked(lambda _: (len(scans), len(opened)), range(2), 2)) == [
+        (1, len(opened))] * 2
