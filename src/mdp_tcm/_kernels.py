@@ -121,7 +121,7 @@ def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
     return err / n
 
 
-def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head):
+def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head, gram=None):
     """One mini-batch SGD epoch; theta updated in place.
 
     Each batch gathers its rows of X and targets from the next slice of
@@ -131,12 +131,21 @@ def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head):
     epoch, each batch evaluated before its update. The arithmetic runs in
     the dtype of X, which theta, and a linear head's targets, must share
     (a ValueError otherwise).
+
+    Given `gram` = (K, P0, C), the first layer runs in Gram form: its
+    weights are W0 + X.T @ C, with W0 as theta holds it, K = X @ X.T and
+    P0 = X @ W0. A batch b then takes P0[b] + K[b] @ C for X[b] @ W0 and
+    steps C[b] in place of W0, which the caller updates once, by X.T @ C,
+    after its last epoch. That is the same update in exact arithmetic, at
+    bs * n instead of bs * D multiply-adds per first-layer unit for n rows
+    of D values. K, P0 and C share the dtype of X.
     """
     if head not in (SOFTMAX, LINEAR):
         raise ValueError(f"unknown head {head!r}")
-    _check_dtype(X, theta, *([targets] if head == LINEAR else []))
+    _check_dtype(X, theta, *([targets] if head == LINEAR else []), *(gram or ()))
     layers = layer_views(theta, sizes)
     lh = len(layers) - 1
+    K, P0, C = gram or (None, None, None)
     n = order.shape[0]
     total = 0.0
     for s in range(0, n, batch_size):
@@ -144,11 +153,16 @@ def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head):
         rows = order[s:e]
         tb = targets[rows]
         bs = e - s
-        acts = [X[rows]]
-        for W, bv in layers[:lh]:
-            acts.append(np.maximum(acts[-1] @ W + bv, 0.0))
-        Wh, bh = layers[lh]
-        out = acts[lh] @ Wh + bh
+        if gram is None:
+            acts = [X[rows]]
+            z = acts[0] @ layers[0][0]
+        else:
+            acts = [None]  # the first layer's input stays in K and P0
+            z = P0[rows] + K[rows] @ C
+        for l in range(1, lh + 1):
+            acts.append(np.maximum(z + layers[l - 1][1], 0.0))
+            z = acts[l] @ layers[l][0]
+        out = z + layers[lh][1]
         if head == SOFTMAX:
             hit = (np.arange(bs), tb)
             m = out.max(axis=1, keepdims=True)
@@ -168,6 +182,9 @@ def sgd_epoch(theta, sizes, X, targets, order, batch_size, lr, head):
                 delta = dact * (acts[l + 1] > 0.0)
             if l > 0:
                 dact = delta @ W.T
-            W -= lr * (acts[l].T @ delta)
+            if l > 0 or gram is None:
+                W -= lr * (acts[l].T @ delta)
+            else:
+                C[rows] -= lr * delta
             bv -= lr * delta.sum(axis=0)
     return total / n

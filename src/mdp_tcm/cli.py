@@ -91,8 +91,37 @@ def _opt_float(text: str) -> float:
     return value
 
 
+def _opt_rate(text: str) -> float:
+    """A finite number >= 0, such as a learning rate."""
+    value = _opt_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a number >= 0: {text!r}")
+    return value
+
+
+def _opt_int(lo: int):
+    """The option type of an integer >= `lo`: for any other text, argparse's
+    usage error names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"not an integer >= {lo}: {text!r}")
+        return value
+    return parse
+
+
 def _opt_range(text: str) -> tuple:
-    lo, hi = (int(p) for p in text.split(","))
+    """A hidden width interval `lo,hi` with 1 <= lo <= hi."""
+    try:
+        lo, hi = (int(p) for p in text.split(","))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"not an interval lo,hi with 1 <= lo <= hi: "
+                                         f"{text!r}")
     return lo, hi
 
 
@@ -100,25 +129,25 @@ def _opt_range(text: str) -> tuple:
 # default None means "derived later"
 _COMMON_TRAIN_OPTS = [
     ("preset", str, None, "training preset: diagnosis-default | prognosis-default"),
-    ("pretrain-epochs", int, None, "CD pretraining epochs"),
-    ("finetune-epochs", int, None, "SGD fine-tuning epochs"),
-    ("learning-rate", _opt_float, None, "learning rate for pretraining and fine-tuning"),
-    ("regressor-learning-rate", _opt_float, None, "override for the wear regressors"),
-    ("batch-size", int, None, "mini-batch size"),
+    ("pretrain-epochs", _opt_int(0), None, "CD pretraining epochs"),
+    ("finetune-epochs", _opt_int(0), None, "SGD fine-tuning epochs"),
+    ("learning-rate", _opt_rate, None, "learning rate for pretraining and fine-tuning"),
+    ("regressor-learning-rate", _opt_rate, None, "override for the wear regressors"),
+    ("batch-size", _opt_int(1), None, "mini-batch size"),
     ("hidden-range", _opt_range, None, "hidden width interval, e.g. 5,60"),
-    ("stride", int, None, "window stride in samples (default: one window)"),
+    ("stride", _opt_int(1), None, "window stride in samples (default: one window)"),
     ("train-ratio", _opt_float, 0.85, "train fraction of the split"),
     ("split-mode", str, "run", "run, the only mode: held-out data is whole runs"),
 ]
 
 # options of the commands that train the multistate pipeline
 _MDP_OPTS = [
-    ("classifier-learning-rate", _opt_float, None, "override for the state classifier"),
-    ("smoothing-window", int, 50, "trailing smoothing window (multistate)"),
-    ("sticky-steps", int, 1, "diagnoses needed to switch the routed state"),
-    ("min-state-samples", int, 50, "frames needed for a dedicated regressor"),
-    ("de-population", int, 30, "DE population size"),
-    ("de-generations", int, 50, "DE generations"),
+    ("classifier-learning-rate", _opt_rate, None, "override for the state classifier"),
+    ("smoothing-window", _opt_int(0), 50, "trailing smoothing window (multistate)"),
+    ("sticky-steps", _opt_int(1), 1, "diagnoses needed to switch the routed state"),
+    ("min-state-samples", _opt_int(1), 50, "frames needed for a dedicated regressor"),
+    ("de-population", _opt_int(4), 30, "DE population size"),
+    ("de-generations", _opt_int(0), 50, "DE generations"),
 ]
 
 COMMANDS = {
@@ -158,7 +187,7 @@ COMMANDS = {
         ("out", str, _REQUIRED, "prediction CSV to write"),
         ("rpm", _opt_float, None, "spindle rpm (default: run sidecar)"),
         ("rate", _opt_float, None, "sampling rate Hz (default: run sidecar)"),
-        ("stride", int, None, "window stride in samples"),
+        ("stride", _opt_int(1), None, "window stride in samples"),
     ],
     "ablate-sensors": [
         ("data", str, _REQUIRED, "directory of run CSVs"),
@@ -243,17 +272,17 @@ def _train_config(cfg: RunConfig, default_preset: str,
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command, with the options of `command` alone
-    when one is named: each option costs a formatter, so a call parses
+    """The parser of every command, or of `command` alone when one is
+    named: each parser and option costs a formatter, so a call builds
     only its own."""
     parser = _Parser(prog="mdp-tcm",
                      description="Tool-condition monitoring: multi-state "
                                  "diagnosis and wear prognosis experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, opts in COMMANDS.items():
-        p = sub.add_parser(name)
         if command not in (None, name):
             continue
+        p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file")
         for opt, typ, default, help_text in opts:
             if typ is _opt_bool:
@@ -516,10 +545,12 @@ def _write_histories(out_stem: Path, history: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    ratio = cfg["train-ratio"]
+    if not 0.0 < ratio <= 1.0:
+        raise UsageError(f"--train-ratio must lie in (0, 1], not {ratio}")
     keep = None
-    if cfg["train-ratio"] < 1.0:
-        keep = _split_indices(len(_run_files(cfg["data"])), cfg["train-ratio"],
-                              cfg["seed"])[0]
+    if ratio < 1.0:
+        keep = _split_indices(len(_run_files(cfg["data"])), ratio, cfg["seed"])[0]
     # every run is checked, and the training runs alone are read, in split order
     train_set = _load_runs(cfg["data"], cfg["stride"], keep)[0]
     per_state = np.bincount(train_set.state_labels, minlength=N_STATES)

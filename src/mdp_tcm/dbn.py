@@ -260,6 +260,20 @@ def batch_gradient(model: DbnModel, frames, targets) -> np.ndarray:
     return model.theta - theta
 
 
+def _gram_pays(n_rows: int, n_inputs: int, first_width: int, epochs: int) -> bool:
+    """Whether `epochs` of SGD on `n_rows` frames of `n_inputs` values take
+    the Gram form of a first layer `first_width` units wide: true when its
+    multiply-adds, n_rows**2 * n_inputs for the Gram matrix,
+    epochs * n_rows**2 * first_width for the epochs and
+    2 * n_rows * n_inputs * first_width for the first products and the
+    closing update, come to under half of the direct form's
+    2 * epochs * n_rows * n_inputs * first_width. That needs n_rows < n_inputs."""
+    gram = (n_rows * n_rows * (n_inputs + epochs * first_width)
+            + 2 * n_rows * n_inputs * first_width)
+    direct = 2 * epochs * n_rows * n_inputs * first_width
+    return 2 * gram < direct
+
+
 def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
               rng: np.random.Generator, rows=None):
     """SGD on the rows of `frames` and `targets`, or, given the index array
@@ -267,7 +281,15 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
     `targets[rows]`: each epoch's batches gather their rows through
     `rows[rng.permutation(len(rows))]`. Training runs in the frames' dtype,
     float32 or float64; the model's parameters and a linear head's targets
-    are cast to it."""
+    are cast to it.
+
+    When `_gram_pays` says so, which needs fewer rows than inputs, the first
+    layer trains in Gram form (`_kernels.sgd_epoch`): the training rows are
+    gathered once, their Gram matrix and first-layer products taken, and
+    the first layer's weights written once, after the last epoch. That is
+    the same SGD up to rounding, with the same permutations drawn.
+    Non-finite parameters, or Gram coefficients, after an epoch raise a
+    NumericError naming it."""
     frames = _kernels.as_float_array(frames)
     if frames.ndim != 2 or (n := len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("fine-tuning needs a nonempty 2-D frame matrix")
@@ -301,15 +323,28 @@ def _finetune(model: DbnModel, frames, targets, config: TrainConfig,
     if model.head == LINEAR:
         y = y.astype(frames.dtype, copy=False)
 
+    gram = None
+    if _gram_pays(n, *model.layer_sizes[:2], config.finetune_epochs):
+        # the training rows alone from here on: the batches index them, and
+        # the Gram form's K, P0 and C, by position
+        frames, y, rows = gather(frames, rows), gather(y, rows), None
+        first_w = _kernels.layer_views(theta, sizes)[0][0]
+        gram = (frames @ frames.T, frames @ first_w,
+                np.zeros((n, sizes[1]), dtype=frames.dtype))
     for epoch in range(config.finetune_epochs):
         order = rng.permutation(n)
         if rows is not None:
             order = rows[order]
         history[epoch] = _kernels.sgd_epoch(theta, sizes, frames, y, order,
                                             config.batch_size, config.learning_rate,
-                                            model.head)
-        if not np.isfinite(theta).all():
+                                            model.head, gram)
+        if not (np.isfinite(theta).all() and (gram is None or np.isfinite(gram[2]).all())):
             raise NumericError(f"non-finite parameters at fine-tune epoch {epoch}")
+    if gram is not None:
+        first_w += frames.T @ gram[2]
+        if not np.isfinite(first_w).all():
+            raise NumericError("non-finite parameters at fine-tune epoch "
+                               f"{config.finetune_epochs - 1}")
     if scale != 1.0:
         head_w *= scale
         head_b *= scale

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import hashlib
 import inspect
@@ -541,6 +542,17 @@ class TestConfigHandling:
     def test_unknown_command_usage_error(self):
         assert run_cli(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_a_named_command_builds_its_own_parser_alone(self, command):
+        def commands(parser):
+            sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sub.choices
+
+        alone, full = commands(cli.build_parser(command)), commands(cli.build_parser())
+        assert list(alone) == [command] and list(full) == list(cli.COMMANDS)
+        # the named command prints the usage and help of the full parser's
+        assert alone[command].format_help() == full[command].format_help()
+
     def test_help_lists_every_command_and_the_named_one_s_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--help"])
@@ -558,9 +570,21 @@ class TestConfigHandling:
 
 class TestPipelineFlags:
     @pytest.mark.parametrize("flag, value, message", [
-        ("--smoothing-window", "-1", "smoothing window must be >= 1"),
-        ("--sticky-steps", "0", "sticky_steps must be >= 1"),
-        ("--min-state-samples", "0", "min_state_samples must be >= 1"),
+        ("--smoothing-window", "-1", "not an integer >= 0: '-1'"),
+        ("--sticky-steps", "0", "not an integer >= 1: '0'"),
+        ("--min-state-samples", "0", "not an integer >= 1: '0'"),
+        ("--batch-size", "0", "not an integer >= 1: '0'"),
+        ("--stride", "0", "not an integer >= 1: '0'"),
+        ("--de-population", "2", "not an integer >= 4: '2'"),
+        ("--de-generations", "-1", "not an integer >= 0: '-1'"),
+        ("--hidden-range", "0,5", "not an interval lo,hi with 1 <= lo <= hi: '0,5'"),
+        ("--hidden-range", "6,5", "not an interval lo,hi with 1 <= lo <= hi: '6,5'"),
+        ("--pretrain-epochs", "-1", "not an integer >= 0: '-1'"),
+        ("--finetune-epochs", "-1", "not an integer >= 0: '-1'"),
+        ("--finetune-epochs", "2.5", "not an integer >= 0: '2.5'"),
+        ("--learning-rate", "-1", "not a number >= 0: '-1'"),
+        ("--classifier-learning-rate", "-0.5", "not a number >= 0: '-0.5'"),
+        ("--regressor-learning-rate", "-0.5", "not a number >= 0: '-0.5'"),
     ])
     def test_rejected_before_any_training(self, tmp_path, data_dir, capsys, monkeypatch,
                                           flag, value, message):
@@ -569,10 +593,31 @@ class TestPipelineFlags:
 
         monkeypatch.setattr(cli, "train_mdp", never)
         out = tmp_path / "m.model"
-        assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
-                        flag, value] + TINY_FLAGS) == 2
-        assert f"data error: {message}" in capsys.readouterr().err
+        # `--flag=value`, so that argparse takes "-1" as a value, after
+        # TINY_FLAGS, so that it is the value in force
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(out)]
+                       + TINY_FLAGS + [f"{flag}={value}"]) == 1
+        assert f"usage error: argument {flag}: {message}\n" == capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_out_of_range_config_value_is_usage_error_naming_the_key(self, tmp_path,
+                                                                     data_dir, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("batch-size = 0\n")
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(tmp_path / "m"),
+                        "--config", str(config)]) == 1
+        assert ("usage error: config key batch-size: not an integer >= 1: '0'\n"
+                == capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("flag, value, want", [("--smoothing-window", "0", 0),
+                                                   ("--de-population", "4", 4),
+                                                   ("--hidden-range", "1,1", (1, 1)),
+                                                   ("--learning-rate", "0", 0.0)])
+    def test_the_bound_itself_is_accepted(self, flag, value, want):
+        args = cli.build_parser("train").parse_args(
+            ["train", "--data", "d", "--out", "o", f"{flag}={value}"])
+        assert getattr(args, flag[2:].replace("-", "_")) == want
 
 
 class TestAblateAndCompare:
@@ -767,12 +812,20 @@ class TestGenerateFanOut:
 
 
 class TestBlasThreads:
-    def test_model_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+    @staticmethod
+    def assert_one_digest(tmp_path, epochs: int, gram: bool) -> None:
+        """A tiny 20 kHz multistate train writes one model sha256 under
+        MDP_TCM_THREADS 1 and 2 x OPENBLAS_NUM_THREADS 1 and 2; its
+        fine-tuning takes the Gram form or not."""
         # 20 kHz frames of 10178 values: products wide enough for OpenBLAS to
         # split over threads, which would change the bits of a serial train
         data = tmp_path / "data"
         assert run_cli(["generate", "--out", str(data), "--runs", "2", "--seed", "3",
                         "--run-seconds", "1"]) == 0
+        n_frames = len(cli._load_runs(str(data), None)[0])
+        # the diagnoser and the fallback train on every frame
+        assert [dbn._gram_pays(n_frames, 10178, width, epochs)
+                for width in (4, 5, 6)] == [gram] * 3
         src = str(Path(cli.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         digests = {}
@@ -784,12 +837,21 @@ class TestBlasThreads:
                     [sys.executable, "-m", "mdp_tcm.cli", "train", "--data", str(data),
                      "--out", str(out), "--kind", "multistate", "--seed", "5",
                      "--train-ratio", "1.0", "--batch-size", "32", "--hidden-range", "4,6",
-                     "--pretrain-epochs", "1", "--finetune-epochs", "3"] + TINY_DE_FLAGS,
+                     "--pretrain-epochs", "1", "--finetune-epochs", str(epochs)]
+                    + TINY_DE_FLAGS,
                     env={**os.environ, "PYTHONPATH": path, "MDP_TCM_THREADS": workers,
                          "OPENBLAS_NUM_THREADS": blas},
                     check=True, capture_output=True, timeout=300)
                 digests[workers, blas] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert len(set(digests.values())) == 1, digests
+
+    def test_model_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+        self.assert_one_digest(tmp_path, 3, gram=False)
+
+    def test_gram_form_bytes_do_not_depend_on_workers_or_blas_threads(self, tmp_path):
+        # the Gram form adds products of its own as wide: the Gram matrix, the
+        # first layer's products and its closing update
+        self.assert_one_digest(tmp_path, 20, gram=True)
 
 
 class TestWorkerCount:
@@ -960,6 +1022,17 @@ class TestSplitRuns:
                        + (["--split-mode", mode] if mode else [])) == 1
         assert (f"--train-ratio must lie in (0, 1), not {float(ratio)}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("ratio", ["-0.5", "0", "1.5"])
+    def test_train_ratio_outside_zero_one_is_usage_error(self, tmp_path, data_dir, capsys,
+                                                         ratio):
+        # 1.0 trains on every run; above it, there is no such split
+        out = tmp_path / "m.model"
+        assert run_cli(["train", "--data", str(data_dir), "--out", str(out),
+                        "--train-ratio", ratio] + TINY_FLAGS) == 1
+        assert (f"usage error: --train-ratio must lie in (0, 1], not {float(ratio)}\n"
+                == capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_held_out_data_is_whole_runs(self, data_dir):
         # the training rows index the pool's frames of the two runs not held

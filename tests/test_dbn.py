@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,3 +408,86 @@ class TestFloat32:
         assert {trained.weights.dtype, trained.visible_bias.dtype,
                 trained.hidden_bias.dtype} == {np.dtype(np.float32)}
         assert rbm.prob_h_given_v(trained, data).dtype == np.float32
+
+
+class TestGramForm:
+    """With fewer training rows than inputs, the first layer fine-tunes in
+    Gram form: the same SGD up to rounding."""
+
+    # 20 epochs: 45 rows of 300 values take the Gram form
+    CONFIG = dbn.TrainConfig(pretrain_epochs=1, finetune_epochs=20, learning_rate=0.02,
+                             batch_size=9, hidden_range=(5, 8))
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(51)
+        frames = rng.random((70, 300))
+        wear = rng.random(70) * 380.0  # spread > 2: the head trains in scaled units
+        rows = rng.permutation(70)[:45]
+        return frames, wear, (wear > 190).astype(int), rows
+
+    @staticmethod
+    def finetune(form, monkeypatch, model, frames, targets, rows, config=CONFIG):
+        monkeypatch.setattr(dbn, "_gram_pays", lambda *shape: form == "gram")
+        return dbn._finetune(model, frames, targets, config, substream(2, "finetune"), rows)
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["all-rows", "rows"])
+    @pytest.mark.parametrize("head", [dbn.SOFTMAX, dbn.LINEAR])
+    def test_agrees_with_the_direct_form_in_float64(self, data, monkeypatch, head,
+                                                    with_rows):
+        frames, wear, labels, rows = data
+        targets = labels if head == dbn.SOFTMAX else wear
+        sizes = (300, 7, 5, 2 if head == dbn.SOFTMAX else 1)
+        model = make_model(sizes, head, seed=52, scale=0.05)
+        rows = rows if with_rows else None
+        direct = self.finetune("direct", monkeypatch, model, frames, targets, rows)
+        gram = self.finetune("gram", monkeypatch, model, frames, targets, rows)
+        assert not np.array_equal(gram[0].theta, direct[0].theta)  # another sum order
+        assert np.allclose(gram[0].theta, direct[0].theta, rtol=1e-12, atol=1e-14)
+        assert np.allclose(gram[1], direct[1], rtol=1e-12, atol=0)
+        assert direct[0].theta.dtype == gram[0].theta.dtype == np.float64
+
+    @pytest.mark.parametrize("sizes, head", [((300, 7, 5, 1), dbn.LINEAR),
+                                             ((300, 6, 2), dbn.SOFTMAX)])
+    def test_rows_give_the_bytes_of_training_on_the_gathered_frames(self, data, sizes,
+                                                                    head):
+        frames, wear, labels, rows = data
+        targets = labels if head == dbn.SOFTMAX else wear
+        assert dbn._gram_pays(len(rows), *sizes[:2], self.CONFIG.finetune_epochs)
+        got = dbn.train_network(frames, targets, sizes, head, self.CONFIG, 6, rows)
+        want = dbn.train_network(frames[rows], targets[rows], sizes, head, self.CONFIG, 6)
+        assert got[0].theta.tobytes() == want[0].theta.tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("form", ["direct", "gram"])
+    def test_divergence_raises_numeric_error_naming_the_epoch(self, data, monkeypatch,
+                                                             form):
+        frames, wear, _, rows = data
+        model = make_model((300, 7, 1), dbn.LINEAR, seed=53, scale=0.05)
+        config = replace(self.CONFIG, learning_rate=1e4)
+        # both forms overflow in the same epoch, on the way to the check
+        with pytest.raises(NumericError, match=r"^non-finite parameters at fine-tune "
+                                               r"epoch 13$"), np.errstate(all="ignore"):
+            self.finetune(form, monkeypatch, model, frames, wear, rows, config)
+
+    # (frames, inputs, first hidden width, epochs): the benchmark's networks,
+    # and those of the acceptance criteria at their fewest frames (criteria
+    # 7-10 train 300 epochs into 5-60 units on 98- or 7-value frames, and
+    # criterion 12 40 epochs into 4 units on 80 frames at the least)
+    DESK_FANOUT = [(n, 98, 40, 30) for n in (128, 200, 470, 1410)]
+    CRITERIA = [(n, d, h, 300) for n in (290, 4371) for d in (7, 98) for h in (5, 60)] \
+        + [(80, 98, 4, 40)]
+    HW_RATE = [(n, 10178, 20, 20) for n in (27, 54, 110, 220, 330)]
+
+    @pytest.mark.parametrize("shape", DESK_FANOUT + CRITERIA)
+    def test_desk_shapes_take_the_direct_form(self, shape):
+        assert not dbn._gram_pays(*shape)
+
+    @pytest.mark.parametrize("shape", HW_RATE)
+    def test_hw_rate_shapes_take_the_gram_form(self, shape):
+        assert dbn._gram_pays(*shape)
+
+    @pytest.mark.parametrize("n_inputs", [1, 20, 98, 10178])
+    def test_never_with_as_many_rows_as_inputs(self, n_inputs):
+        for epochs in (0, 1, 20, 10 ** 6):
+            assert not dbn._gram_pays(n_inputs, n_inputs, 60, epochs)

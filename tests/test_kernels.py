@@ -63,6 +63,29 @@ def test_order_gathers_the_rows_a_shuffled_copy_holds(head, sizes):
     assert np.array_equal(gathered, copied)
 
 
+@pytest.mark.parametrize("head, sizes", NETS)
+def test_gram_form_takes_the_direct_steps(head, sizes):
+    # the first layer's weights W0 + X.T @ C, and every other parameter, as
+    # the direct epoch leaves them, up to rounding
+    rng = np.random.default_rng(5)
+    sizes = np.array(sizes, dtype=np.int64)
+    n = 30
+    X = rng.random((n, 9))
+    y = _targets(rng, head, sizes, n)
+    order = rng.permutation(n)
+    direct = rng.normal(0, 0.4, _kernels.theta_size(sizes))
+    gram_theta = direct.copy()
+    W0 = _kernels.layer_views(gram_theta, sizes)[0][0]
+    K, P0, C = X @ X.T, X @ W0, np.zeros((n, sizes[1]))
+    loss_direct = _kernels.sgd_epoch(direct, sizes, X, y, order, 8, 0.05, head)
+    loss_gram = _kernels.sgd_epoch(gram_theta, sizes, X, y, order, 8, 0.05, head,
+                                   (K, P0, C))
+    assert np.array_equal(P0, X @ W0)  # W0 is left to the caller
+    W0 += X.T @ C
+    assert loss_gram == pytest.approx(loss_direct, rel=1e-13)
+    assert np.allclose(gram_theta, direct, rtol=1e-12, atol=1e-14)
+
+
 def test_unknown_head_is_rejected():
     sizes = np.array([3, 1], dtype=np.int64)
     with pytest.raises(ValueError, match="unknown head"):
@@ -104,6 +127,10 @@ def test_sgd_epoch_refuses_mixed_dtypes():
     with pytest.raises(ValueError, match="parameters of dtype float64"):  # the targets
         _kernels.sgd_epoch(np.zeros(n, np.float32), sizes, X32, y32.astype(np.float64),
                            order, 2, 0.1, _kernels.LINEAR)
+    with pytest.raises(ValueError, match="parameters of dtype float64"):  # the Gram form's
+        gram = (np.zeros((4, 4)), np.zeros((4, 2), np.float32), np.zeros((4, 2), np.float32))
+        _kernels.sgd_epoch(np.zeros(n, np.float32), sizes, X32, y32, order, 2, 0.1,
+                           _kernels.LINEAR, gram)
     # class labels are integers in either dtype
     theta = np.zeros(_kernels.theta_size([3, 2]), np.float32)
     _kernels.sgd_epoch(theta, np.array([3, 2]), X32, np.zeros(4, np.int64), order, 2, 0.1,
