@@ -40,9 +40,10 @@ from .model_io import (KIND_CLASSIFIER, KIND_ECS, KIND_MULTISTATE,
 from .multistate import (EcsDbnModel, MdpTrainConfig, MultiStateModel, diagnose,
                          estimate_wear_detailed, train_diagnoser, train_mdp,
                          train_state_classifier, train_wear_regressor)
-from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, build_dataset,
-                              frame_ends, label_states, load_run_csv, open_run_csv,
-                              window_runs, write_csv)
+from .signal_pipeline import (FrameDataset, N_STATES, WindowSpec, frame_ends,
+                              label_states, open_run_csv, window_runs, write_csv)
+# unused: perfbench's instrumentation test expects `cli.load_run_csv` (ROADMAP item 1)
+from .signal_pipeline import load_run_csv  # noqa: F401
 from .synth import (SynthConfig, generate_fleet, read_run_meta,
                     write_run_csv, write_run_meta)
 from .seeding import substream
@@ -348,13 +349,6 @@ def _load_runs(data_dir: str, stride: int | None, keep=None):
         return window_runs(opened(), keep)
 
 
-def _windowed_run(path, spec: WindowSpec) -> FrameDataset:
-    """The frames of one run CSV. Its samples go when this returns, before
-    the caller runs inference."""
-    channels, wear = load_run_csv(path)
-    return build_dataset(channels, spec, wear)
-
-
 def _check_frame_width(model, model_path, ds: FrameDataset, run_path) -> None:
     """A data error naming both files when the run's frames do not fit the model."""
     net = model.diagnoser if isinstance(model, MultiStateModel) else model
@@ -442,9 +436,9 @@ def _run_trials(cfg: RunConfig, pool: FrameDataset, bounds, trial) -> list:
 # ---------------------------------------------------------------------------
 
 def _write_run(run, stem: Path, ends: np.ndarray, created: str) -> np.ndarray:
-    """Write a run's CSV and sidecar; the frames per state that `window`
-    would cut from it, counted from the wear at each frame's last sample
-    (`ends`, from `frame_ends`)."""
+    """Write a run's CSV and sidecar; the frames per state that
+    `build_dataset` would cut from it, counted from the wear at each
+    frame's last sample (`ends`, from `frame_ends`)."""
     write_run_csv(run, stem.with_suffix(".csv"))
     write_run_meta(run, stem.with_suffix(".meta"), created=created)
     return np.bincount(label_states(run.wear_trajectory[ends]), minlength=N_STATES)
@@ -597,10 +591,11 @@ def _evaluate_model(model, pool: FrameDataset, bounds):
     return regression_report(wear, dbn.predict_regression(model, frames))
 
 
-def _channel_list(channels: str, channel_ids) -> list | None:
-    """Channel ids named by a comma-separated subset; None for all.
+def _channel_list(flag: str, channels: str, channel_ids) -> list | None:
+    """Channel ids named by a comma-separated subset of `flag`; None for all.
 
-    `vibration` stands for every vib* channel in `channel_ids`.
+    `vibration` stands for every vib* channel in `channel_ids`. A subset
+    that names no channel, or one channel more than once, is a usage error.
     """
     if channels.strip() in ("", "all"):
         return None
@@ -610,6 +605,12 @@ def _channel_list(channels: str, channel_ids) -> list | None:
             expanded += [c for c in channel_ids if c.startswith("vib")]
         elif name:
             expanded.append(name)
+    if not expanded:
+        raise UsageError(f"argument {flag}: subset {channels!r} names no channel")
+    repeated = next((c for c in expanded if expanded.count(c) > 1), None)
+    if repeated is not None:
+        raise UsageError(f"argument {flag}: subset {channels!r} names channel "
+                         f"{repeated!r} more than once")
     return expanded
 
 
@@ -622,7 +623,7 @@ def _write_report(out_prefix: Path, report: MetricsReport) -> None:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     pool, bounds = _load_runs(cfg["data"], cfg["stride"])
-    channels = _channel_list(cfg["channels"], pool.channel_ids)
+    channels = _channel_list("--channels", cfg["channels"], pool.channel_ids)
     if channels is not None:
         pool = pool.select_channels(channels)
         if cfg["model"]:
@@ -689,8 +690,10 @@ def cmd_predict(cfg: RunConfig) -> int:
                                                              meta_path)
     if rpm is None or rate is None:
         raise UsageError("no sidecar found; supply --rpm and --rate")
-    ds = _windowed_run(run_path, WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate,
-                                            stride=cfg["stride"]))
+    spec = WindowSpec(spindle_rpm=rpm, sampling_rate_hz=rate, stride=cfg["stride"])
+    # the run's samples go once its frames are made, before inference
+    with open_run_csv(run_path) as run:
+        ds = window_runs([(run, spec)])[0]
     _check_frame_width(model, cfg["model"], ds, run_path)
     states, posteriors, raw, smoothed = estimate_wear_detailed(model, ds.frames)
     Path(cfg["out"]).parent.mkdir(parents=True, exist_ok=True)
@@ -720,9 +723,11 @@ def _write_table(cfg: RunConfig, suffix: str, first_column: str, names, results,
 
 
 def cmd_ablate_sensors(cfg: RunConfig) -> int:
-    pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
-    subsets = {name: _channel_list(name, pool.channel_ids) for name in names}
+    if not names:
+        raise UsageError(f"argument --subsets: {cfg['subsets']!r} names no subset")
+    pool, bounds = _load_runs(cfg["data"], cfg["stride"])
+    subsets = {name: _channel_list("--subsets", name, pool.channel_ids) for name in names}
     config = _train_config(cfg, "prognosis-default", "regressor")
     results = _run_trials(cfg, pool, bounds, lambda pool, rows, held, seed:
                           sensor_subset_trial(pool, _runs(pool, held), subsets, config,

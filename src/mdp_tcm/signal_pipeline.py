@@ -28,11 +28,11 @@ from .seeding import substream
 N_STATES = 4
 WEAR_EDGES_UM = (100.0, 200.0, 300.0)
 
-# the dtype of the frame matrices that `window`, `build_dataset` and
-# `window_runs` make: each value is computed in float64 and rounded once
+# the dtype of the frame matrices that `build_dataset` and `window_runs`
+# make: each value is computed in float64 and rounded once
 FRAME_DTYPE = np.float32
-# bytes of the float64 scratch block in which `window` and `build_dataset`
-# compute a channel's columns of the frames, a block of rows at a time
+# bytes of the float64 scratch block in which `build_dataset` computes a
+# channel's columns of the frames, a block of rows at a time
 _SCALE_BLOCK_BYTES = 1 << 17
 
 
@@ -109,30 +109,6 @@ class FrameDataset:
         return FrameDataset(np.ascontiguousarray(frames), self.wear_targets,
                             tuple(channel_ids), self.window_len)
 
-def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
-    """The samples of one channel, min-max normalized to [0, 1].
-
-    A constant channel maps to all zeros with a warning so a dead sensor
-    does not abort the run.
-    """
-    lo, span = _min_max_bounds(channel_id, samples)
-    return np.zeros_like(samples) if span is None else (samples - lo) / span
-
-
-def _min_max_bounds(channel_id: str, x: np.ndarray):
-    """(lo, hi - lo) over a channel's samples `x`: min-max scaling maps each
-    sample to (x - lo) / (hi - lo). (lo, None), with a warning, for a
-    constant channel, which maps to zeros (see `normalize_channel`)."""
-    if x.size == 0:
-        raise ValueError("cannot normalize an empty channel")
-    lo = float(x.min())
-    hi = float(x.max())
-    if hi == lo:
-        warnings.warn(f"channel {channel_id!r} is constant; normalized to zeros",
-                      RuntimeWarning, stacklevel=3)
-        return lo, None
-    return lo, hi - lo
-
 
 def compute_window_size(spec: WindowSpec) -> int:
     """Samples covering `multiple` full spindle rotations: round(N*fs*60/rpm)."""
@@ -170,67 +146,13 @@ def label_states(wear_um) -> np.ndarray:
 
 
 def frame_ends(n_samples: int, spec: WindowSpec) -> np.ndarray:
-    """Index of the last sample of each frame that `window` cuts from a
-    series of `n_samples` samples."""
+    """Index of the last sample of each frame that `build_dataset` cuts from
+    a series of `n_samples` samples."""
     tw = compute_window_size(spec)
     stride = spec.stride if spec.stride is not None else tw
     if n_samples < tw:
         raise DataError(f"series of {n_samples} samples is shorter than one window ({tw})")
     return np.arange((n_samples - tw) // stride + 1) * stride + (tw - 1)
-
-
-def window(channels: dict, spec: WindowSpec, wear_trajectory, out=None) -> FrameDataset:
-    """Cut sliding windows over all channels and attach wear targets.
-
-    `channels` maps each channel id to its samples, in frame order, all
-    sampled at `spec.sampling_rate_hz`. Frame t covers samples
-    [t*stride, t*stride + tw) of every channel, flattened channel-major.
-    Its wear target is the wear at the window's last sample, with NaN gaps
-    filled (see fill_wear_gaps); its state label follows from that wear.
-    Each sample is stored rounded once to FRAME_DTYPE, or to the dtype of
-    `out`: when it is given, the frames are written into this matrix of
-    their shape, which the dataset then holds.
-    """
-    # x - 0.0 and x / 1.0 are x, bit for bit
-    return _window(channels, spec, wear_trajectory, out, [(0.0, 1.0)] * len(channels))
-
-
-def _window(channels: dict, spec: WindowSpec, wear_trajectory, out, bounds) -> FrameDataset:
-    """`window`, but each sample x of a channel whose `bounds` entry, from
-    `_min_max_bounds`, is (lo, span) is stored as (x - lo) / span: computed
-    in float64, a scratch block of `_SCALE_BLOCK_BYTES` at a time, then
-    rounded once. A constant channel, whose span is None, stores zeros."""
-    if not channels:
-        raise DataError("no channels given")
-    tau = len(next(iter(channels.values())))
-    if any(len(x) != tau for x in channels.values()):
-        raise DataError("all channels must have the same length")
-    wear = np.asarray(wear_trajectory, dtype=np.float64)
-    if len(wear) != tau:
-        raise DataError("wear trajectory length must match the channels")
-    ends = frame_ends(tau, spec)
-    # the gap-filled copy of the wear goes before the frame matrix is made
-    targets = fill_wear_gaps(wear)[ends]
-    if np.any(targets < 0):
-        raise ValueError("flank wear cannot be negative")
-    tw = compute_window_size(spec)
-    stride = spec.stride if spec.stride is not None else tw
-    n = len(ends)
-    frames = np.empty((n, len(channels) * tw), dtype=FRAME_DTYPE) if out is None else out
-    step = max(1, _SCALE_BLOCK_BYTES // (8 * tw))
-    scratch = np.empty((min(step, n), tw))
-    for ci, (x, (lo, span)) in enumerate(zip(channels.values(), bounds)):
-        cols = slice(ci * tw, (ci + 1) * tw)
-        if span is None:
-            frames[:, cols] = 0.0
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(x, tw)[::stride]
-        for start in range(0, n, step):
-            block = scratch[:min(step, n - start)]
-            np.subtract(windows[start:start + len(block)], lo, out=block)
-            block /= span
-            frames[start:start + len(block), cols] = block
-    return FrameDataset(frames, targets, tuple(channels), tw)
 
 
 def split(n: int, train_ratio: float, seed: int):
@@ -263,7 +185,7 @@ def load_run_csv(path):
     """Read one run: header of channel ids plus a wear_um column.
 
     Returns (channels, wear_trajectory): `channels` maps each channel id to
-    its raw samples, in header order; normalize before windowing. Every
+    its raw samples, in header order (`build_dataset` scales them). Every
     channel sample must be finite; the wear column may hold NaN gaps (see
     fill_wear_gaps). A column name may appear once. Each CSV column comes
     back as one contiguous array.
@@ -505,7 +427,9 @@ def write_csv(path, header, columns) -> None:
 
     Every value is written as the bytes of `'%.10g' % v`; an integer column
     prints as under `%d`, and one holding a value of 10**10 or more in
-    magnitude is a ValueError; a column of strings is written as it is.
+    magnitude is a ValueError. A string, in the header or in a column of
+    strings, is written as it is, or quoted as RFC 4180 asks when it holds
+    a comma, a double quote, CR or LF (see `_csv_cell`).
     Each block of `_WRITE_BLOCK_ROWS` rows is stacked from the columns and
     formatted by `_format_block` (a column at a time, then joined row by
     row, if a column holds strings), then written before the next block
@@ -517,15 +441,24 @@ def write_csv(path, header, columns) -> None:
             raise ValueError("integer column holds a value of 10**10 or more in "
                              "magnitude, which '%.10g' does not print as an integer")
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
+        fh.write((",".join(map(_csv_cell, header)) + "\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             parts = [c[start:start + _WRITE_BLOCK_ROWS] for c in columns]
             if all(part.dtype.kind != "U" for part in parts):
                 fh.write(_format_block(np.column_stack(parts).astype(np.float64, copy=False)))
             else:
-                cells = [part.tolist() if part.dtype.kind == "U" else _format_block(
-                    part.astype(np.float64)[:, None]).decode().split("\n")[:-1] for part in parts]
+                cells = [list(map(_csv_cell, part.tolist())) if part.dtype.kind == "U"
+                         else _format_block(part.astype(np.float64)[:, None]).decode()
+                         .split("\n")[:-1] for part in parts]
                 fh.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
+
+
+def _csv_cell(text: str) -> str:
+    """A CSV cell holding `text`: in double quotes, each inner one doubled,
+    when it holds a comma, a double quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _format_block(block: np.ndarray) -> bytes:
@@ -629,16 +562,55 @@ def fill_wear_gaps(wear) -> np.ndarray:
 
 def build_dataset(channels: dict, spec: WindowSpec, wear_trajectory,
                   out=None) -> FrameDataset:
-    """Normalize each channel to [0, 1] and window into frames.
+    """Scale each channel by its minimum and maximum and cut it into frames.
 
-    The frames are those of `window` over `normalize_channel` of each
-    channel in `channels` (channel id -> samples), bit for bit, but the
-    windows are cut from the raw samples and scaled a block of rows at a
-    time, each column by its channel's bounds: no scaled copy of a channel
-    is made. Overlapping windows scale each sample once per frame that
-    holds it. Given `out`, the frames are made in it (see `window`)."""
-    bounds = [_min_max_bounds(name, x) for name, x in channels.items()]
-    return _window(channels, spec, wear_trajectory, out, bounds)
+    `channels` maps each channel id to its samples, in frame order, all
+    sampled at `spec.sampling_rate_hz`. Frame t covers samples
+    [t*stride, t*stride + tw) of every channel, flattened channel-major,
+    each sample x of a channel spanning [lo, hi] as (x - lo) / (hi - lo).
+    That is computed in float64 from windows of the raw samples, a
+    `_SCALE_BLOCK_BYTES` block of rows at a time, so no scaled copy of a
+    channel is made, and rounded once to FRAME_DTYPE, or to the dtype of
+    `out`: the matrix of their shape that the frames are then written in.
+    A constant channel stores zeros, with a warning, so that a dead sensor
+    does not abort the run. A frame's wear target is the wear at its last
+    sample, with NaN gaps filled (see fill_wear_gaps).
+    """
+    if not channels:
+        raise DataError("no channels given")
+    tau = len(next(iter(channels.values())))
+    if any(len(x) != tau for x in channels.values()):
+        raise DataError("all channels must have the same length")
+    wear = np.asarray(wear_trajectory, dtype=np.float64)
+    if len(wear) != tau:
+        raise DataError("wear trajectory length must match the channels")
+    ends = frame_ends(tau, spec)
+    # the gap-filled copy of the wear goes before the frame matrix is made
+    targets = fill_wear_gaps(wear)[ends]
+    if np.any(targets < 0):
+        raise ValueError("flank wear cannot be negative")
+    tw = compute_window_size(spec)
+    stride = spec.stride if spec.stride is not None else tw
+    n = len(ends)
+    frames = np.empty((n, len(channels) * tw), dtype=FRAME_DTYPE) if out is None else out
+    step = max(1, _SCALE_BLOCK_BYTES // (8 * tw))
+    scratch = np.empty((min(step, n), tw))
+    for ci, (name, x) in enumerate(channels.items()):
+        cols = slice(ci * tw, (ci + 1) * tw)
+        lo, hi = float(x.min()), float(x.max())
+        if hi == lo:
+            warnings.warn(f"channel {name!r} is constant; normalized to zeros",
+                          RuntimeWarning, stacklevel=2)
+            frames[:, cols] = 0.0
+            continue
+        span = hi - lo
+        windows = np.lib.stride_tricks.sliding_window_view(x, tw)[::stride]
+        for start in range(0, n, step):
+            block = scratch[:min(step, n - start)]
+            np.subtract(windows[start:start + len(block)], lo, out=block)
+            block /= span
+            frames[start:start + len(block), cols] = block
+    return FrameDataset(frames, targets, tuple(channels), tw)
 
 
 def window_runs(runs, keep=None):

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import csv
 import hashlib
 import inspect
 import os
@@ -42,6 +43,18 @@ def _windowed(run_file):
     return build_dataset(channels, WindowSpec(
         spindle_rpm=float(meta["spindle_rpm"]),
         sampling_rate_hz=float(meta["sampling_rate_hz"])), wear)
+
+
+@pytest.fixture(scope="module")
+def force_torque_dir(tmp_path_factory, data_dir):
+    """The fleet of `data_dir` with its force and torque channels alone."""
+    out = tmp_path_factory.mktemp("force-torque")
+    for f in cli._run_files(str(data_dir)):
+        channels, wear = load_run_csv(f)
+        signal_pipeline.write_csv(out / f.name, ["force", "torque", "wear_um"],
+                                  [channels["force"], channels["torque"], wear])
+        shutil.copy(f.with_suffix(".meta"), out / f.with_suffix(".meta").name)
+    return out
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -415,14 +428,17 @@ class TestPredict:
                             "--run", str(run), "--out", str(out)]) == 0
             assert (tmp_path / "run.csv.parsed.npy").exists()
 
-        def parse_only(path):
-            with open(path, encoding="utf-8") as fh:
+        def parse_only(run):
+            with open(run.path, encoding="utf-8") as fh:
                 names = fh.readline().strip().split(",")
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
             wi = names.index("wear_um")
             return ({n: rows[:, i] for i, n in enumerate(names) if i != wi}, rows[:, wi])
 
-        monkeypatch.setattr(cli, "load_run_csv", parse_only)
+        # `window_runs` reads the opened run through `load_run_csv`; the
+        # open writes no parsed-run file
+        monkeypatch.setattr(signal_pipeline, "load_run_csv", parse_only)
+        monkeypatch.setattr(signal_pipeline, "_write_parsed", lambda *args: None)
         assert run_cli(["predict", "--model", str(multistate_model),
                         "--run", str(reference / "run.csv"), "--out", str(outs[2])]) == 0
         assert sorted(p.name for p in reference.iterdir()) == ["run.csv", "run.meta"]
@@ -585,17 +601,27 @@ class TestPipelineFlags:
         ("--learning-rate", "-1", "not a number >= 0: '-1'"),
         ("--classifier-learning-rate", "-0.5", "not a number >= 0: '-0.5'"),
         ("--regressor-learning-rate", "-0.5", "not a number >= 0: '-0.5'"),
+        ("--channels", ",", "subset ',' names no channel"),
+        ("--channels", "vibration", "subset 'vibration' names no channel"),
+        ("--subsets", ";", "';' names no subset"),
+        ("--subsets", "force,force", "subset 'force,force' names channel 'force' more "
+                                     "than once"),
     ])
     def test_rejected_before_any_training(self, tmp_path, data_dir, capsys, monkeypatch,
-                                          flag, value, message):
+                                          request, flag, value, message):
         def never(*args, **kwargs):
-            raise AssertionError("train_mdp was called")
+            raise AssertionError("a model was trained")
 
-        monkeypatch.setattr(cli, "train_mdp", never)
+        for trainer in ("train_mdp", "sensor_subset_trial"):
+            monkeypatch.setattr(cli, trainer, never)
+        command = {"--channels": ["evaluate", "--trials", "1"],
+                   "--subsets": ["ablate-sensors"]}.get(flag, ["train"])
+        # the vibration row's fleet has no vib* channel
+        data = request.getfixturevalue("force_torque_dir") if value == "vibration" else data_dir
         out = tmp_path / "m.model"
         # `--flag=value`, so that argparse takes "-1" as a value, after
         # TINY_FLAGS, so that it is the value in force
-        assert run_cli(["train", "--data", str(data_dir), "--out", str(out)]
+        assert run_cli(command + ["--data", str(data), "--out", str(out)]
                        + TINY_FLAGS + [f"{flag}={value}"]) == 1
         assert f"usage error: argument {flag}: {message}\n" == capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -633,6 +659,17 @@ class TestAblateAndCompare:
         rows = (tmp_path / "abl.sensor_ablation.csv").read_text().splitlines()
         assert rows[0].startswith("subset,rmse_mean")
         assert len(rows) == 1 + 2
+
+    def test_default_subsets_table_parses_as_csv(self, tmp_path, data_dir):
+        # the default subsets include `force,torque`, whose name holds the separator
+        out = tmp_path / "abl"
+        assert run_cli(["ablate-sensors", "--data", str(data_dir), "--out", str(out)]
+                       + TINY_FLAGS) == 0
+        with open(tmp_path / "abl.sensor_ablation.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows[1:]] == ["force", "torque", "vibration",
+                                                "force,torque", "all"]
 
     def test_ablate_sensors_has_no_classifier_learning_rate(self, tmp_path, data_dir,
                                                             capsys):
@@ -948,10 +985,7 @@ class TestLoadRuns:
         assert bounds[-1][1] == len(pool)
         for f, (start, stop), ds in zip(files, bounds, cli._runs(pool, bounds)):
             assert np.shares_memory(ds.frames, pool.frames)
-            meta = read_run_meta(f.with_suffix(".meta"))
-            want = cli._windowed_run(f, WindowSpec(
-                spindle_rpm=float(meta["spindle_rpm"]),
-                sampling_rate_hz=float(meta["sampling_rate_hz"])))
+            want = _windowed(f)
             rows = slice(start, stop)
             for got, expected in ((ds.frames, want.frames), (pool.frames[rows], want.frames),
                                   (ds.wear_targets, want.wear_targets),
@@ -968,21 +1002,29 @@ class TestLoadRuns:
         assert pool.frames.tobytes() == np.vstack([runs[2], runs[0]]).tobytes()
 
     @pytest.mark.parametrize("first_read", [True, False], ids=["parse", "parsed-run-file"])
-    def test_each_run_is_hashed_once(self, tmp_path, data_dir, monkeypatch, first_read):
-        data = tmp_path / "data"
-        shutil.copytree(data_dir, data, ignore=shutil.ignore_patterns("*.parsed.npy"))
-        if not first_read:
-            cli._load_runs(str(data), None)
+    def test_each_run_is_hashed_once(self, tmp_path, data_dir, multistate_model, monkeypatch,
+                                     first_read):
+        # by the loader of every other command, and by `predict`, each in a
+        # copy of the fleet of its own
+        copies = [tmp_path / "load-runs", tmp_path / "predict"]
+        for data in copies:
+            shutil.copytree(data_dir, data, ignore=shutil.ignore_patterns("*.parsed.npy"))
+            if not first_read:
+                cli._load_runs(str(data), None)
         passes = collections.Counter()
 
         class Counting(signal_pipeline._HashingReader):
             def __init__(self, fh, key):
-                passes[os.path.basename(fh.name)] += 1
+                passes[os.path.relpath(fh.name, tmp_path)] += 1
                 super().__init__(fh, key)
 
         monkeypatch.setattr(signal_pipeline, "_HashingReader", Counting)
-        cli._load_runs(str(data), None)
-        assert passes == {f.name: 1 for f in data.glob("*.csv")}
+        cli._load_runs(str(copies[0]), None)
+        for f in sorted(copies[1].glob("*.csv")):
+            assert run_cli(["predict", "--model", str(multistate_model), "--run", str(f),
+                            "--out", str(tmp_path / "out" / f.name)]) == 0
+        assert passes == {os.path.relpath(f, tmp_path): 1
+                          for data in copies for f in data.glob("*.csv")}
 
     @pytest.mark.parametrize("command", [
         ["train", "--train-ratio", "0.6"] + TINY_DE_FLAGS,

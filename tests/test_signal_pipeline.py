@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import os
@@ -16,13 +17,45 @@ from mdp_tcm.experiments import window_spec_for
 from mdp_tcm.signal_pipeline import (FrameDataset,
                                      WindowSpec, build_dataset, compute_window_size,
                                      fill_wear_gaps, label_state, label_states,
-                                     load_run_csv, normalize_channel, open_run_csv,
-                                     split, window, window_runs, write_csv)
+                                     load_run_csv, open_run_csv,
+                                     split, window_runs, write_csv)
 from mdp_tcm.synth import SynthConfig, SynthRun, generate_fleet, generate_run
 
 
+def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
+    """The oracle of `build_dataset`'s scaling: the samples of one channel,
+    min-max normalized to [0, 1] in float64. A constant channel maps to all
+    zeros, with `build_dataset`'s warning."""
+    lo, hi = float(samples.min()), float(samples.max())
+    if hi == lo:
+        warnings.warn(f"channel {channel_id!r} is constant; normalized to zeros",
+                      RuntimeWarning)
+        return np.zeros_like(samples)
+    return (samples - lo) / (hi - lo)
+
+
+def window(channels: dict, spec: WindowSpec, wear):
+    """The oracle of `build_dataset`'s windowing: (frames, wear targets) of
+    channels already scaled. Each frame is every channel's window of one
+    rotation side by side, rounded once to float32; its wear target is the
+    wear at the window's last sample."""
+    tw = compute_window_size(spec)
+    stride = spec.stride or tw
+    frames = np.hstack([np.lib.stride_tricks.sliding_window_view(x, tw)[::stride]
+                        for x in channels.values()]).astype(np.float32)
+    return frames, np.lib.stride_tricks.sliding_window_view(wear, tw)[::stride, -1]
+
+
+def one_sample_frames(channels: dict, wear=None):
+    """The frames `build_dataset` makes with a window of one sample."""
+    n = len(next(iter(channels.values())))
+    spec = WindowSpec(spindle_rpm=60.0, sampling_rate_hz=1.0)
+    return build_dataset(channels, spec, np.zeros(n) if wear is None else wear).frames
+
+
 def norm(samples):
-    return normalize_channel("force", np.asarray(samples, dtype=float))
+    """One channel as `build_dataset` scales it."""
+    return one_sample_frames({"force": np.asarray(samples, dtype=float)})[:, 0]
 
 
 class TestNormalize:
@@ -92,25 +125,28 @@ class TestLabelState:
 
 
 class TestWindowing:
+    """Frame geometry, from channels whose minimum is 0 and maximum 1, which
+    `build_dataset` stores as they are: (x - 0.0) / 1.0 is x, bit for bit."""
+
     def spec(self, tw, stride=1, rate=60.0):
         # spindle_rpm chosen so tw samples cover one rotation at `rate`
         return WindowSpec(spindle_rpm=60.0 * rate / tw, sampling_rate_hz=rate,
                           stride=stride)
 
     def test_frame_count_single_channel(self):
-        ds = window({"force": np.arange(10) / 10.0}, self.spec(4), np.zeros(10))
+        ds = build_dataset({"force": np.arange(10) / 9.0}, self.spec(4), np.zeros(10))
         assert len(ds) == 7
-        assert np.allclose(ds.frames[0], np.arange(4) / 10.0)
+        assert np.allclose(ds.frames[0], np.arange(4) / 9.0)
 
     def test_frame_count_stride_three_two_channels(self):
-        chans = {"a": np.arange(10) / 10.0, "b": np.arange(10) / 20.0}
-        ds = window(chans, self.spec(4, stride=3), np.zeros(10))
+        chans = {"a": np.arange(10) / 9.0, "b": np.arange(10)[::-1] / 9.0}
+        ds = build_dataset(chans, self.spec(4, stride=3), np.zeros(10))
         assert len(ds) == 3
         assert ds.frames.shape == (3, 8)
 
     def test_exact_fit_single_frame(self):
         chans = {f"c{i}": np.linspace(0, 1, 1000) for i in range(14)}
-        ds = window(chans, self.spec(1000), np.zeros(1000))
+        ds = build_dataset(chans, self.spec(1000), np.zeros(1000))
         assert len(ds) == 1
         assert ds.frames.shape == (1, 14000)
 
@@ -120,9 +156,11 @@ class TestWindowing:
         for tau, tw, stride, m in [(11, 3, 1, 2), (16, 5, 4, 3), (9, 4, 2, 1), (12, 3, 3, 2),
                                    (23, 3, 5, 2), (20, 4, 7, 1)]:
             chans = [rng.random(tau) for _ in range(m)]
+            for x in chans:
+                x[rng.choice(tau, 2, replace=False)] = 0.0, 1.0
             wear = rng.random(tau) * 400
-            ds = window({f"c{i}": x for i, x in enumerate(chans)},
-                        self.spec(tw, stride=stride), wear)
+            ds = build_dataset({f"c{i}": x for i, x in enumerate(chans)},
+                               self.spec(tw, stride=stride), wear)
             n_frames = (tau - tw) // stride + 1
             assert len(ds) == n_frames
             for t in range(n_frames):
@@ -133,23 +171,25 @@ class TestWindowing:
 
     def test_wear_target_is_window_end(self):
         wear = np.arange(10, dtype=float)
-        ds = window({"force": np.zeros(10) + 0.5}, self.spec(4), wear)
+        ds = build_dataset({"force": np.arange(10) / 9.0}, self.spec(4), wear)
         assert np.array_equal(ds.wear_targets, [3, 4, 5, 6, 7, 8, 9])
 
     def test_negative_wear_target_rejected(self):
+        unit = {"force": np.arange(10) / 9.0}
         # a negative wear at a frame's last sample has no state
         with pytest.raises(ValueError, match="flank wear cannot be negative"):
-            window({"force": np.zeros(10)}, self.spec(4), np.arange(10.0) - 6.0)
+            build_dataset(unit, self.spec(4), np.arange(10.0) - 6.0)
         # one before the first frame's end is no target
-        assert len(window({"force": np.zeros(10)}, self.spec(4), np.arange(10.0) - 2.0)) == 7
+        assert len(build_dataset(unit, self.spec(4), np.arange(10.0) - 2.0)) == 7
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
-            window({"force": np.zeros(3)}, self.spec(4), np.zeros(3))
+            build_dataset({"force": np.array([0.0, 0.5, 1.0])}, self.spec(4), np.zeros(3))
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
-            window({"force": np.zeros(10), "b": np.zeros(9)}, self.spec(4), np.zeros(10))
+            build_dataset({"force": np.arange(10) / 9.0, "b": np.arange(9) / 8.0},
+                          self.spec(4), np.zeros(10))
 
 
 class TestSplit:
@@ -240,16 +280,29 @@ class TestDatasetPlumbing:
         assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("n_rows", [0, 3, 2500])
-    def test_write_csv_writes_a_column_of_strings_as_it_is(self, tmp_path, n_rows):
+    def test_write_csv_quotes_a_string_cell_as_rfc_4180_asks(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
-        names = [f"s{i}, a,b" if i % 3 else "" for i in range(n_rows)]
+        kinds = ["", "s{}", "s{}, a,b", 's{} "quoted"', "cr\r{}", "lf\n{}", " s{} "]
+        names = [kinds[i % len(kinds)].format(i) for i in range(n_rows)]
         values = format_corpus.random_bits(n_rows, 3)
         steps = rng.integers(-10 ** 9, 10 ** 9, n_rows)
         path = tmp_path / "table.csv"
-        write_csv(path, ["x", "name", "step"], [values, names, steps])
-        want = "x,name,step\n" + "".join(
-            "%.10g,%s,%d\n" % row for row in zip(values.tolist(), names, steps.tolist()))
+        header = ["x", "name, or label", "step"]
+        write_csv(path, header, [values, names, steps])
+
+        def cell(text):  # in quotes, each inner one doubled, when it holds , " CR or LF
+            return f'"{text.replace(chr(34), 2 * chr(34))}"' if any(
+                c in text for c in ',"\r\n') else text
+
+        want = 'x,"name, or label",step\n' + "".join(
+            "%.10g,%s,%d\n" % (v, cell(name), step)
+            for v, name, step in zip(values.tolist(), names, steps.tolist()))
         assert path.read_bytes() == want.encode()
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        assert [row[1] for row in rows[1:]] == names
+        assert all(len(row) == 3 for row in rows)
 
     @pytest.mark.parametrize("value", [10 ** 10, -10 ** 10, 2 ** 62])
     def test_write_csv_rejects_an_integer_that_prints_in_exponent_form(self, tmp_path,
@@ -310,12 +363,12 @@ class TestBuildDataset:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = build_dataset(channels, spec, wear)
-            want = window({name: normalize_channel(name, x) for name, x in channels.items()},
-                          spec, wear)
-        assert got.frames.tobytes() == want.frames.tobytes()
-        assert got.wear_targets.tobytes() == want.wear_targets.tobytes()
-        assert np.array_equal(got.state_labels, want.state_labels)
-        assert got.channel_ids == want.channel_ids
+            frames, targets = window(
+                {name: normalize_channel(name, x) for name, x in channels.items()}, spec, wear)
+        assert got.frames.tobytes() == frames.tobytes()
+        assert got.wear_targets.tobytes() == targets.tobytes()
+        assert np.array_equal(got.state_labels, label_states(targets))
+        assert got.channel_ids == tuple(names)
         constant = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert constant == (["channel 'dead' is constant; normalized to zeros"] * 2
                             if case == "constant-channel" else [])
@@ -323,14 +376,6 @@ class TestBuildDataset:
 
 class TestFloat32Frames:
     """The frames are float64 `window`s of `normalize_channel`, rounded once."""
-
-    @staticmethod
-    def reference(channels, spec):
-        tw = compute_window_size(spec)
-        stride = spec.stride or tw
-        return np.hstack([np.lib.stride_tricks.sliding_window_view(
-            normalize_channel(name, x), tw)[::stride] for name, x in channels.items()
-        ]).astype(np.float32)
 
     # stride 1 at this width spans several scratch blocks of rows
     @pytest.mark.parametrize("stride", [None, 1], ids=["stride-tw", "stride-1"])
@@ -345,14 +390,12 @@ class TestFloat32Frames:
         for run, (start, stop) in zip(runs, bounds):
             if stride == 1:
                 assert stop - start > signal_pipeline._SCALE_BLOCK_BYTES // (8 * tw)
-            want = self.reference(run.channels, spec)
+            normalized = {name: normalize_channel(name, x) for name, x in run.channels.items()}
+            want = window(normalized, spec, run.wear_trajectory)[0]
             got = build_dataset(run.channels, spec, run.wear_trajectory).frames
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
             assert pool.frames[start:stop].tobytes() == want.tobytes()
-            normalized = {name: normalize_channel(name, x) for name, x in run.channels.items()}
-            assert (window(normalized, spec, run.wear_trajectory).frames.tobytes()
-                    == want.tobytes())
 
 
 class TestWindowRuns:
