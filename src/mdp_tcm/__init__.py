@@ -11,7 +11,7 @@ from .cost_sensitive import CostVector, predict_cs
 from .dbn import DbnModel, TrainConfig
 from .metrics import MetricsReport
 from .multistate import EcsDbnModel, MultiStateModel, estimate_wear, train_mdp
-from .rbm import CdConfig, RbmParams
+from .rbm import RbmParams
 from .signal_pipeline import FrameDataset, WindowSpec
 from .synth import SynthConfig, SynthRun
 
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACTIVE_BACKEND",
-    "CdConfig",
     "CostVector",
     "DbnModel",
     "EcsDbnModel",

@@ -88,13 +88,13 @@ def _sigmoid(z):
     return out
 
 
-def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
-    """One contrastive-divergence epoch over the rows of X in `order`.
+def cd_epoch(W, a, b, X, order, batch_size, lr, U):
+    """One CD-1 epoch over the rows of X in `order`.
 
     Each batch gathers its rows of X from the next slice of `order`. Hidden
     states are sampled binary against the uniforms U (shape
-    ``(n, k, n_hidden)``, one row per position in `order`); visible
-    reconstructions stay mean-field. Updates W, a, b in place and returns
+    ``(n, n_hidden)``, one row per position in `order`); the visible
+    reconstruction stays mean-field. Updates W, a, b in place and returns
     the mean per-row squared reconstruction error. The arithmetic runs in
     the dtype of X, which W, a and b must share (a ValueError otherwise).
     """
@@ -106,17 +106,13 @@ def cd_epoch(W, a, b, X, order, batch_size, lr, k, U):
         V0 = X[order[s:e]]
         bs = e - s
         Ph0 = _sigmoid(V0 @ W + b)
-        H = (U[s:e, 0, :] < Ph0).astype(X.dtype)
+        H = (U[s:e] < Ph0).astype(X.dtype)
         V = _sigmoid(H @ W.T + a)
-        for step in range(1, k):
-            Ph = _sigmoid(V @ W + b)
-            H = (U[s:e, step, :] < Ph).astype(X.dtype)
-            V = _sigmoid(H @ W.T + a)
-        Phk = _sigmoid(V @ W + b)
+        Ph1 = _sigmoid(V @ W + b)
         scale = lr / bs
-        W += scale * (V0.T @ Ph0 - V.T @ Phk)
+        W += scale * (V0.T @ Ph0 - V.T @ Ph1)
         a += scale * (V0.sum(axis=0) - V.sum(axis=0))
-        b += scale * (Ph0.sum(axis=0) - Phk.sum(axis=0))
+        b += scale * (Ph0.sum(axis=0) - Ph1.sum(axis=0))
         err += float(((V0 - V) ** 2).sum())
     return err / n
 

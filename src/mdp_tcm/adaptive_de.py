@@ -44,7 +44,6 @@ class DeState:
     fitness: np.ndarray             # (NP,), -inf until evaluated
     mu_f: float = 0.5
     mu_cr: float = 0.5
-    generation: int = 0
     archive: list = field(default_factory=list)
 
 
@@ -117,7 +116,7 @@ def step(state: DeState, objective, config: DeConfig,
         mu_f = (1.0 - c) * mu_f + c * float(np.sum(s_f ** 2) / np.sum(s_f))
         mu_cr = (1.0 - c) * mu_cr + c * float(np.mean(s_cr))
     return DeState(population=new_pop, fitness=new_fit, mu_f=mu_f, mu_cr=mu_cr,
-                   generation=state.generation + 1, archive=archive)
+                   archive=archive)
 
 
 def optimize(objective, n_classes: int, config: DeConfig, rng: np.random.Generator):

@@ -726,6 +726,9 @@ def cmd_ablate_sensors(cfg: RunConfig) -> int:
     names = [s.strip() for s in cfg["subsets"].split(";") if s.strip()]
     if not names:
         raise UsageError(f"argument --subsets: {cfg['subsets']!r} names no subset")
+    repeated = next((name for name in names if names.count(name) > 1), None)
+    if repeated is not None:
+        raise UsageError(f"argument --subsets: subset {repeated!r} named more than once")
     pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     subsets = {name: _channel_list("--subsets", name, pool.channel_ids) for name in names}
     config = _train_config(cfg, "prognosis-default", "regressor")

@@ -178,15 +178,12 @@ def pretrain(layer_sizes, frames, config: TrainConfig, rng: np.random.Generator,
     if frames.ndim != 2 or (len(frames) if rows is None else len(rows)) == 0:
         raise ValueError("pretraining needs a nonempty 2-D frame matrix")
     sizes = tuple(int(s) for s in layer_sizes)
-    cd = rbm_mod.CdConfig(epochs=config.pretrain_epochs,
-                          learning_rate=config.learning_rate,
-                          batch_size=config.batch_size)
     stack = []
     rep = frames
     for l in range(len(sizes) - 2):
         params = rbm_mod.init_params(sizes[l], sizes[l + 1], rng,
                                      visible_mean=gather(rep, rows).mean(axis=0))
-        params, _ = rbm_mod.train_rbm(params, rep, cd, rng, rows=rows)
+        params, _ = rbm_mod.train_rbm(params, rep, config, rng, rows=rows)
         stack.append(params)
         rep, rows = rbm_mod.prob_h_given_v(params, gather(rep, rows)), None
     return stack

@@ -50,35 +50,18 @@ class RbmParams:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True)
-class CdConfig:
-    gibbs_steps: int = 1
-    learning_rate: float = 0.01
-    epochs: int = 200
-    batch_size: int = 10
-
-    def __post_init__(self):
-        if self.gibbs_steps < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("gibbs_steps and batch_size must be positive, epochs nonnegative")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-
-
 def init_params(n_visible: int, n_hidden: int, rng: np.random.Generator,
-                visible_mean=None) -> RbmParams:
+                visible_mean) -> RbmParams:
     """Gaussian weights (std 0.01), zero hidden biases.
 
-    When the per-unit mean of the training data is given, visible biases
-    start at its logit so reconstructions match the data statistics from
-    the first update; otherwise they start at zero. Without this, CD on
+    Visible biases start at the logit of `visible_mean`, the per-unit mean
+    of the training data, clipped to [0.01, 0.99], so reconstructions match
+    the data statistics from the first update. Without this, CD on
     mean-shifted [0, 1] inputs drifts the weights negative and the
     unrolled rectified-linear layers start dead.
     """
-    if visible_mean is None:
-        a = np.zeros(n_visible)
-    else:
-        m = np.clip(np.asarray(visible_mean, dtype=np.float64), 0.01, 0.99)
-        a = np.log(m / (1.0 - m))
+    m = np.clip(np.asarray(visible_mean, dtype=np.float64), 0.01, 0.99)
+    a = np.log(m / (1.0 - m))
     return RbmParams(rng.normal(0.0, 0.01, size=(n_visible, n_hidden)),
                      a, np.zeros(n_hidden))
 
@@ -113,12 +96,13 @@ def prob_v_given_h(params: RbmParams, h) -> np.ndarray:
     return _kernels._sigmoid(h @ params.weights.T + params.visible_bias)
 
 
-def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generator,
+def train_rbm(params: RbmParams, data, config: "dbn.TrainConfig", rng: np.random.Generator,
               rows=None):
-    """Mini-batch CD-k training for `epochs` full passes.
+    """Mini-batch CD-1 training for the network config's `pretrain_epochs`
+    full passes, at its `learning_rate` and `batch_size`.
 
-    Hidden states are sampled binary along the Gibbs chain; visible
-    reconstructions and the final hidden statistics use probabilities.
+    Hidden states are sampled binary; the visible reconstruction and the
+    hidden statistics of the negative phase use probabilities.
     Given `rows`, an index array, training runs on those rows of `data`
     and gives the bytes of training on `data[rows]`: each epoch's batches
     gather their rows through `rows[rng.permutation(len(rows))]`.
@@ -135,14 +119,14 @@ def train_rbm(params: RbmParams, data, config: CdConfig, rng: np.random.Generato
     W = params.weights.astype(data.dtype)
     a = params.visible_bias.astype(data.dtype)
     b = params.hidden_bias.astype(data.dtype)
-    history = np.zeros(config.epochs)
-    for epoch in range(config.epochs):
+    history = np.zeros(config.pretrain_epochs)
+    for epoch in range(config.pretrain_epochs):
         order = rng.permutation(n)
         if rows is not None:
             order = rows[order]
-        uniforms = rng.random((n, config.gibbs_steps, params.n_hidden))
+        uniforms = rng.random((n, params.n_hidden))
         err = _kernels.cd_epoch(W, a, b, data, order, config.batch_size,
-                                config.learning_rate, config.gibbs_steps, uniforms)
+                                config.learning_rate, uniforms)
         if not (np.isfinite(W).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise NumericError(f"non-finite RBM parameters at epoch {epoch}")
         history[epoch] = err

@@ -38,11 +38,10 @@ _SCALE_BLOCK_BYTES = 1 << 17
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window sizing from spindle speed: tw covers `multiple` full rotations."""
+    """Window sizing from spindle speed: tw covers one full rotation."""
 
     spindle_rpm: float
     sampling_rate_hz: float
-    multiple: int = 1
     stride: int | None = None  # None -> non-overlapping (stride = tw)
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class WindowSpec:
             raise ValueError("spindle_rpm and sampling_rate_hz must be finite")
         if self.spindle_rpm <= 0 or self.sampling_rate_hz <= 0:
             raise ValueError("spindle_rpm and sampling_rate_hz must be positive")
-        if self.multiple < 1:
-            raise ValueError("multiple must be a positive integer")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -111,8 +108,8 @@ class FrameDataset:
 
 
 def compute_window_size(spec: WindowSpec) -> int:
-    """Samples covering `multiple` full spindle rotations: round(N*fs*60/rpm)."""
-    tw = int(round(spec.multiple * spec.sampling_rate_hz * 60.0 / spec.spindle_rpm))
+    """Samples covering one full spindle rotation: round(fs*60/rpm)."""
+    tw = int(round(spec.sampling_rate_hz * 60.0 / spec.spindle_rpm))
     if tw < 1:
         raise ValueError(
             f"window spec yields {tw} samples per window; "

@@ -255,13 +255,12 @@ def write_run_csv(run: SynthRun, path) -> None:
               list(run.channels.values()) + [run.wear_trajectory])
 
 
-def write_run_meta(run: SynthRun, path, created: str = "") -> None:
+def write_run_meta(run: SynthRun, path, created: str) -> None:
     """Key-value sidecar; the only place a timestamp may appear."""
     with open(path, "w", encoding="utf-8") as fh:
         for k, v in run.metadata.items():
             fh.write(f"{k} = {v}\n")
-        if created:
-            fh.write(f"created = {created}\n")
+        fh.write(f"created = {created}\n")
 
 
 def read_run_meta(path) -> dict:

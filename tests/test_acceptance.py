@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion. The directional criteria regenerate their synthetic fleets
-and retrain from scratch across 10 seeds, so this module dominates the
-suite's runtime (several minutes at desk scale).
+and retrain from scratch across 10 seeds, fanned out over the usable cores,
+so this module dominates the suite's runtime (minutes at desk scale).
 """
 
 import time
@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mdp_tcm import _kernels, dbn, metrics, rbm
+from mdp_tcm import _kernels, dbn, fanout, metrics, rbm
 from mdp_tcm.adaptive_de import DeConfig, optimize
 from mdp_tcm.cost_sensitive import CostVector, predict_cs
 from mdp_tcm.experiments import (SINGLE_CHANNEL_SUBSETS, TrialConfig,
@@ -30,6 +30,12 @@ IMBALANCE_TRIAL = TrialConfig(synth=SynthConfig.desk(run_seconds=90.0, noise_sca
 FRAMEWORK_TRIAL = TrialConfig(synth=SynthConfig.desk(run_seconds=90.0, noise_scale=1.5))
 
 
+def map_seeds(trial):
+    """`trial(seed)` for each of the N_SEEDS seeds, in seed order, fanned out
+    over the usable cores: a forked worker gives the bits of a call in turn."""
+    return list(fanout.map_forked(trial, range(N_SEEDS), fanout.usable_cores()))
+
+
 @contextmanager
 def report(num, name):
     try:
@@ -43,7 +49,7 @@ def report(num, name):
 @pytest.fixture(scope="module")
 def framework_results():
     t0 = time.perf_counter()
-    results = [fleet_framework_trial(seed, FRAMEWORK_TRIAL) for seed in range(N_SEEDS)]
+    results = map_seeds(lambda seed: fleet_framework_trial(seed, FRAMEWORK_TRIAL))
     return results, time.perf_counter() - t0
 
 
@@ -99,11 +105,11 @@ def test_criterion_03_cd_learning():
         data = np.tile(np.array([[1.0, 1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0, 1.0]]), (25, 1))
         rng = np.random.default_rng(103)
-        p0 = rbm.init_params(4, 8, rng)
+        p0 = rbm.init_params(4, 8, rng, np.full(4, 0.5))
         before = rbm.reconstruction_cross_entropy(p0, data)
         trained, _ = rbm.train_rbm(
-            p0, data, rbm.CdConfig(epochs=200, learning_rate=0.01,
-                                   batch_size=2, gibbs_steps=1), substream(103, "cd"))
+            p0, data, dbn.TrainConfig(pretrain_epochs=200, learning_rate=0.01,
+                                      batch_size=2), substream(103, "cd"))
         after = rbm.reconstruction_cross_entropy(trained, data)
         elapsed = time.perf_counter() - t0
         assert after <= 0.5 * before, f"cross-entropy {before:.3f} -> {after:.3f}"
@@ -161,7 +167,7 @@ def test_criterion_06_de_competence():
 def test_criterion_07_imbalance_finding():
     with report(7, "imbalance-finding"):
         t0 = time.perf_counter()
-        results = [imbalance_trial(seed, IMBALANCE_TRIAL) for seed in range(N_SEEDS)]
+        results = map_seeds(lambda seed: imbalance_trial(seed, IMBALANCE_TRIAL))
         elapsed = time.perf_counter() - t0
         wins = sum(r["gmean_ecs"] >= r["gmean_dbn"] for r in results)
         mean_gain = float(np.mean([r["gmean_ecs"] - r["gmean_dbn"] for r in results]))
@@ -203,10 +209,10 @@ def test_criterion_10_sensor_fusion_finding():
         t0 = time.perf_counter()
         subsets = dict(SINGLE_CHANNEL_SUBSETS)
         subsets["all"] = None
-        wins = 0
-        for seed in range(N_SEEDS):
-            r = fleet_sensor_subset_trial(seed, subsets, FRAMEWORK_TRIAL)
-            wins += all(r["all"] < r[name] for name in SINGLE_CHANNEL_SUBSETS)
+        results = map_seeds(lambda seed: fleet_sensor_subset_trial(seed, subsets,
+                                                                   FRAMEWORK_TRIAL))
+        wins = sum(all(r["all"] < r[name] for name in SINGLE_CHANNEL_SUBSETS)
+                   for r in results)
         elapsed = time.perf_counter() - t0
         print(f"  fused beats every single channel in {wins}/10 seeds, {elapsed:.0f}s")
         assert wins >= 8
@@ -215,7 +221,7 @@ def test_criterion_10_sensor_fusion_finding():
 
 def test_criterion_11_pipeline_reductions():
     with report(11, "pipeline-reductions"):
-        spec = WindowSpec(spindle_rpm=1200.0, sampling_rate_hz=20000.0, multiple=1)
+        spec = WindowSpec(spindle_rpm=1200.0, sampling_rate_hz=20000.0)
         assert compute_window_size(spec) == 1000
 
         rng = np.random.default_rng(111)

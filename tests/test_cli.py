@@ -606,6 +606,7 @@ class TestPipelineFlags:
         ("--subsets", ";", "';' names no subset"),
         ("--subsets", "force,force", "subset 'force,force' names channel 'force' more "
                                      "than once"),
+        ("--subsets", "force;force", "subset 'force' named more than once"),
     ])
     def test_rejected_before_any_training(self, tmp_path, data_dir, capsys, monkeypatch,
                                           request, flag, value, message):

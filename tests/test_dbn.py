@@ -153,8 +153,7 @@ class TestPretrain:
         stack = dbn.pretrain((6, 4, 2), frames, config, rng=substream(1, "pretrain"))
         rng2 = substream(1, "pretrain")
         p0 = rbm.init_params(6, 4, rng2, visible_mean=frames.mean(axis=0))
-        expected, _ = rbm.train_rbm(p0, frames, rbm.CdConfig(
-            epochs=5, learning_rate=0.05, batch_size=10), rng=rng2)
+        expected, _ = rbm.train_rbm(p0, frames, config, rng=rng2)
         assert np.array_equal(stack[0].weights, expected.weights)
         assert np.array_equal(stack[0].hidden_bias, expected.hidden_bias)
 
@@ -400,10 +399,11 @@ class TestFloat32:
         assert dbn.predict_regression(model, frames).dtype == np.float64
 
     def test_rbm_params_keep_their_dtype(self):
-        params = rbm.init_params(5, 3, np.random.default_rng(45))
+        params = rbm.init_params(5, 3, np.random.default_rng(45), np.full(5, 0.5))
         assert params.weights.dtype == np.float64
         data = np.random.default_rng(46).random((20, 5), dtype=np.float32)
-        trained, _ = rbm.train_rbm(params, data, rbm.CdConfig(epochs=2, batch_size=7),
+        trained, _ = rbm.train_rbm(params, data,
+                                   dbn.TrainConfig(pretrain_epochs=2, batch_size=7),
                                    np.random.default_rng(47))
         assert {trained.weights.dtype, trained.visible_bias.dtype,
                 trained.hidden_bias.dtype} == {np.dtype(np.float32)}

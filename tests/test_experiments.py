@@ -1,7 +1,11 @@
 """Single-seed smoke checks of the trial harness; the 10-seed sweeps live in
 the acceptance module."""
 
-from mdp_tcm.experiments import (FRAMEWORKS, N_TEST_RUNS, TrialConfig,
+from dataclasses import replace
+
+from mdp_tcm import fanout
+from mdp_tcm.adaptive_de import DeConfig
+from mdp_tcm.experiments import (DESK_MDP, FRAMEWORKS, N_TEST_RUNS, TrialConfig,
                                  fleet_framework_trial, fleet_sensor_subset_trial,
                                  imbalance_trial, window_spec_for)
 from mdp_tcm.signal_pipeline import window_runs
@@ -38,3 +42,18 @@ def test_sensor_subset_trial_keys():
     r = fleet_sensor_subset_trial(0, {"force": ["force"], "all": None}, FAST)
     assert set(r) == {"force", "all"}
     assert all(v > 0 for v in r.values())
+
+
+def test_forked_trial_equals_trial_in_turn():
+    # the premise of the acceptance fan-out: a trial in a forked worker
+    # gives every figure of the same trial run in this process
+    budget = dict(pretrain_epochs=2, finetune_epochs=40)
+    trial = replace(FAST, mdp=replace(DESK_MDP,
+                                      classifier=replace(DESK_MDP.classifier, **budget),
+                                      regressor=replace(DESK_MDP.regressor, **budget),
+                                      de=DeConfig(population_size=8, max_generations=4)))
+    in_turn = [fleet_framework_trial(seed, trial) for seed in (0, 1)]
+    forked = list(fanout.map_forked(lambda seed: fleet_framework_trial(seed, trial),
+                                    [0, 1], 2))
+    # compared by repr: a report's NaN fields are never == each other
+    assert repr(forked) == repr(in_turn)

@@ -141,12 +141,12 @@ def test_sgd_epoch_refuses_mixed_dtypes():
 def test_cd_epoch_refuses_mixed_dtypes():
     X = np.zeros((4, 3), np.float32)
     W, a, b = np.zeros((3, 2), np.float32), np.zeros(3, np.float32), np.zeros(2, np.float32)
-    U = np.zeros((4, 1, 2))
+    U = np.zeros((4, 2))
     for i in range(3):
         params = [W, a, b]
         params[i] = params[i].astype(np.float64)
         with pytest.raises(ValueError, match="frames of dtype float32 do not match "
                                              "parameters of dtype float64"):
-            _kernels.cd_epoch(*params, X, np.arange(4), 2, 0.1, 1, U)
-    _kernels.cd_epoch(W, a, b, X, np.arange(4), 2, 0.1, 1, U)
+            _kernels.cd_epoch(*params, X, np.arange(4), 2, 0.1, U)
+    _kernels.cd_epoch(W, a, b, X, np.arange(4), 2, 0.1, U)
     assert W.dtype == a.dtype == b.dtype == np.float32

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdp_tcm import rbm
+from mdp_tcm.dbn import TrainConfig
 from mdp_tcm.seeding import substream
 
 
@@ -60,8 +61,8 @@ class TestCdUpdate:
         rng = np.random.default_rng(6)
         pattern = np.array([1.0, 1.0, 0.0, 0.0])
         data = np.tile(pattern, (40, 1))
-        p0 = rbm.init_params(4, 6, rng)
-        cfg = rbm.CdConfig(epochs=200, learning_rate=0.05, batch_size=10)
+        p0 = rbm.init_params(4, 6, rng, np.full(4, 0.5))
+        cfg = TrainConfig(pretrain_epochs=200, learning_rate=0.05, batch_size=10)
         trained, history = rbm.train_rbm(p0, data, cfg, substream(3, "cd"))
         assert history[-5:].mean() < history[:5].mean()
 
@@ -71,43 +72,38 @@ def _sigmoid(z):
 
 
 def _cd_on_shuffled_copies(params, data, config, rng):
-    """CD-k as a loop over a shuffled copy of the data made each epoch."""
+    """CD-1 as a loop over a shuffled copy of the data made each epoch."""
     W, a, b = (params.weights.copy(), params.visible_bias.copy(),
                params.hidden_bias.copy())
     n = data.shape[0]
-    history = np.zeros(config.epochs)
-    for epoch in range(config.epochs):
+    history = np.zeros(config.pretrain_epochs)
+    for epoch in range(config.pretrain_epochs):
         shuffled = np.ascontiguousarray(data[rng.permutation(n)])
-        U = rng.random((n, config.gibbs_steps, params.n_hidden))
+        U = rng.random((n, params.n_hidden))
         err = 0.0
         for s in range(0, n, config.batch_size):
             e = min(s + config.batch_size, n)
             V0 = shuffled[s:e]
             Ph0 = _sigmoid(V0 @ W + b)
-            H = (U[s:e, 0, :] < Ph0).astype(np.float64)
+            H = (U[s:e] < Ph0).astype(np.float64)
             V = _sigmoid(H @ W.T + a)
-            for step in range(1, config.gibbs_steps):
-                H = (U[s:e, step, :] < _sigmoid(V @ W + b)).astype(np.float64)
-                V = _sigmoid(H @ W.T + a)
-            Phk = _sigmoid(V @ W + b)
+            Ph1 = _sigmoid(V @ W + b)
             scale = config.learning_rate / (e - s)
-            W += scale * (V0.T @ Ph0 - V.T @ Phk)
+            W += scale * (V0.T @ Ph0 - V.T @ Ph1)
             a += scale * (V0.sum(axis=0) - V.sum(axis=0))
-            b += scale * (Ph0.sum(axis=0) - Phk.sum(axis=0))
+            b += scale * (Ph0.sum(axis=0) - Ph1.sum(axis=0))
             err += float(((V0 - V) ** 2).sum())
         history[epoch] = err / n
     return W, a, b, history
 
 
 class TestCdGather:
-    @pytest.mark.parametrize("gibbs_steps", [1, 2])
-    def test_bit_identical_to_shuffled_copies(self, gibbs_steps):
+    def test_bit_identical_to_shuffled_copies(self):
         rng = np.random.default_rng(11)
         data = rng.random((23, 7))
         p0 = rbm.init_params(7, 5, rng, visible_mean=data.mean(axis=0))
         # 23 rows in batches of 5: the last batch holds 3
-        cfg = rbm.CdConfig(gibbs_steps=gibbs_steps, epochs=4, learning_rate=0.1,
-                           batch_size=5)
+        cfg = TrainConfig(pretrain_epochs=4, learning_rate=0.1, batch_size=5)
         got, history = rbm.train_rbm(p0, data, cfg, substream(8, "cd"))
         W, a, b, want_history = _cd_on_shuffled_copies(p0, data, cfg, substream(8, "cd"))
         assert np.array_equal(got.weights, W)
@@ -160,9 +156,9 @@ class TestInvariants:
         rng = substream(11, "test-data")
         data = np.tile(np.array([[1.0, 1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0, 1.0]]), (25, 1))
-        p0 = rbm.init_params(4, 8, rng)
+        p0 = rbm.init_params(4, 8, rng, np.full(4, 0.5))
         before = rbm.reconstruction_cross_entropy(p0, data)
-        cfg = rbm.CdConfig(epochs=200, learning_rate=0.01, batch_size=2)
+        cfg = TrainConfig(pretrain_epochs=200, learning_rate=0.01, batch_size=2)
         trained, _ = rbm.train_rbm(p0, data, cfg, substream(11, "cd"))
         after = rbm.reconstruction_cross_entropy(trained, data)
         assert after <= 0.5 * before
@@ -175,7 +171,7 @@ class TestRowIndexTraining:
         rng = np.random.default_rng(31)
         data = rng.random((60, 7))
         rows = rng.permutation(60)[:37]
-        cfg = rbm.CdConfig(gibbs_steps=2, learning_rate=0.05, epochs=4, batch_size=8)
+        cfg = TrainConfig(pretrain_epochs=4, learning_rate=0.05, batch_size=8)
         p0 = rbm.init_params(7, 5, substream(1, "init"), visible_mean=data[rows].mean(axis=0))
         got, got_history = rbm.train_rbm(p0, data, cfg, substream(2, "cd"), rows=rows)
         want, want_history = rbm.train_rbm(p0, data[rows], cfg, substream(2, "cd"))
@@ -184,7 +180,7 @@ class TestRowIndexTraining:
             assert a.tobytes() == b.tobytes()
 
     def test_no_rows_is_an_error(self):
-        p0 = rbm.init_params(3, 2, substream(0, "init"))
+        p0 = rbm.init_params(3, 2, substream(0, "init"), np.full(3, 0.5))
         with pytest.raises(ValueError, match="nonempty"):
-            rbm.train_rbm(p0, np.zeros((4, 3)), rbm.CdConfig(epochs=1), substream(0, "cd"),
-                          rows=np.array([], dtype=np.intp))
+            rbm.train_rbm(p0, np.zeros((4, 3)), TrainConfig(pretrain_epochs=1),
+                          substream(0, "cd"), rows=np.array([], dtype=np.intp))
