@@ -5,7 +5,8 @@ compare-frameworks. Every option can come from a flat `key = value`
 config file (--config); flags override file values, which override
 preset defaults. Unknown config keys are rejected.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data error (running out of memory
+included), 3 numeric failure.
 Every process that runs a command runs BLAS on one thread. Forked workers
 run the trials of --trials, the sub-models of a multistate train and the
 runs of a large enough `generate`; MDP_TCM_THREADS caps their count
@@ -100,6 +101,14 @@ def _opt_rate(text: str) -> float:
     return value
 
 
+def _opt_positive(text: str) -> float:
+    """A finite number > 0, such as a spindle speed or a sampling rate."""
+    value = _opt_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a number > 0: {text!r}")
+    return value
+
+
 def _opt_int(lo: int):
     """The option type of an integer >= `lo`: for any other text, argparse's
     usage error names the flag."""
@@ -186,8 +195,8 @@ COMMANDS = {
         ("model", str, _REQUIRED, "multistate model file"),
         ("run", str, _REQUIRED, "run CSV to predict on"),
         ("out", str, _REQUIRED, "prediction CSV to write"),
-        ("rpm", _opt_float, None, "spindle rpm (default: run sidecar)"),
-        ("rate", _opt_float, None, "sampling rate Hz (default: run sidecar)"),
+        ("rpm", _opt_positive, None, "spindle rpm (default: run sidecar)"),
+        ("rate", _opt_positive, None, "sampling rate Hz (default: run sidecar)"),
         ("stride", _opt_int(1), None, "window stride in samples"),
     ],
     "ablate-sensors": [
@@ -438,10 +447,11 @@ def _run_trials(cfg: RunConfig, pool: FrameDataset, bounds, trial) -> list:
 def _write_run(run, stem: Path, ends: np.ndarray, created: str) -> np.ndarray:
     """Write a run's CSV and sidecar; the frames per state that
     `build_dataset` would cut from it, counted from the wear at each
-    frame's last sample (`ends`, from `frame_ends`)."""
-    write_run_csv(run, stem.with_suffix(".csv"))
+    frame's last sample (`ends`, from `frame_ends`) as the run's rows are
+    written."""
+    wear = write_run_csv(run, stem.with_suffix(".csv"), wear_at=ends)
     write_run_meta(run, stem.with_suffix(".meta"), created=created)
-    return np.bincount(label_states(run.wear_trajectory[ends]), minlength=N_STATES)
+    return np.bincount(label_states(wear), minlength=N_STATES)
 
 
 # `generate` writes its runs in forked workers when they hold at least this
@@ -476,8 +486,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     created = datetime.now(timezone.utc).isoformat()
 
     def write(i: int) -> np.ndarray:
-        # one run at a time in each process: a run is generated from its own
-        # seed (as in a fleet), written, counted and dropped before the next
+        # one run at a time in each process: a run is made from its own seed
+        # (as in a fleet) and written a row block at a time, its frames
+        # counted as its rows pass
         return _write_run(generate_fleet(synth, 1, cfg["seed"] + i)[0],
                           out / f"run{i:03d}", ends, created)
 
@@ -780,6 +791,9 @@ def main(argv=None) -> int:
         return 3
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"data error: memory ran out{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ loaded model runs the arithmetic that training ran.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -31,19 +32,23 @@ KIND_MULTISTATE = "multistate"
 
 
 def write_model_file(path, kind: str, arrays: dict, config: dict) -> None:
-    """Low-level writer; `arrays` order determines payload order."""
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
-    digest = hashlib.sha256(payload).hexdigest()
+    """Low-level writer; `arrays` order determines payload order. The
+    payload is hashed, then written, an array at a time, so no joined copy
+    of it is made."""
+    digest = hashlib.sha256()
+    for a in arrays.values():
+        digest.update(np.ascontiguousarray(a, dtype="<f8"))
     lines = [f"{MAGIC} v{VERSION}", f"kind = {kind}"]
     lines += [f"{k} = {v}" for k, v in config.items()]
     for name, arr in arrays.items():
         shape = "x".join(str(s) for s in np.asarray(arr).shape)
         lines.append(f"array {name} {shape}")
-    lines.append(f"checksum = {digest}")
+    lines.append(f"checksum = {digest.hexdigest()}")
     lines.append("end-header")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        fh.write(payload)
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def read_model_header(fh, path):
@@ -94,11 +99,14 @@ def read_model_header(fh, path):
 def read_model_file(path):
     """Low-level reader; validates version and checksum.
 
-    Returns (kind, arrays, config) with arrays as float64 in native order.
+    Returns (kind, arrays, config) with arrays as float64 in native order:
+    on a little-endian host, writable views on the one buffer the payload
+    is read into, which any of them keeps alive.
     """
     with open(path, "rb") as fh:
         config, specs, checksum = read_model_header(fh, path)
-        payload = fh.read()
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     if checksum != hashlib.sha256(payload).hexdigest():
         raise DataError(f"{path}: checksum mismatch; file is corrupt")
     kind = config.pop("kind", None)
@@ -112,8 +120,8 @@ def read_model_file(path):
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise DataError(f"{path}: payload shorter than declared arrays")
-        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count,
-                                     offset=offset).astype(np.float64).reshape(dims)
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset
+                                     ).astype(np.float64, copy=False).reshape(dims)
         offset += nbytes
     if offset != len(payload):
         raise DataError(f"{path}: payload longer than declared arrays")
@@ -196,6 +204,10 @@ def load_model(path):
             raise DataError(f"{path}: array {key!r} holds a non-finite value")
         return table[key]
 
+    def costs(key):
+        # copied: a view would keep the whole payload alive with the model
+        return CostVector(need(arrays, key).copy())
+
     def network(prefix, head):
         key = f"{prefix}layer_sizes"
         sizes = need(config, key)
@@ -219,10 +231,10 @@ def load_model(path):
     if kind in (KIND_CLASSIFIER, KIND_REGRESSOR):
         return network("", dbn.SOFTMAX if kind == KIND_CLASSIFIER else dbn.LINEAR)
     if kind == KIND_ECS:
-        return EcsDbnModel(network("", dbn.SOFTMAX), CostVector(need(arrays, "costs")))
+        return EcsDbnModel(network("", dbn.SOFTMAX), costs("costs"))
     if kind == KIND_MULTISTATE:
         base = network("diagnoser.", dbn.SOFTMAX)
-        diagnoser = EcsDbnModel(base, CostVector(need(arrays, "diagnoser.costs")))
+        diagnoser = EcsDbnModel(base, costs("diagnoser.costs"))
         fallback = network("fallback.", dbn.LINEAR)
         regressors = {}
         for state in range(base.n_outputs):

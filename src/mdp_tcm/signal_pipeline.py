@@ -401,11 +401,16 @@ _WRITE_BLOCK_ROWS = 1024
 
 # every integer below 10**10 prints the same under %.10g as under %d
 _INT_LIMIT = 10 ** 10
-# `_format_block` scales by 10**(9 - e) as a product by `_MUL[e + 16]` and a
-# quotient by `_DIV[e + 16]`, one of them 1 and the other exact, for the
-# exponents e in [-13, 31] of its fast path (entries outside are never used)
-_MUL = np.array([10.0 ** min(max(9 - e, 0), 22) for e in range(-16, 40)])
-_DIV = np.array([10.0 ** min(max(e - 9, 0), 22) for e in range(-16, 40)])
+# `_format_block` scales by 10**(9 - e), for the exponents e in [-45, 31] of
+# its fast path, as a product by `_MUL[e + _E0]` and a quotient by
+# `_DIV[e + _E0]`, one of them 1 and the other an exact power of ten (1e22
+# at most); below e = -13 the product stops at 1e22, and products by
+# `_MUL_LOW[0]` and `_MUL_LOW[1]` follow (the tables cover e in [-48, 39];
+# entries outside the fast path's are never used)
+_E0 = 48
+_MUL, *_MUL_LOW = (np.array([10.0 ** min(max(9 - e - 22 * i, 0), 22) for e in range(-_E0, 40)])
+                   for i in range(3))
+_DIV = np.array([10.0 ** min(max(e - 9, 0), 22) for e in range(-_E0, 40)])
 # byte slots per value in `_format_block`: a sign, the "0.000" of a value
 # below 1 that prints in full, ten digits each with a slot for a point
 # after it (none follows the last), "e+dd" and a separator
@@ -438,7 +443,7 @@ def write_csv(path, header, columns) -> None:
             raise ValueError("integer column holds a value of 10**10 or more in "
                              "magnitude, which '%.10g' does not print as an integer")
     with open(path, "wb") as fh:
-        fh.write((",".join(map(_csv_cell, header)) + "\n").encode("utf-8"))
+        fh.write(_header_line(header))
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             parts = [c[start:start + _WRITE_BLOCK_ROWS] for c in columns]
             if all(part.dtype.kind != "U" for part in parts):
@@ -448,6 +453,22 @@ def write_csv(path, header, columns) -> None:
                          else _format_block(part.astype(np.float64)[:, None]).decode()
                          .split("\n")[:-1] for part in parts]
                 fh.write("".join(",".join(row) + "\n" for row in zip(*cells)).encode("utf-8"))
+
+
+def write_csv_blocks(path, header, blocks) -> None:
+    """`write_csv` for a float table that comes as consecutive row blocks,
+    2-D matrices of any height: the same bytes, while only the block being
+    written is held."""
+    with open(path, "wb") as fh:
+        fh.write(_header_line(header))
+        for block in blocks:
+            block = np.asarray(block, dtype=np.float64)
+            for start in range(0, len(block), _WRITE_BLOCK_ROWS):
+                fh.write(_format_block(block[start:start + _WRITE_BLOCK_ROWS]))
+
+
+def _header_line(header) -> bytes:
+    return (",".join(map(_csv_cell, header)) + "\n").encode("utf-8")
 
 
 def _csv_cell(text: str) -> str:
@@ -461,12 +482,17 @@ def _csv_cell(text: str) -> str:
 def _format_block(block: np.ndarray) -> bytes:
     """The CSV rows of a float64 matrix, each value as `'%.10g' % v`.
 
-    A finite value whose decimal exponent e lies in [-13, 31] is scaled by
-    one exact power of ten to p = |v| * 10**(9 - e) in [1e9, 1e10], within
-    half an ulp (< 2**-19) of the exact product. Unless p lies within 1e-5
-    of a tie, rounding it to an integer gives the ten correctly rounded
-    digits that `%` prints. Zeros, non-finite values, near-ties and other
-    exponents are formatted by `%`, in one call per block.
+    A finite value whose decimal exponent e lies in [-45, 31] (down to
+    float32's smallest subnormal, 1.4e-45, the least nonzero posterior a
+    float32 network gives) is scaled to p = |v| * 10**(9 - e) in
+    [1e9, 1e10]. For e >= -13 this is one product or quotient by an exact
+    power of ten, within half an ulp (< 2**-19) of the exact product;
+    below, it is three products by exact powers of ten, each rounded once,
+    so within 3 * 2**-53 * 1e10 < 3.4e-6 of it. Unless p lies within 1e-5
+    of a tie, which either error stays inside, rounding it to an integer
+    gives the ten correctly rounded digits that `%` prints. Zeros,
+    non-finite values, near-ties and other exponents are formatted by `%`,
+    in one call per block.
 
     Each value gets `_SLOTS` byte slots, filled a slot row at a time for
     the whole block; the bytes come out value by value, and the empty
@@ -475,7 +501,7 @@ def _format_block(block: np.ndarray) -> bytes:
     n_cols = block.shape[1]
     x = block.ravel()
     a = np.abs(x)
-    candidate = (a >= 1e-13) & (a < 1e32)  # false for zero, inf and nan
+    candidate = (a >= 1e-45) & (a < 1e32)  # false for zero, inf and nan
     a[~candidate] = 1.0
     e = np.floor(np.log10(a)).astype(np.int8)
     p = _scale(a, e)
@@ -484,7 +510,7 @@ def _format_block(block: np.ndarray) -> bytes:
     e[off] -= np.where(p[off] < 1e9, 1, -1).astype(np.int8)
     p[off] = _scale(a[off], e[off])
     n = np.rint(p)
-    fast = (candidate & (n >= 1e9) & (n <= 1e10) & (e >= -13) & (e <= 31)
+    fast = (candidate & (n >= 1e9) & (n <= 1e10) & (e >= -45) & (e <= 31)
             & (np.abs(p - n) < 0.5 - 1e-5))
     carry = n == 1e10  # rounds up to the next power of ten
     n[carry] = 1e9
@@ -533,9 +559,14 @@ def _format_block(block: np.ndarray) -> bytes:
 
 
 def _scale(a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """a * 10**(9 - e), rounded once for e in [-13, 31]; e in [-16, 39]."""
-    k = e.astype(np.intp) + 16
-    return a * _MUL[k] / _DIV[k]
+    """a * 10**(9 - e), rounded once for e in [-13, 31] and three times
+    below; e in [-48, 39]."""
+    k = e.astype(np.intp) + _E0
+    p = a * _MUL[k] / _DIV[k]
+    low = np.flatnonzero(e < -13)
+    if len(low):
+        p[low] = p[low] * _MUL_LOW[0][k[low]] * _MUL_LOW[1][k[low]]
+    return p
 
 
 def fill_wear_gaps(wear) -> np.ndarray:

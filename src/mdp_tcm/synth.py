@@ -18,12 +18,12 @@ truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .signal_pipeline import WEAR_EDGES_UM, write_csv
+from .signal_pipeline import WEAR_EDGES_UM, write_csv_blocks
 from .seeding import substream
 
 CHANNEL_NAMES = ("force", "torque") + tuple(
@@ -47,6 +47,9 @@ _BANDS = {"force": (0.0, 0.5), "torque": (0.5, 1.0)}
 for _s in range(1, 5):
     for _ax in ("x", "y", "z"):
         _BANDS[f"vib{_s}_{_ax}"] = ((_s - 1) / 4.0, _s / 4.0)
+
+# lower wear edge of each tool state
+_EDGES = np.array((0.0,) + WEAR_EDGES_UM)
 
 # spread of the per-state response slopes (see `_state_warp`); below 1, so
 # every response stays monotone in wear
@@ -92,21 +95,83 @@ class SynthConfig:
         return cls(**overrides)
 
 
-@dataclass(frozen=True)
+# bytes of one row block of a run, every channel and the wear in float64:
+# a run is made a block at a time, so writing one holds a block, never the
+# whole run
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n_columns: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n_columns))
+
+
+def _check_wear(wear: np.ndarray, before: float) -> None:
+    """Refuse a block of wear values that falls between two of its rows, or
+    from `before`, the wear of the row ahead of the block, to its first."""
+    if len(wear) and (wear[0] < before or np.any(np.diff(wear) < 0)):
+        raise ValueError("wear trajectory must be monotone nondecreasing")
+
+
 class SynthRun:
-    """One run: each channel id's samples in CSV column order, and the wear
-    at each sample."""
+    """One run: each channel id's samples in CSV column order (`channels`),
+    the wear at each sample (`wear_trajectory`), and `metadata`.
 
-    channels: dict
-    wear_trajectory: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    A run from `generate_run` holds its recipe, not its samples: `blocks`
+    makes them a row block at a time, and the first read of `channels` or
+    `wear_trajectory` joins every block into whole-run arrays, which the
+    run then keeps. A run built from arrays cuts its blocks from them.
+    """
 
-    def __post_init__(self):
-        wear = np.asarray(self.wear_trajectory, dtype=np.float64)
-        if np.any(np.diff(wear) < 0):
-            raise ValueError("wear trajectory must be monotone nondecreasing")
-        object.__setattr__(self, "wear_trajectory", wear)
-        object.__setattr__(self, "channels", dict(self.channels))
+    def __init__(self, channels: dict, wear_trajectory, metadata: dict | None = None):
+        wear = np.asarray(wear_trajectory, dtype=np.float64)
+        _check_wear(wear, -np.inf)
+        self._arrays = dict(channels), wear
+        self._recipe = None
+        self.metadata = dict(metadata or {})
+
+    @classmethod
+    def _from_recipe(cls, config: SynthConfig, seed: int, gain_jitter,
+                     metadata: dict) -> SynthRun:
+        run = cls.__new__(cls)
+        run._arrays = None
+        run._recipe = config, seed, gain_jitter
+        run.metadata = metadata
+        return run
+
+    def blocks(self):
+        """The run's consecutive row blocks: float64 matrices with one
+        column per channel, in `channels` order, then the wear."""
+        if self._arrays is None:
+            yield from _blocks(*self._recipe)
+            return
+        channels, wear = self._arrays
+        columns = list(channels.values()) + [wear]
+        rows = _block_rows(len(columns))
+        for start in range(0, len(wear), rows):
+            yield np.column_stack([c[start:start + rows] for c in columns])
+
+    def _whole(self) -> tuple:
+        if self._arrays is None:
+            config = self._recipe[0]
+            columns = np.empty((len(CHANNEL_NAMES) + 1, config.n_samples))
+            start = 0
+            for block in self.blocks():
+                columns[:, start:start + len(block)] = block.T
+                start += len(block)
+            self._arrays = dict(zip(CHANNEL_NAMES, columns[:-1])), columns[-1]
+        return self._arrays
+
+    @property
+    def channel_ids(self) -> tuple:
+        return CHANNEL_NAMES if self._arrays is None else tuple(self._arrays[0])
+
+    @property
+    def channels(self) -> dict:
+        return self._whole()[0]
+
+    @property
+    def wear_trajectory(self) -> np.ndarray:
+        return self._whole()[1]
 
 
 def _state_dwells(skew: float) -> np.ndarray:
@@ -180,50 +245,101 @@ def _band_response(wear: np.ndarray, band, wear_end: float) -> np.ndarray:
     return wear_end * np.clip((wear - lo) / (hi - lo), 0.0, 1.0)
 
 
-def _state_warp(wear: np.ndarray, channel_index: int, spread: float) -> np.ndarray:
-    """Monotone per-channel wear reparametrization with state-dependent slopes.
+def _state_warp(channel_index: int, spread: float) -> tuple:
+    """Monotone per-channel wear reparametrization with state-dependent
+    slopes, as (cum, slopes): wear w in state k maps to
+    cum[k] + slopes[k] * (w - lower edge of k).
 
     Each tool state excites the channel with its own response slope
     (continuous at the state boundaries), so the data distribution differs
     across health states; this is what makes one global degradation model
     genuinely harder than per-state models.
     """
-    edges = np.array([0.0] + list(WEAR_EDGES_UM))
     states = np.arange(4)
     slopes = 1.0 + spread * np.sin(2.399963 * (channel_index + 1) + 1.7 * states)
-    seg_len = np.diff(np.append(edges, np.inf))
+    seg_len = np.diff(np.append(_EDGES, np.inf))
     cum = np.concatenate([[0.0], np.cumsum(slopes[:-1] * seg_len[:-1])])
-    idx = np.searchsorted(edges, wear, side="right") - 1
-    return cum[idx] + slopes[idx] * (wear - edges[idx])
+    return cum, slopes
+
+
+def _noise_streams(rng: np.random.Generator, n: int, levels, rows: int) -> list:
+    """One generator per channel, each at the state from which a single
+    pass that draws `n` normals per noisy channel, channel after channel,
+    would start that channel's draws.
+
+    A run of one block uses `rng` for every channel, in turn. Otherwise a
+    first pass draws each channel's normals, `rows` at a time, and records
+    the state where the next channel starts; drawing in chunks gives the
+    same normals as one draw, so each channel can then draw its blocks
+    from its own state.
+    """
+    if n <= rows:
+        return [rng] * len(levels)
+    skip = np.empty(rows)
+    streams = []
+    for ci, level in enumerate(levels):
+        stream = np.random.Generator(type(rng.bit_generator)())
+        stream.bit_generator.state = rng.bit_generator.state
+        streams.append(stream)
+        if level > 0.0 and ci < len(levels) - 1:
+            for start in range(0, n, rows):
+                rng.standard_normal(out=skip[:min(rows, n - start)])
+    return streams
+
+
+def _blocks(config: SynthConfig, seed: int, gain_jitter):
+    """The row blocks of a run: (rows, 15) float64 matrices, one column per
+    channel in `CHANNEL_NAMES` order, then the wear. Every value has the
+    bits it has when the run is made in one piece: the work shared by the
+    channels (the state of each sample, its wear above the state's lower
+    edge, each wear sub-band's response, the spindle phase) is done once
+    per block, in the same arithmetic."""
+    rng = substream(seed, "synth-run")
+    n = config.n_samples
+    rows = _block_rows(len(CHANNEL_NAMES) + 1)
+    step = 1.0 / (n - 1)  # that of np.linspace(0.0, 1.0, n)
+    spin = 2.0 * np.pi * (config.spindle_rpm / 60.0)
+    gains, levels, warps = [], [], []
+    for ci, name in enumerate(CHANNEL_NAMES):
+        gains.append(_GAIN[name] if gain_jitter is None else _GAIN[name] * gain_jitter[name])
+        levels.append(config.noise_scale * (
+            _NOISE[name] if config.noise_std is None else float(config.noise_std)))
+        warps.append(_state_warp(ci, _STATE_WARP))
+    streams = _noise_streams(rng, n, levels, rows)
+    before = -np.inf
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        t_norm = np.arange(start, stop, dtype=np.float64) * step
+        if stop == n:
+            t_norm[-1] = 1.0
+        wear = wear_curve(config, t_norm)
+        _check_wear(wear, before)
+        before = wear[-1]
+        idx = np.searchsorted(_EDGES, wear, side="right") - 1
+        above = wear - _EDGES[idx]
+        phase = spin * (np.arange(start, stop) / config.sampling_rate_hz)
+        bands = {band: _band_response(wear, band, config.wear_end_um)
+                 for band in set(_BANDS.values())} if config.band_frac > 0.0 else {}
+        block = np.empty((stop - start, len(CHANNEL_NAMES) + 1))
+        for ci, name in enumerate(CHANNEL_NAMES):
+            cum, slopes = warps[ci]
+            resp = cum[idx] + slopes[idx] * above
+            if config.band_frac > 0.0:
+                resp = (1.0 - config.band_frac) * resp + config.band_frac * bands[_BANDS[name]]
+            x = _BASE[name] + gains[ci] * resp
+            x = x + _AMP[name] * np.sin(phase + 2.0 * np.pi * ci / len(CHANNEL_NAMES))
+            if levels[ci] > 0.0:
+                x = x + streams[ci].normal(0.0, levels[ci], size=stop - start)
+            block[:, ci] = x
+        block[:, -1] = wear
+        yield block
 
 
 def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
-    """One synthetic run: wear trajectory plus fourteen noisy channels."""
-    rng = substream(seed, "synth-run")
-    n = config.n_samples
-    if n < 2:
+    """One synthetic run: wear trajectory plus fourteen noisy channels,
+    made a row block at a time when its samples are read (see `SynthRun`)."""
+    if config.n_samples < 2:
         raise ValueError("run too short for the sampling rate")
-    t_norm = np.linspace(0.0, 1.0, n)
-    wear = wear_curve(config, t_norm)
-    times = np.arange(n) / config.sampling_rate_hz
-    spindle_hz = config.spindle_rpm / 60.0
-
-    channels = {}
-    for ci, name in enumerate(CHANNEL_NAMES):
-        gain = _GAIN[name] if gain_jitter is None else _GAIN[name] * gain_jitter[name]
-        noise = config.noise_scale * (
-            _NOISE[name] if config.noise_std is None else float(config.noise_std))
-        resp = _state_warp(wear, ci, _STATE_WARP)
-        if config.band_frac > 0.0:
-            band = _band_response(wear, _BANDS[name], config.wear_end_um)
-            resp = (1.0 - config.band_frac) * resp + config.band_frac * band
-        x = _BASE[name] + gain * resp
-        x = x + _AMP[name] * np.sin(
-            2.0 * np.pi * spindle_hz * times + 2.0 * np.pi * ci / len(CHANNEL_NAMES))
-        if noise > 0.0:
-            x = x + rng.normal(0.0, noise, size=n)
-        channels[name] = x
-
     meta = {
         "seed": seed,
         "spindle_rpm": config.spindle_rpm,
@@ -233,7 +349,7 @@ def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
         "imbalance_skew": config.imbalance_skew,
         "band_frac": config.band_frac,
     }
-    return SynthRun(channels, wear, meta)
+    return SynthRun._from_recipe(config, seed, gain_jitter, meta)
 
 
 def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
@@ -249,10 +365,23 @@ def generate_fleet(config: SynthConfig, n_runs: int, seed: int):
     return runs
 
 
-def write_run_csv(run: SynthRun, path) -> None:
-    """The run-file format the signal pipeline ingests: channels + wear_um."""
-    write_csv(path, list(run.channels) + ["wear_um"],
-              list(run.channels.values()) + [run.wear_trajectory])
+def write_run_csv(run: SynthRun, path, wear_at=()) -> np.ndarray:
+    """Write the run-file format the signal pipeline ingests, channels +
+    wear_um, a row block at a time. Returns the run's wear at the sample
+    indices `wear_at` (ascending), taken from the blocks as they pass."""
+    wear_at = np.asarray(wear_at, dtype=np.intp)
+    found = np.empty(len(wear_at))
+
+    def blocks():
+        start = 0
+        for block in run.blocks():
+            lo, hi = np.searchsorted(wear_at, (start, start + len(block)))
+            found[lo:hi] = block[wear_at[lo:hi] - start, -1]
+            start += len(block)
+            yield block
+
+    write_csv_blocks(path, list(run.channel_ids) + ["wear_um"], blocks())
+    return found
 
 
 def write_run_meta(run: SynthRun, path, created: str) -> None:

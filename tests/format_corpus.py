@@ -54,3 +54,15 @@ def power_boundaries() -> np.ndarray:
     values = np.array(out)
     values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
     return np.concatenate([values, -values])
+
+
+def exponent_sweep(lo: int, hi: int, n: int, seed: int) -> np.ndarray:
+    """Seeded values with decimal exponents drawn from [lo, hi], as float64
+    and as float32 widened to float64 (a float32 network's posteriors),
+    with their negatives; float32's smallest subnormal among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(lo, hi + 1, n).astype(float)
+    tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+    narrowed = np.concatenate([values.astype(np.float32), [tiny, 2 * tiny, 3 * tiny]])
+    values = np.concatenate([values, narrowed[narrowed != 0].astype(np.float64)])
+    return np.concatenate([values, -values])

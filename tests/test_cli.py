@@ -126,6 +126,44 @@ class TestGenerate:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_peak_memory_does_not_grow_with_the_run_length(self, tmp_path):
+        # a child's ru_maxrss also counts the memory of the process it was
+        # forked from, so a bare launcher forks the measured `generate`,
+        # not this test process
+        launch = ("import os, subprocess, sys\n"
+                  "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                  "_, status, usage = os.wait4(child.pid, 0)\n"
+                  "print(status, usage.ru_maxrss)\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        peaks_kib = []
+        for seconds in ("4", "16"):  # 80 000 and 320 000 samples at 20 kHz
+            out = subprocess.run(
+                [sys.executable, "-c", launch, sys.executable, "-m", "mdp_tcm.cli",
+                 "generate", "--out", str(tmp_path / seconds), "--runs", "1",
+                 "--run-seconds", seconds], env=env, capture_output=True, text=True,
+                check=True, timeout=300).stdout.split()
+            assert out[0] == "0"
+            peaks_kib.append(int(out[1]))
+            shutil.rmtree(tmp_path / seconds)
+        assert max(peaks_kib) <= 1.1 * min(peaks_kib), peaks_kib
+
+    def test_running_out_of_memory_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        # as `--desk-scale --run-seconds 1e9` does in frame_ends, without the allocation
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 213. GiB for an array with shape "
+                              "(28571428571,) and data type int64")
+
+        monkeypatch.setattr(cli, "frame_ends", too_big)
+        out = tmp_path / "out"
+        assert run_cli(["generate", "--out", str(out), "--desk-scale",
+                        "--run-seconds", "1e9"]) == 2
+        assert capsys.readouterr().err == ("data error: memory ran out: Unable to allocate "
+                                           "213. GiB for an array with shape (28571428571,) "
+                                           "and data type int64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("band-frac", "2", "--band-frac 2: must lie in [0, 1]"),
         ("rpm", "-5", "--rpm -5: must be positive"),
@@ -607,6 +645,10 @@ class TestPipelineFlags:
         ("--subsets", "force,force", "subset 'force,force' names channel 'force' more "
                                      "than once"),
         ("--subsets", "force;force", "subset 'force' named more than once"),
+        ("--rpm", "-5", "not a number > 0: '-5'"),
+        ("--rpm", "0", "not a number > 0: '0'"),
+        ("--rate", "0", "not a number > 0: '0'"),
+        ("--rate", "-1e-9", "not a number > 0: '-1e-9'"),
     ])
     def test_rejected_before_any_training(self, tmp_path, data_dir, capsys, monkeypatch,
                                           request, flag, value, message):
@@ -615,26 +657,38 @@ class TestPipelineFlags:
 
         for trainer in ("train_mdp", "sensor_subset_trial"):
             monkeypatch.setattr(cli, trainer, never)
-        command = {"--channels": ["evaluate", "--trials", "1"],
-                   "--subsets": ["ablate-sensors"]}.get(flag, ["train"])
-        # the vibration row's fleet has no vib* channel
-        data = request.getfixturevalue("force_torque_dir") if value == "vibration" else data_dir
         out = tmp_path / "m.model"
-        # `--flag=value`, so that argparse takes "-1" as a value, after
-        # TINY_FLAGS, so that it is the value in force
-        assert run_cli(command + ["--data", str(data), "--out", str(out)]
-                       + TINY_FLAGS + [f"{flag}={value}"]) == 1
+        if flag in ("--rpm", "--rate"):  # predict's, refused before a file is read
+            args = ["predict", "--model", str(out), "--run", str(data_dir / "run000.csv"),
+                    "--out", str(tmp_path / "p.csv")]
+        else:
+            command = {"--channels": ["evaluate", "--trials", "1"],
+                       "--subsets": ["ablate-sensors"]}.get(flag, ["train"])
+            # the vibration row's fleet has no vib* channel
+            data = (request.getfixturevalue("force_torque_dir") if value == "vibration"
+                    else data_dir)
+            # after TINY_FLAGS, so that the value below is the one in force
+            args = command + ["--data", str(data), "--out", str(out)] + TINY_FLAGS
+        # `--flag=value`, so that argparse takes "-1" as a value
+        assert run_cli(args + [f"{flag}={value}"]) == 1
         assert f"usage error: argument {flag}: {message}\n" == capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_out_of_range_config_value_is_usage_error_naming_the_key(self, tmp_path,
-                                                                     data_dir, capsys):
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "batch-size = 0", "batch-size: not an integer >= 1: '0'"),
+        ("predict", "rpm = -5", "rpm: not a number > 0: '-5'"),
+        ("predict", "rate = 0", "rate: not a number > 0: '0'"),
+    ])
+    def test_out_of_range_config_value_is_usage_error_naming_the_key(
+            self, tmp_path, data_dir, capsys, command, line, message):
         config = tmp_path / "run.conf"
-        config.write_text("batch-size = 0\n")
-        assert run_cli(["train", "--data", str(data_dir), "--out", str(tmp_path / "m"),
+        config.write_text(line + "\n")
+        args = (["--data", str(data_dir)] if command == "train"
+                else ["--model", str(tmp_path / "x.model"), "--run",
+                      str(data_dir / "run000.csv")])
+        assert run_cli([command, *args, "--out", str(tmp_path / "m"),
                         "--config", str(config)]) == 1
-        assert ("usage error: config key batch-size: not an integer >= 1: '0'\n"
-                == capsys.readouterr().err)
+        assert f"usage error: config key {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("flag, value, want", [("--smoothing-window", "0", 0),

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mdp_tcm import dbn
+from mdp_tcm import dbn, model_io
 from mdp_tcm import _kernels
 from mdp_tcm.cost_sensitive import CostVector
 from mdp_tcm.errors import DataError
@@ -17,6 +19,64 @@ def random_model(sizes, head, seed=0):
     return dbn.DbnModel(sizes, head, theta)
 
 
+def write_model_file_joined(path, kind: str, arrays: dict, config: dict) -> None:
+    """The oracle of `write_model_file`: the whole payload joined in memory,
+    hashed, then written after the header."""
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
+    lines = [f"{model_io.MAGIC} v{model_io.VERSION}", f"kind = {kind}"]
+    lines += [f"{k} = {v}" for k, v in config.items()]
+    for name, arr in arrays.items():
+        lines.append(f"array {name} " + "x".join(str(s) for s in np.asarray(arr).shape))
+    lines += [f"checksum = {hashlib.sha256(payload).hexdigest()}", "end-header"]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fh.write(payload)
+
+
+def multistate_model():
+    base = random_model((6, 5, 4), dbn.SOFTMAX, seed=6)
+    return MultiStateModel(EcsDbnModel(base, CostVector(np.array([1.0, 1.0, 0.3, 0.8]))),
+                           {0: random_model((6, 4, 1), dbn.LINEAR, seed=7)},
+                           random_model((6, 5, 1), dbn.LINEAR, seed=9), smoothing_window=25)
+
+
+MODELS = {
+    "dbn-classifier": lambda: random_model((6, 5, 3), dbn.SOFTMAX, seed=2),
+    "dbn-regressor": lambda: random_model((6, 5, 1), dbn.LINEAR, seed=3),
+    "ecs-dbn": lambda: EcsDbnModel(random_model((6, 5, 4), dbn.SOFTMAX, seed=5),
+                                   CostVector(np.array([0.9, 0.2, 0.5, 0.7]))),
+    "multistate": multistate_model,
+}
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_every_model_kind_has_the_joined_writer_s_bytes(self, tmp_path, monkeypatch,
+                                                            kind):
+        calls = []
+        streamed = model_io.write_model_file
+
+        def both(path, *args):
+            calls.append(args)
+            streamed(path, *args)
+
+        monkeypatch.setattr(model_io, "write_model_file", both)
+        model_io.save_model(tmp_path / "got.model", MODELS[kind](), train_config={"seed": 4})
+        assert calls[0][0] == kind
+        write_model_file_joined(tmp_path / "want.model", *calls[0])
+        assert (tmp_path / "got.model").read_bytes() == (tmp_path / "want.model").read_bytes()
+
+    def test_any_array_layout_has_the_joined_writer_s_bytes(self, tmp_path):
+        rng = np.random.default_rng(17)
+        arrays = {"scalar": np.float64(2.5), "empty": np.zeros(0),
+                  "float32": rng.normal(size=7).astype(np.float32),
+                  "transposed": rng.normal(size=(3, 4)).T, "strided": np.arange(20.0)[::3],
+                  "big-endian": rng.normal(size=5).astype(">f8"), "ints": np.arange(4)}
+        write_model_file(tmp_path / "got.model", "dbn-regressor", arrays, {"k": "v"})
+        write_model_file_joined(tmp_path / "want.model", "dbn-regressor", arrays, {"k": "v"})
+        assert (tmp_path / "got.model").read_bytes() == (tmp_path / "want.model").read_bytes()
+
+
 class TestLowLevel:
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -28,6 +88,24 @@ class TestLowLevel:
         assert config["layer_sizes"] == "3,4"
         assert np.array_equal(got["alpha"], arrays["alpha"])
         assert np.array_equal(got["beta"], arrays["beta"])
+
+    def test_arrays_are_writable_views_on_one_payload(self, tmp_path):
+        rng = np.random.default_rng(2)
+        arrays = {"alpha": rng.normal(0, 1, (3, 4)), "beta": rng.normal(0, 1, 7)}
+        path = tmp_path / "m.model"
+        write_model_file(path, "dbn-classifier", arrays, {})
+        _, got, _ = read_model_file(path)
+
+        def owner(a):
+            while isinstance(a, np.ndarray):
+                a = a.base
+            return a.obj if isinstance(a, memoryview) else a
+
+        assert isinstance(owner(got["alpha"]), bytearray)
+        assert owner(got["alpha"]) is owner(got["beta"])
+        assert got["alpha"].dtype == np.float64 and got["alpha"].flags.writeable
+        got["beta"][2] = 7.0
+        assert got["beta"][2] == 7.0 and np.array_equal(got["alpha"], arrays["alpha"])
 
     def test_checksum_detects_corruption(self, tmp_path):
         path = tmp_path / "m.model"
@@ -129,6 +207,8 @@ class TestTypedRoundTrips:
             assert got.theta.dtype == np.float32
             assert got.theta.tobytes() == want.theta.tobytes()
         assert loaded.diagnoser.costs.costs.dtype == np.float64
+        # a copy: a view on the payload would keep the whole payload alive
+        assert loaded.diagnoser.costs.costs.flags.owndata
         assert loaded.diagnoser.costs.costs.tobytes() == model.diagnoser.costs.costs.tobytes()
 
     def test_weights_not_float32_exact_round_once(self, tmp_path):

@@ -251,7 +251,7 @@ class TestDatasetPlumbing:
 
     @pytest.mark.parametrize("case", [
         "blocks-0", "blocks-1024", "blocks-2500", "random-bits", "special", "ties",
-        "powers-of-ten", "integers"])
+        "powers-of-ten", "tiny", "integers"])
     def test_write_csv_blocks_give_the_bytes_of_the_whole_matrix(self, tmp_path, case):
         rng = np.random.default_rng(len(case))
         if case.startswith("blocks-"):
@@ -265,7 +265,10 @@ class TestDatasetPlumbing:
             values = {"random-bits": lambda: format_corpus.random_bits(10 ** 6, 12),
                       "special": lambda: format_corpus.SPECIAL,
                       "ties": lambda: format_corpus.ties(12),
-                      "powers-of-ten": format_corpus.power_boundaries}[case]()
+                      "powers-of-ten": format_corpus.power_boundaries,
+                      # scaled by three exact powers of ten on the fast path
+                      "tiny": lambda: format_corpus.exponent_sweep(-46, -13, 50_000, 5),
+                      }[case]()
             # four columns, so each value also lands in the last column of a row
             values = np.concatenate([values, values[:-len(values) % 4]])
             columns = list(values.reshape(-1, 4).T)

@@ -1,15 +1,55 @@
+import math
+
 import numpy as np
 import pytest
 
 import format_corpus
-from mdp_tcm import signal_pipeline
+from mdp_tcm import signal_pipeline, synth
 from mdp_tcm.experiments import window_spec_for
-from mdp_tcm.signal_pipeline import N_STATES, build_dataset, label_states, window_runs
+from mdp_tcm.seeding import substream
+from mdp_tcm.signal_pipeline import (N_STATES, WEAR_EDGES_UM, build_dataset, label_states,
+                                     window_runs)
 from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, SynthRun, generate_fleet,
                            generate_run, read_run_meta, wear_curve,
                            write_run_csv, write_run_meta)
 
 DESK = SynthConfig.desk(run_seconds=90.0)
+
+
+def generate_run_whole(config: SynthConfig, seed: int, gain_jitter=None):
+    """The oracle of `generate_run`: (channels, wear) of a run made in one
+    piece, every channel's whole column at once, its noise drawn channel
+    after channel from one generator."""
+    rng = substream(seed, "synth-run")
+    n = config.n_samples
+    t_norm = np.linspace(0.0, 1.0, n)
+    wear = wear_curve(config, t_norm)
+    times = np.arange(n) / config.sampling_rate_hz
+    spindle_hz = config.spindle_rpm / 60.0
+    edges = np.array([0.0] + list(WEAR_EDGES_UM))
+    idx = np.searchsorted(edges, wear, side="right") - 1
+
+    channels = {}
+    for ci, name in enumerate(CHANNEL_NAMES):
+        gain = (synth._GAIN[name] if gain_jitter is None
+                else synth._GAIN[name] * gain_jitter[name])
+        noise = config.noise_scale * (
+            synth._NOISE[name] if config.noise_std is None else float(config.noise_std))
+        slopes = 1.0 + synth._STATE_WARP * np.sin(2.399963 * (ci + 1) + 1.7 * np.arange(4))
+        seg_len = np.diff(np.append(edges, np.inf))
+        cum = np.concatenate([[0.0], np.cumsum(slopes[:-1] * seg_len[:-1])])
+        resp = cum[idx] + slopes[idx] * (wear - edges[idx])
+        if config.band_frac > 0.0:
+            lo, hi = (f * config.wear_end_um for f in synth._BANDS[name])
+            band = config.wear_end_um * np.clip((wear - lo) / (hi - lo), 0.0, 1.0)
+            resp = (1.0 - config.band_frac) * resp + config.band_frac * band
+        x = synth._BASE[name] + gain * resp
+        x = x + synth._AMP[name] * np.sin(
+            2.0 * np.pi * spindle_hz * times + 2.0 * np.pi * ci / len(CHANNEL_NAMES))
+        if noise > 0.0:
+            x = x + rng.normal(0.0, noise, size=n)
+        channels[name] = x
+    return channels, wear
 
 
 class TestWearCurve:
@@ -146,3 +186,73 @@ class TestRunFiles:
         assert got.read_bytes() == want.read_bytes()
         if case == "mixed":
             assert got.read_text().splitlines()[1].startswith("-0,")
+
+
+class TestBlocks:
+    ROWS = synth._block_rows(len(CHANNEL_NAMES) + 1)
+
+    @pytest.mark.parametrize("rate", [200.0, 20000.0])
+    @pytest.mark.parametrize("rows", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    @pytest.mark.parametrize("settings", [{}, {"noise_std": 0.0}, {"band_frac": 0.0}])
+    def test_blocks_give_the_whole_run_bits_and_csv_bytes(self, tmp_path, rate, rows,
+                                                          settings):
+        config = SynthConfig(sampling_rate_hz=rate, run_seconds=rows / rate, **settings)
+        assert config.n_samples == rows
+        jitter = {c: 0.9 + 0.01 * i for i, c in enumerate(CHANNEL_NAMES)}
+        want_channels, want_wear = generate_run_whole(config, 11, jitter)
+
+        run = generate_run(config, 11, gain_jitter=jitter)
+        blocks = list(run.blocks())
+        assert [len(b) for b in blocks[:-1]] == [self.ROWS] * (len(blocks) - 1)
+        assert len(blocks) == math.ceil(rows / self.ROWS)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got[:, -1], want_wear)
+        for ci, name in enumerate(CHANNEL_NAMES):
+            assert np.array_equal(got[:, ci], want_channels[name]), name
+            assert np.array_equal(run.channels[name], want_channels[name]), name
+        assert np.array_equal(run.wear_trajectory, want_wear)
+
+        # the streamed CSV against one written from the oracle's whole columns
+        ends = np.array([0, self.ROWS - 1, self.ROWS, rows - 1])
+        ends = np.unique(ends[ends < rows])
+        streamed, whole = tmp_path / "streamed.csv", tmp_path / "whole.csv"
+        wear_at = write_run_csv(generate_run(config, 11, gain_jitter=jitter), streamed,
+                                wear_at=ends)
+        assert np.array_equal(wear_at, want_wear[ends])
+        signal_pipeline.write_csv(whole, list(CHANNEL_NAMES) + ["wear_um"],
+                                  list(want_channels.values()) + [want_wear])
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_fleet_runs_match_the_oracle(self):
+        config = SynthConfig.desk(run_seconds=3 * self.ROWS / 200.0)
+        for run in generate_fleet(config, 2, 5):
+            jrng = substream(run.metadata["seed"], "fleet-jitter")
+            jitter = {c: float(jrng.uniform(0.9, 1.1)) for c in CHANNEL_NAMES}
+            channels, wear = generate_run_whole(config, run.metadata["seed"], jitter)
+            assert np.array_equal(run.wear_trajectory, wear)
+            assert all(np.array_equal(run.channels[c], channels[c]) for c in CHANNEL_NAMES)
+
+    def test_a_run_is_made_only_when_read(self, monkeypatch):
+        made = []
+        blocks = synth._blocks
+        monkeypatch.setattr(synth, "_blocks", lambda *a: made.append(a) or blocks(*a))
+        run = generate_run(DESK, 3)
+        assert made == [] and run.channel_ids == CHANNEL_NAMES
+        assert len(run.wear_trajectory) == len(run.channels["force"]) == DESK.n_samples
+        assert len(made) == 1  # made once, then kept
+
+    @pytest.mark.parametrize("at", ["inside", "across"])
+    def test_falling_wear_is_refused_in_a_block_and_across_blocks(self, monkeypatch, at):
+        curve = synth.wear_curve
+        def dented(config, t):
+            wear = curve(config, t)
+            if at == "inside" and t[0] == 0.0:
+                wear[5] = wear[4] - 1.0
+            if at == "across" and t[0] > 0.0:  # the first sample of a later block
+                wear[0] = -1.0
+            return wear
+
+        monkeypatch.setattr(synth, "wear_curve", dented)
+        config = SynthConfig.desk(run_seconds=(2 * self.ROWS + 10) / 200.0)
+        with pytest.raises(ValueError, match="monotone"):
+            list(generate_run(config, 1).blocks())
