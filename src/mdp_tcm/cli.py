@@ -163,7 +163,7 @@ _MDP_OPTS = [
 COMMANDS = {
     "generate": [
         ("out", str, _REQUIRED, "output directory"),
-        ("runs", int, 1, "number of runs to generate"),
+        ("runs", _opt_int(1), 1, "number of runs to generate"),
         ("seed", int, 0, "base seed"),
         ("desk-scale", _opt_bool, False, "sample at 200 Hz instead of 20 kHz"),
         ("rpm", _opt_float, 1650.0, "spindle speed"),
@@ -187,7 +187,7 @@ COMMANDS = {
         ("model", str, None, "model file (omit when using --trials)"),
         ("channels", str, "all", "comma-separated channel subset"),
         ("holdout", _opt_bool, False, "evaluate only the held-out split"),
-        ("trials", int, 1, "repeated seeded train+evaluate trials"),
+        ("trials", _opt_int(1), 1, "repeated seeded train+evaluate trials"),
         ("kind", str, "multistate", "model kind for --trials"),
         ("seed", int, 0, "run seed"),
     ] + _MDP_OPTS + _COMMON_TRAIN_OPTS,
@@ -204,13 +204,13 @@ COMMANDS = {
         ("out", str, _REQUIRED, "output prefix"),
         ("subsets", str, "force;torque;vibration;force,torque;all",
          "semicolon-separated channel subsets"),
-        ("trials", int, 1, "seeded trials"),
+        ("trials", _opt_int(1), 1, "seeded trials"),
         ("seed", int, 0, "base seed"),
     ] + _COMMON_TRAIN_OPTS,
     "compare-frameworks": [
         ("data", str, _REQUIRED, "directory of run CSVs"),
         ("out", str, _REQUIRED, "output prefix"),
-        ("trials", int, 1, "seeded trials"),
+        ("trials", _opt_int(1), 1, "seeded trials"),
         ("seed", int, 0, "base seed"),
     ] + _MDP_OPTS + _COMMON_TRAIN_OPTS,
 }
@@ -429,8 +429,6 @@ def _run_trials(cfg: RunConfig, pool: FrameDataset, bounds, trial) -> list:
     """`trial(pool, train_rows, held_bounds, seed)` for the --trials seeds
     from --seed on, each on its own split of the runs (`_split_runs`); the
     results in seed order."""
-    if cfg["trials"] < 1:
-        raise UsageError(f"--trials must be at least 1, not {cfg['trials']}")
     seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
 
     def one(seed: int):
@@ -466,8 +464,6 @@ _SYNTH_FLAGS = {"spindle_rpm": "rpm", "run_seconds": "run-seconds", "wear_end_um
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    if cfg["runs"] < 1:
-        raise UsageError("--runs must be at least 1")
     try:
         synth = SynthConfig(sampling_rate_hz=200.0 if cfg["desk-scale"] else 20000.0,
                             **{name: cfg[flag] for name, flag in _SYNTH_FLAGS.items()})
@@ -606,7 +602,8 @@ def _channel_list(flag: str, channels: str, channel_ids) -> list | None:
     """Channel ids named by a comma-separated subset of `flag`; None for all.
 
     `vibration` stands for every vib* channel in `channel_ids`. A subset
-    that names no channel, or one channel more than once, is a usage error.
+    that names no channel, or one channel more than once, is a usage error;
+    one that names a channel not in `channel_ids`, a data error.
     """
     if channels.strip() in ("", "all"):
         return None
@@ -622,6 +619,9 @@ def _channel_list(flag: str, channels: str, channel_ids) -> list | None:
     if repeated is not None:
         raise UsageError(f"argument {flag}: subset {channels!r} names channel "
                          f"{repeated!r} more than once")
+    missing = [c for c in expanded if c not in channel_ids]
+    if missing:
+        raise DataError(f"channels not in dataset: {missing}")
     return expanded
 
 
@@ -633,14 +633,22 @@ def _write_report(out_prefix: Path, report: MetricsReport) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    # a flag that does not apply is refused before any run is read
+    if cfg["model"]:
+        if cfg["channels"].strip() not in ("", "all"):
+            # `train` selects no channels: a model takes every one, in file order
+            raise UsageError(f"--channels {cfg['channels']!r}: a model file is scored on "
+                             "all channels; --channels applies to --trials")
+        if cfg["trials"] != 1:
+            raise UsageError(f"--trials {cfg['trials']}: a model file is scored once; "
+                             "--trials applies without --model")
+    elif cfg["holdout"]:
+        raise UsageError("--holdout: it scores the held-out runs of a model file's "
+                         "split, and applies to --model")
     pool, bounds = _load_runs(cfg["data"], cfg["stride"])
     channels = _channel_list("--channels", cfg["channels"], pool.channel_ids)
     if channels is not None:
         pool = pool.select_channels(channels)
-        if cfg["model"]:
-            # `train` selects no channels: a model takes every one, in file order
-            raise UsageError(f"--channels {cfg['channels']!r}: a model file is scored on "
-                             "all channels; --channels applies to --trials")
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 

@@ -645,25 +645,23 @@ def window_runs(runs, keep=None):
     """(pool, bounds): runs windowed by `build_dataset` into the rows of one
     frame matrix, which the dataset `pool` holds; `bounds` gives each run's
     (start, stop) rows. `runs` yields (run, WindowSpec) pairs, a run being
-    a `SynthRun` or a `RunCsv` from `open_run_csv`, which is read and
-    closed as its rows are made. A run whose channels or window length
-    differ from the first's is a DataError. Given `keep`, indices into
-    `runs`, only those runs are windowed, in that order.
+    a `RunCsv` from `open_run_csv`, which is read and closed as its rows
+    are made, or a `SynthRun`, which is made then. Either gives its
+    `channel_ids` and `n_samples` unread. A run whose channels or window
+    length differ from the first's is a DataError. Given `keep`, indices
+    into `runs`, only those runs are windowed, in that order.
 
     A first pass checks every run and counts its frames; the matrix is then
     made and each kept run windowed into its rows, so no frame is held
-    twice, nor the samples of two `RunCsv`s."""
+    twice, nor the samples of two runs."""
     checked = []
     for i, (run, spec) in enumerate(runs):
-        if isinstance(run, RunCsv):
-            name, channel_ids, n_samples = run.path, run.channel_ids, run.n_samples
-        else:
-            name, channel_ids, n_samples = f"#{i}", tuple(run.channels), len(run.wear_trajectory)
-        layout = (channel_ids, compute_window_size(spec))
+        name = run.path if isinstance(run, RunCsv) else f"#{i}"
+        layout = (run.channel_ids, compute_window_size(spec))
         if checked and layout != checked[0][2]:
             raise DataError(f"run {name} differs from run {checked[0][1]} in its channels "
                             "or its window length")
-        checked.append((run, name, layout, spec, len(frame_ends(n_samples, spec))))
+        checked.append((run, name, layout, spec, len(frame_ends(run.n_samples, spec))))
     if not checked:
         raise DataError("no runs to window")
     kept = checked if keep is None else [checked[i] for i in keep]
@@ -673,10 +671,9 @@ def window_runs(runs, keep=None):
     bounds, wear = [], []
     for (run, _, _, spec, n), end in zip(kept, ends):
         bounds.append((int(end) - n, int(end)))
-        channels, trajectory = (load_run_csv(run) if isinstance(run, RunCsv)
-                                else (run.channels, run.wear_trajectory))
+        channels, trajectory = load_run_csv(run) if isinstance(run, RunCsv) else run.read()
         ds = build_dataset(channels, spec, trajectory, frames[end - n:end])
-        del channels, trajectory  # a RunCsv's samples go before the next is read
+        del channels, trajectory  # a run's samples go before the next is read
         wear.append(ds.wear_targets)
     pool = FrameDataset(frames, np.concatenate(wear), channel_ids, tw)
     return pool, bounds

@@ -95,83 +95,44 @@ class SynthConfig:
         return cls(**overrides)
 
 
-# bytes of one row block of a run, every channel and the wear in float64:
-# a run is made a block at a time, so writing one holds a block, never the
-# whole run
-_BLOCK_BYTES = 1 << 20
+# rows of one row block of a run, 1 MiB of every channel and the wear in
+# float64: a run is made a block at a time, so writing one holds a block,
+# never the whole run
+_BLOCK_ROWS = (1 << 20) // (8 * (len(CHANNEL_NAMES) + 1))
 
 
-def _block_rows(n_columns: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n_columns))
-
-
-def _check_wear(wear: np.ndarray, before: float) -> None:
-    """Refuse a block of wear values that falls between two of its rows, or
-    from `before`, the wear of the row ahead of the block, to its first."""
-    if len(wear) and (wear[0] < before or np.any(np.diff(wear) < 0)):
-        raise ValueError("wear trajectory must be monotone nondecreasing")
-
-
+@dataclass(frozen=True)
 class SynthRun:
-    """One run: each channel id's samples in CSV column order (`channels`),
-    the wear at each sample (`wear_trajectory`), and `metadata`.
+    """One run's recipe, `config`, `seed` and `gain_jitter`, with its
+    `metadata`. Its samples are made when they are read, a row block at a
+    time, and none is kept."""
 
-    A run from `generate_run` holds its recipe, not its samples: `blocks`
-    makes them a row block at a time, and the first read of `channels` or
-    `wear_trajectory` joins every block into whole-run arrays, which the
-    run then keeps. A run built from arrays cuts its blocks from them.
-    """
+    config: SynthConfig
+    seed: int
+    gain_jitter: dict | None
+    metadata: dict
+    channel_ids = CHANNEL_NAMES
 
-    def __init__(self, channels: dict, wear_trajectory, metadata: dict | None = None):
-        wear = np.asarray(wear_trajectory, dtype=np.float64)
-        _check_wear(wear, -np.inf)
-        self._arrays = dict(channels), wear
-        self._recipe = None
-        self.metadata = dict(metadata or {})
-
-    @classmethod
-    def _from_recipe(cls, config: SynthConfig, seed: int, gain_jitter,
-                     metadata: dict) -> SynthRun:
-        run = cls.__new__(cls)
-        run._arrays = None
-        run._recipe = config, seed, gain_jitter
-        run.metadata = metadata
-        return run
+    @property
+    def n_samples(self) -> int:
+        return self.config.n_samples
 
     def blocks(self):
         """The run's consecutive row blocks: float64 matrices with one
-        column per channel, in `channels` order, then the wear."""
-        if self._arrays is None:
-            yield from _blocks(*self._recipe)
-            return
-        channels, wear = self._arrays
-        columns = list(channels.values()) + [wear]
-        rows = _block_rows(len(columns))
-        for start in range(0, len(wear), rows):
-            yield np.column_stack([c[start:start + rows] for c in columns])
+        column per channel, in `channel_ids` order, then the wear."""
+        yield from _blocks(self.config, self.seed, self.gain_jitter)
 
-    def _whole(self) -> tuple:
-        if self._arrays is None:
-            config = self._recipe[0]
-            columns = np.empty((len(CHANNEL_NAMES) + 1, config.n_samples))
-            start = 0
-            for block in self.blocks():
-                columns[:, start:start + len(block)] = block.T
-                start += len(block)
-            self._arrays = dict(zip(CHANNEL_NAMES, columns[:-1])), columns[-1]
-        return self._arrays
-
-    @property
-    def channel_ids(self) -> tuple:
-        return CHANNEL_NAMES if self._arrays is None else tuple(self._arrays[0])
-
-    @property
-    def channels(self) -> dict:
-        return self._whole()[0]
-
-    @property
-    def wear_trajectory(self) -> np.ndarray:
-        return self._whole()[1]
+    def read(self) -> tuple:
+        """(channels, wear), the pair `load_run_csv` returns: the blocks
+        joined into whole-run arrays, with the bits of a run made in one
+        piece."""
+        columns = np.empty((len(CHANNEL_NAMES) + 1, self.n_samples))
+        start = 0
+        for block in self.blocks():
+            columns[:, start:start + len(block)] = block.T
+            start += len(block)
+            del block  # dropped before the next block is made
+        return dict(zip(CHANNEL_NAMES, columns[:-1])), columns[-1]
 
 
 def _state_dwells(skew: float) -> np.ndarray:
@@ -296,7 +257,6 @@ def _blocks(config: SynthConfig, seed: int, gain_jitter):
     per block, in the same arithmetic."""
     rng = substream(seed, "synth-run")
     n = config.n_samples
-    rows = _block_rows(len(CHANNEL_NAMES) + 1)
     step = 1.0 / (n - 1)  # that of np.linspace(0.0, 1.0, n)
     spin = 2.0 * np.pi * (config.spindle_rpm / 60.0)
     gains, levels, warps = [], [], []
@@ -305,15 +265,17 @@ def _blocks(config: SynthConfig, seed: int, gain_jitter):
         levels.append(config.noise_scale * (
             _NOISE[name] if config.noise_std is None else float(config.noise_std)))
         warps.append(_state_warp(ci, _STATE_WARP))
-    streams = _noise_streams(rng, n, levels, rows)
+    streams = _noise_streams(rng, n, levels, _BLOCK_ROWS)
     before = -np.inf
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         t_norm = np.arange(start, stop, dtype=np.float64) * step
         if stop == n:
             t_norm[-1] = 1.0
         wear = wear_curve(config, t_norm)
-        _check_wear(wear, before)
+        # wear may not fall between two rows of the block, nor from the row ahead of it
+        if wear[0] < before or np.any(np.diff(wear) < 0):
+            raise ValueError("wear trajectory must be monotone nondecreasing")
         before = wear[-1]
         idx = np.searchsorted(_EDGES, wear, side="right") - 1
         above = wear - _EDGES[idx]
@@ -333,6 +295,7 @@ def _blocks(config: SynthConfig, seed: int, gain_jitter):
             block[:, ci] = x
         block[:, -1] = wear
         yield block
+        del block  # a reader that drops each block holds one at a time
 
 
 def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
@@ -349,7 +312,7 @@ def generate_run(config: SynthConfig, seed: int, gain_jitter=None) -> SynthRun:
         "imbalance_skew": config.imbalance_skew,
         "band_frac": config.band_frac,
     }
-    return SynthRun._from_recipe(config, seed, gain_jitter, meta)
+    return SynthRun(config, seed, gain_jitter, meta)
 
 
 def generate_fleet(config: SynthConfig, n_runs: int, seed: int):

@@ -110,9 +110,9 @@ class TestGenerate:
                         "--desk-scale", "--rpm", "1300", "--run-seconds", "20.3"]) == 0
         assert len(alive_at_call) == 3 and max(alive_at_call) <= 1
         monkeypatch.undo()
-        want = sum(np.bincount(build_dataset(run.channels, spec,
-                                             run.wear_trajectory).state_labels, minlength=4)
-                   for run in synth.generate_fleet(config, 3, 4))
+        want = sum(np.bincount(build_dataset(channels, spec, wear).state_labels, minlength=4)
+                   for channels, wear in map(synth.SynthRun.read,
+                                             synth.generate_fleet(config, 3, 4)))
         got = [int(n) for n in re.findall(r"state \d: (\d+) frames",
                                           capsys.readouterr().out)]
         assert got == want.tolist()
@@ -181,8 +181,12 @@ class TestGenerate:
         assert f"usage error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_runs_is_usage_error(self, tmp_path):
-        assert run_cli(["generate", "--out", str(tmp_path), "--runs", "0"]) == 1
+    def test_zero_runs_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["generate", "--out", str(out), "--runs", "0"]) == 1
+        assert ("usage error: argument --runs: not an integer >= 1: '0'\n"
+                == capsys.readouterr().err)
+        assert not out.exists()
 
     def test_repeat_invocation_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -274,12 +278,41 @@ class TestEvaluate:
         assert [line.split(" = ")[0] for line in kv.strip().splitlines()] \
             == list(REPORT_KEYS)
 
-    def test_channel_subset_not_in_dataset(self, tmp_path, data_dir,
-                                           multistate_model):
-        code = run_cli(["evaluate", "--data", str(data_dir), "--model",
-                        str(multistate_model), "--channels", "bogus",
-                        "--out", str(tmp_path / "r")])
-        assert code == 2
+    @pytest.mark.parametrize("command", [["evaluate", "--channels", "force,bogus"],
+                                         ["ablate-sensors", "--subsets", "force;all;bogus"]],
+                             ids=["evaluate", "ablate-sensors"])
+    def test_channel_not_in_dataset_is_refused_before_training(
+            self, tmp_path, data_dir, capsys, monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        for trainer in ("train_mdp", "sensor_subset_trial"):
+            monkeypatch.setattr(cli, trainer, never)
+        assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "r")]
+                       + TINY_FLAGS) == 2
+        assert "data error: channels not in dataset: ['bogus']\n" == capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--holdout"], "--holdout: it scores the held-out runs of a model file's split, "
+                        "and applies to --model"),
+        (["--model", "MODEL", "--trials", "5", "--kind", "dbn-regressor"],
+         "--trials 5: a model file is scored once; --trials applies without --model"),
+        (["--model", "MODEL", "--channels", "force"],
+         "--channels 'force': a model file is scored on all channels; --channels "
+         "applies to --trials"),
+    ], ids=["holdout-without-model", "trials-with-model", "channels-with-model"])
+    def test_flag_that_does_not_apply_is_refused_before_any_run_is_read(
+            self, tmp_path, data_dir, multistate_model, capsys, monkeypatch, flags, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a run was read")
+
+        monkeypatch.setattr(cli, "_load_runs", never)
+        flags = [str(multistate_model) if f == "MODEL" else f for f in flags]
+        out = tmp_path / "o"
+        assert run_cli(["evaluate", "--data", str(data_dir), "--out", str(out)] + flags) == 1
+        assert f"usage error: {message}\n" == capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("channels", ["swapped", "force"])
     def test_model_takes_every_channel_in_file_order(self, tmp_path, data_dir,
@@ -393,8 +426,8 @@ class TestTrialCount:
     def test_below_one_is_usage_error(self, tmp_path, data_dir, capsys, command, trials):
         assert run_cli(command + ["--data", str(data_dir), "--out", str(tmp_path / "t"),
                                   "--trials", trials] + TINY_FLAGS) == 1
-        assert f"usage error: --trials must be at least 1, not {trials}" \
-            in capsys.readouterr().err
+        assert (f"usage error: argument --trials: not an integer >= 1: '{trials}'\n"
+                == capsys.readouterr().err)
         assert not list(tmp_path.glob("t.*"))
 
 
@@ -678,18 +711,20 @@ class TestPipelineFlags:
         ("train", "batch-size = 0", "batch-size: not an integer >= 1: '0'"),
         ("predict", "rpm = -5", "rpm: not a number > 0: '-5'"),
         ("predict", "rate = 0", "rate: not a number > 0: '0'"),
+        ("evaluate", "trials = 0", "trials: not an integer >= 1: '0'"),
+        ("generate", "runs = 0", "runs: not an integer >= 1: '0'"),
     ])
     def test_out_of_range_config_value_is_usage_error_naming_the_key(
             self, tmp_path, data_dir, capsys, command, line, message):
         config = tmp_path / "run.conf"
         config.write_text(line + "\n")
-        args = (["--data", str(data_dir)] if command == "train"
-                else ["--model", str(tmp_path / "x.model"), "--run",
-                      str(data_dir / "run000.csv")])
+        args = {"generate": [],
+                "predict": ["--model", str(tmp_path / "x.model"), "--run",
+                            str(data_dir / "run000.csv")]}.get(command, ["--data", str(data_dir)])
         assert run_cli([command, *args, "--out", str(tmp_path / "m"),
                         "--config", str(config)]) == 1
         assert f"usage error: config key {message}\n" == capsys.readouterr().err
-        assert not (tmp_path / "m").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]
 
     @pytest.mark.parametrize("flag, value, want", [("--smoothing-window", "0", 0),
                                                    ("--de-population", "4", 4),

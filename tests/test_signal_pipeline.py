@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import hashlib
 import math
 import os
+import re
 import stat
 import threading
 import tracemalloc
@@ -19,7 +21,7 @@ from mdp_tcm.signal_pipeline import (FrameDataset,
                                      fill_wear_gaps, label_state, label_states,
                                      load_run_csv, open_run_csv,
                                      split, window_runs, write_csv)
-from mdp_tcm.synth import SynthConfig, SynthRun, generate_fleet, generate_run
+from mdp_tcm.synth import SynthConfig, generate_fleet, generate_run
 
 
 def normalize_channel(channel_id: str, samples: np.ndarray) -> np.ndarray:
@@ -393,9 +395,10 @@ class TestFloat32Frames:
         for run, (start, stop) in zip(runs, bounds):
             if stride == 1:
                 assert stop - start > signal_pipeline._SCALE_BLOCK_BYTES // (8 * tw)
-            normalized = {name: normalize_channel(name, x) for name, x in run.channels.items()}
-            want = window(normalized, spec, run.wear_trajectory)[0]
-            got = build_dataset(run.channels, spec, run.wear_trajectory).frames
+            channels, wear = run.read()
+            normalized = {name: normalize_channel(name, x) for name, x in channels.items()}
+            want = window(normalized, spec, wear)[0]
+            got = build_dataset(channels, spec, wear).frames
             assert got.dtype == np.float32
             assert got.tobytes() == want.tobytes()
             assert pool.frames[start:stop].tobytes() == want.tobytes()
@@ -413,7 +416,8 @@ class TestWindowRuns:
         assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
         assert bounds[-1][1] == len(pool)
         for run, (start, stop) in zip(runs, bounds):
-            want = build_dataset(run.channels, spec, run.wear_trajectory)
+            channels, wear = run.read()
+            want = build_dataset(channels, spec, wear)
             assert pool.frames[start:stop].tobytes() == want.frames.tobytes()
             assert pool.wear_targets[start:stop].tobytes() == want.wear_targets.tobytes()
             assert pool.state_labels[start:stop].tobytes() == want.state_labels.tobytes()
@@ -424,17 +428,37 @@ class TestWindowRuns:
             bounds[i][1] - bounds[i][0] for i in (2, 0)]
 
     @pytest.mark.parametrize("mismatch", ["window", "channels"])
-    def test_mixed_layouts_are_data_error(self, mismatch):
+    def test_mixed_layouts_are_data_error(self, tmp_path, mismatch):
         run = generate_run(self.CONFIG, 1)
         spec = window_spec_for(self.CONFIG)
-        if mismatch == "window":
-            other = (run, WindowSpec(spindle_rpm=1200.0, sampling_rate_hz=200.0))
-        else:
-            other = (SynthRun(dict(list(run.channels.items())[:-1]), run.wear_trajectory),
-                     spec)
-        with pytest.raises(DataError, match="run #1 differs from run #0 in its channels "
-                                            "or its window length"):
-            window_runs([(run, spec), other])
+        with contextlib.ExitStack() as stack:
+            if mismatch == "window":
+                name, other = "#1", (run, WindowSpec(spindle_rpm=1200.0, sampling_rate_hz=200.0))
+            else:
+                # the run's own samples, in a CSV that lacks its last channel
+                channels, wear = run.read()
+                name = tmp_path / "run.csv"
+                write_csv(name, list(channels)[:-1] + ["wear_um"],
+                          list(channels.values())[:-1] + [wear])
+                other = (stack.enter_context(open_run_csv(name)), spec)
+            with pytest.raises(DataError, match=re.escape(
+                    f"run {name} differs from run #0 in its channels or its window length")):
+                window_runs([(run, spec), other])
+
+    def test_synthetic_runs_are_made_one_at_a_time(self):
+        # three 2 s runs at 20 kHz: each run's samples are made, windowed
+        # and dropped before the next is made
+        config = SynthConfig(run_seconds=2.0)
+        spec = window_spec_for(config)
+        runs = generate_fleet(config, 3, 7)
+        tracemalloc.start()
+        try:
+            pool = window_runs((run, spec) for run in runs)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        run_bytes = (len(runs[0].channel_ids) + 1) * config.n_samples * 8
+        assert peak < pool.frames.nbytes + 1.5 * run_bytes
 
     def test_no_runs_is_data_error(self):
         with pytest.raises(DataError, match="no runs to window"):

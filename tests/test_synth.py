@@ -8,8 +8,8 @@ from mdp_tcm import signal_pipeline, synth
 from mdp_tcm.experiments import window_spec_for
 from mdp_tcm.seeding import substream
 from mdp_tcm.signal_pipeline import (N_STATES, WEAR_EDGES_UM, build_dataset, label_states,
-                                     window_runs)
-from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, SynthRun, generate_fleet,
+                                     window_runs, write_csv_blocks)
+from mdp_tcm.synth import (CHANNEL_NAMES, SynthConfig, generate_fleet,
                            generate_run, read_run_meta, wear_curve,
                            write_run_csv, write_run_meta)
 
@@ -81,34 +81,34 @@ class TestWearCurve:
 
 class TestGenerateRun:
     def test_seed_determinism_bit_identical(self):
-        a = generate_run(DESK, seed=7)
-        b = generate_run(DESK, seed=7)
-        assert list(a.channels) == list(b.channels)
-        for name in a.channels:
-            assert np.array_equal(a.channels[name], b.channels[name])
-        assert np.array_equal(a.wear_trajectory, b.wear_trajectory)
+        a, a_wear = generate_run(DESK, seed=7).read()
+        b, b_wear = generate_run(DESK, seed=7).read()
+        assert list(a) == list(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name])
+        assert np.array_equal(a_wear, b_wear)
 
     def test_wear_monotone_and_ends_at_target(self):
-        run = generate_run(DESK, seed=1)
-        assert np.all(np.diff(run.wear_trajectory) >= 0.0)
-        assert run.wear_trajectory[-1] == pytest.approx(DESK.wear_end_um, abs=1e-6)
+        wear = generate_run(DESK, seed=1).read()[1]
+        assert np.all(np.diff(wear) >= 0.0)
+        assert wear[-1] == pytest.approx(DESK.wear_end_um, abs=1e-6)
 
     def test_channel_names_and_count(self):
         run = generate_run(DESK, seed=2)
-        assert tuple(run.channels) == CHANNEL_NAMES
-        assert len(run.channels) == 14
+        assert tuple(run.read()[0]) == run.channel_ids == CHANNEL_NAMES
+        assert len(CHANNEL_NAMES) == 14
 
     def test_state_counts_track_skew(self):
-        run = generate_run(DESK, seed=3)
-        ds = build_dataset(run.channels, window_spec_for(DESK), run.wear_trajectory)
+        channels, wear = generate_run(DESK, seed=3).read()
+        ds = build_dataset(channels, window_spec_for(DESK), wear)
         counts = np.bincount(ds.state_labels, minlength=N_STATES)
         assert np.all(counts >= 100)  # label coverage at desk scale
         ratio = counts[0] / counts[3]
         assert 0.7 * DESK.imbalance_skew <= ratio <= 1.3 * DESK.imbalance_skew
 
     def test_window_mean_tracks_wear(self):
-        run = generate_run(DESK, seed=4)
-        ds = build_dataset(run.channels, window_spec_for(DESK), run.wear_trajectory)
+        channels, wear = generate_run(DESK, seed=4).read()
+        ds = build_dataset(channels, window_spec_for(DESK), wear)
         cube = ds.frames.reshape(len(ds), 14, ds.window_len)
         for ci in range(14):
             r = np.corrcoef(cube[:, ci, :].mean(axis=1), ds.wear_targets)[0, 1]
@@ -121,7 +121,7 @@ class TestFleet:
 
     def test_distinct_seeds_distinct_noise(self):
         runs = generate_fleet(DESK, 2, 0)
-        assert not np.array_equal(runs[0].channels["force"], runs[1].channels["force"])
+        assert not np.array_equal(runs[0].read()[0]["force"], runs[1].read()[0]["force"])
 
     def test_pooled_fleet_covers_all_classes(self):
         cfg = SynthConfig.desk(run_seconds=20.0)
@@ -161,8 +161,8 @@ class TestRunFiles:
         # np.savetxt, one `%` per row, is the reference; the row count spans
         # two full blocks and a partial one
         n = 2 * signal_pipeline._WRITE_BLOCK_ROWS + 37
-        run = generate_run(SynthConfig.desk(run_seconds=n / 200.0), 4)
-        assert len(run.wear_trajectory) == n
+        channels, wear = generate_run(SynthConfig.desk(run_seconds=n / 200.0), 4).read()
+        assert len(wear) == n
         special = {
             "mixed": lambda: np.array([-0.0, 1e-300, 1e12, 3.0, -7.0, 0.0, 123456789.0,
                                        -1e-300, 2.5e-7, 1.0 / 3.0]),
@@ -171,25 +171,25 @@ class TestRunFiles:
             "powers-of-ten": format_corpus.power_boundaries}[case]()
         # row by row across the channels from the first sample, and reversed
         # up to the last
-        samples = np.column_stack(list(run.channels.values()))
+        samples = np.column_stack(list(channels.values()))
         samples[:, 2] = np.round(samples[:, 2] * 1e4)  # exact integers
         samples.ravel()[:len(special)] = special
         samples.ravel()[-len(special):] = special[::-1]
-        run = SynthRun(dict(zip(run.channels, samples.T)), run.wear_trajectory)
+        table = np.column_stack([samples, wear])
         got = tmp_path / "got.csv"
-        write_run_csv(run, got)
+        # in three blocks, whose edges fall inside the formatter's row blocks
+        write_csv_blocks(got, list(CHANNEL_NAMES) + ["wear_um"], np.array_split(table, 3))
         want = tmp_path / "want.csv"
         with open(want, "w", encoding="utf-8") as fh:
             fh.write(",".join(list(CHANNEL_NAMES) + ["wear_um"]) + "\n")
-            np.savetxt(fh, np.column_stack([samples, run.wear_trajectory]),
-                       fmt="%.10g", delimiter=",")
+            np.savetxt(fh, table, fmt="%.10g", delimiter=",")
         assert got.read_bytes() == want.read_bytes()
         if case == "mixed":
             assert got.read_text().splitlines()[1].startswith("-0,")
 
 
 class TestBlocks:
-    ROWS = synth._block_rows(len(CHANNEL_NAMES) + 1)
+    ROWS = synth._BLOCK_ROWS
 
     @pytest.mark.parametrize("rate", [200.0, 20000.0])
     @pytest.mark.parametrize("rows", [ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
@@ -206,11 +206,12 @@ class TestBlocks:
         assert [len(b) for b in blocks[:-1]] == [self.ROWS] * (len(blocks) - 1)
         assert len(blocks) == math.ceil(rows / self.ROWS)
         got = np.concatenate(blocks)
+        channels, wear = run.read()
         assert np.array_equal(got[:, -1], want_wear)
+        assert np.array_equal(wear, want_wear)
         for ci, name in enumerate(CHANNEL_NAMES):
             assert np.array_equal(got[:, ci], want_channels[name]), name
-            assert np.array_equal(run.channels[name], want_channels[name]), name
-        assert np.array_equal(run.wear_trajectory, want_wear)
+            assert np.array_equal(channels[name], want_channels[name]), name
 
         # the streamed CSV against one written from the oracle's whole columns
         ends = np.array([0, self.ROWS - 1, self.ROWS, rows - 1])
@@ -229,17 +230,22 @@ class TestBlocks:
             jrng = substream(run.metadata["seed"], "fleet-jitter")
             jitter = {c: float(jrng.uniform(0.9, 1.1)) for c in CHANNEL_NAMES}
             channels, wear = generate_run_whole(config, run.metadata["seed"], jitter)
-            assert np.array_equal(run.wear_trajectory, wear)
-            assert all(np.array_equal(run.channels[c], channels[c]) for c in CHANNEL_NAMES)
+            got_channels, got_wear = run.read()
+            assert np.array_equal(got_wear, wear)
+            assert all(np.array_equal(got_channels[c], channels[c]) for c in CHANNEL_NAMES)
 
     def test_a_run_is_made_only_when_read(self, monkeypatch):
         made = []
         blocks = synth._blocks
         monkeypatch.setattr(synth, "_blocks", lambda *a: made.append(a) or blocks(*a))
         run = generate_run(DESK, 3)
-        assert made == [] and run.channel_ids == CHANNEL_NAMES
-        assert len(run.wear_trajectory) == len(run.channels["force"]) == DESK.n_samples
-        assert len(made) == 1  # made once, then kept
+        assert run.channel_ids == CHANNEL_NAMES and run.n_samples == DESK.n_samples
+        assert made == []
+        channels, wear = run.read()
+        assert len(wear) == len(channels["force"]) == DESK.n_samples
+        assert len(made) == 1
+        run.read()
+        assert len(made) == 2  # nothing was kept
 
     @pytest.mark.parametrize("at", ["inside", "across"])
     def test_falling_wear_is_refused_in_a_block_and_across_blocks(self, monkeypatch, at):
